@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -106,8 +105,6 @@ def _digest(path: str) -> str:
 
 def _write_report(path, payload):
     if path:
-        payload = dict(payload)
-        payload["elapsed_s"] = time.process_time()
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True, default=str)
             fh.write("\n")

@@ -10,6 +10,7 @@ geometric form and reported as a ledger.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,16 +20,15 @@ import numpy as np
 from .errors import DimensionMismatch, DivergentConvolution
 from .lattice import (
     Box,
-    FiniteSet,
     FullLattice,
     LatticeDomain,
-    Orthant,
     SequenceTable,
-    Shifted,
+    axis_interval,
     minkowski_sum,
     value_norm,
+    value_norms,
 )
-from .ztransform import eval_forward
+from .ztransform import _geom_sum, eval_forward
 
 DEFAULT_TOL = 1e-12
 TOL_FLOOR = 1e-14
@@ -37,24 +37,6 @@ TOL_FLOOR = 1e-14
 # ---------------------------------------------------------------------------
 # Axis profiles for tail bounds
 # ---------------------------------------------------------------------------
-
-
-def _axis_interval(domain: LatticeDomain, axis: int):
-    """(lo, hi) bounds of the domain along one axis; None means unbounded."""
-    off = 0
-    while isinstance(domain, Shifted):
-        off += domain.offset[axis]
-        domain = domain.base
-    if isinstance(domain, FullLattice):
-        return (None, None)
-    if isinstance(domain, Orthant):
-        return (off, None) if domain.signs[axis] > 0 else (None, off)
-    if isinstance(domain, Box):
-        return (domain.lo[axis] + off, domain.hi[axis] + off)
-    if isinstance(domain, FiniteSet):
-        cs = [p[axis] for p in domain.points]
-        return (min(cs) + off, max(cs) + off)
-    raise TypeError(f"unknown domain {domain!r}")
 
 
 @dataclass
@@ -79,35 +61,18 @@ def _profiles(f: SequenceTable, axes: Sequence[int]) -> tuple[float, list[_AxisP
     if f.envelope is not None:
         M = f.envelope.M
         for ax in axes:
-            lo, hi = _axis_interval(f.domain, ax)
+            lo, hi = axis_interval(f.domain, ax)
             r = f.envelope.rates[ax]
             rn, rp = (r if isinstance(r, tuple) else (r, r))
             profs.append(_AxisProfile(lo, hi, rn, rp))
     else:
         M = float(np.max(f.norms())) if f.values.size else 0.0
         for ax in axes:
-            dlo, dhi = _axis_interval(f.domain, ax)
+            dlo, dhi = axis_interval(f.domain, ax)
             lo = f.support.lo[ax] if dlo is None else max(dlo, f.support.lo[ax])
             hi = f.support.hi[ax] if dhi is None else min(dhi, f.support.hi[ax])
             profs.append(_AxisProfile(lo, hi, 1.0, 1.0))
     return M, profs
-
-
-def _geom_sum(t: float, lo: int | None, hi: int | None) -> float:
-    """sum_{l=lo}^{hi} t^l with infinite ends allowed; inf if divergent."""
-    if t <= 0:
-        raise ValueError("ratio must be positive")
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return 0.0
-        if t == 1.0:
-            return float(hi - lo + 1)
-        return (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
-    if hi is None and lo is not None:
-        return (t**lo) / (1.0 - t) if t < 1.0 else math.inf
-    if lo is None and hi is not None:
-        return (t**hi) / (1.0 - 1.0 / t) if t > 1.0 else math.inf
-    return math.inf
 
 
 def _pair_sum(pa: _AxisProfile, pb: _AxisProfile, k: int, lo: int | None, hi: int | None) -> float:
@@ -142,50 +107,59 @@ def _pair_sum(pa: _AxisProfile, pb: _AxisProfile, k: int, lo: int | None, hi: in
     return total
 
 
-def _tail_bound(
+def _tail_ledger(
     a: SequenceTable,
     b: SequenceTable,
-    k,
     a_axes: Sequence[int],
     b_axes: Sequence[int],
-) -> float:
-    """Bound the convolution mass outside the stored summation box at k.
+    ranges: Sequence[range],
+) -> np.ndarray:
+    """Bound the convolution mass outside the stored summation box at every k
+    of the window ``ranges`` (one range per convolved axis).
 
     Per axis: full admissible geometric sum minus the part over the stored
     box.  Both use the same envelope factors, so the difference bounds every
-    term the windowed kernel did not add.
+    term the windowed product did not add.  Both sums are products over axes,
+    so the ledger is an outer product of one 1-D array per axis; an axis whose
+    full sum diverges makes the entry infinite.
     """
     Ma, pa = _profiles(a, a_axes)
     Mb, pb = _profiles(b, b_axes)
+    shape = tuple(len(ks) for ks in ranges)
     if Ma == 0.0 or Mb == 0.0:
-        return 0.0
-    full = 1.0
-    stored = 1.0
+        return np.zeros(shape)
+    full = np.ones(())
+    stored = np.ones(())
+    divergent = np.zeros((), dtype=bool)
     for i, (ai, bi) in enumerate(zip(a_axes, b_axes)):
-        ki = k[i]
-        # admissible l-interval: l in dom_b, k - l in dom_a
-        lo_d = pb[i].lo
-        hi_d = pb[i].hi
-        if pa[i].hi is not None:
-            lo2 = ki - pa[i].hi
-            lo_d = lo2 if lo_d is None else max(lo_d, lo2)
-        if pa[i].lo is not None:
-            hi2 = ki - pa[i].lo
-            hi_d = hi2 if hi_d is None else min(hi_d, hi2)
-        s_full = _pair_sum(pa[i], pb[i], ki, lo_d, hi_d)
-        if math.isinf(s_full):
-            return math.inf
-        # stored box: l in supp(b), k - l in supp(a), intersected with admissible
-        lo_s = max(b.support.lo[bi], ki - a.support.hi[ai])
-        hi_s = min(b.support.hi[bi], ki - a.support.lo[ai])
-        if lo_d is not None:
-            lo_s = max(lo_s, lo_d)
-        if hi_d is not None:
-            hi_s = min(hi_s, hi_d)
-        s_stored = _pair_sum(pa[i], pb[i], ki, lo_s, hi_s) if lo_s <= hi_s else 0.0
-        full *= s_full
-        stored *= min(s_stored, s_full)
-    return Ma * Mb * max(full - stored, 0.0)
+        s_full = []
+        s_stored = []
+        for ki in ranges[i]:
+            # admissible l-interval: l in dom_b, k - l in dom_a
+            lo_d = pb[i].lo
+            hi_d = pb[i].hi
+            if pa[i].hi is not None:
+                lo2 = ki - pa[i].hi
+                lo_d = lo2 if lo_d is None else max(lo_d, lo2)
+            if pa[i].lo is not None:
+                hi2 = ki - pa[i].lo
+                hi_d = hi2 if hi_d is None else min(hi_d, hi2)
+            s_full.append(_pair_sum(pa[i], pb[i], ki, lo_d, hi_d))
+            # stored box: l in supp(b), k - l in supp(a), intersected with admissible
+            lo_s = max(b.support.lo[bi], ki - a.support.hi[ai])
+            hi_s = min(b.support.hi[bi], ki - a.support.lo[ai])
+            if lo_d is not None:
+                lo_s = max(lo_s, lo_d)
+            if hi_d is not None:
+                hi_s = min(hi_s, hi_d)
+            s_stored.append(_pair_sum(pa[i], pb[i], ki, lo_s, hi_s) if lo_s <= hi_s else 0.0)
+        f_i = np.array(s_full)
+        inf_i = np.isinf(f_i)
+        f_i[inf_i] = 0.0
+        full = np.multiply.outer(full, f_i)
+        stored = np.multiply.outer(stored, np.minimum(s_stored, f_i))
+        divergent = np.logical_or.outer(divergent, inf_i)
+    return np.where(divergent, math.inf, Ma * Mb * np.maximum(full - stored, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -193,31 +167,71 @@ def _tail_bound(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ConvPlan:
-    """Domain pair and mode of a convolution product."""
-
-    d_a: LatticeDomain
-    d_b: LatticeDomain
-    mode: str = "general"  # faltung | weyl | general | axes
-    axes: tuple[int, ...] | None = None  # 1-based, strictly increasing (axes mode)
-
-    @property
-    def result_domain(self) -> LatticeDomain:
-        if self.mode == "axes":
-            return FullLattice(self.d_b.dim)
-        try:
-            return minkowski_sum(self.d_a, self.d_b)
-        except Exception:
-            return FullLattice(self.d_b.dim)
+def result_domain(d_a: LatticeDomain, d_b: LatticeDomain) -> LatticeDomain:
+    """Domain of a product of sequences on d_a and d_b; the full lattice when
+    the Minkowski sum is not representable."""
+    try:
+        return minkowski_sum(d_a, d_b)
+    except Exception:
+        return FullLattice(d_b.dim)
 
 
-def _mul(a_val, b_val):
-    av = np.asarray(a_val)
-    bv = np.asarray(b_val)
-    if av.ndim == 2 and bv.ndim >= 1:
-        return av @ bv
-    return av * bv
+def _correlate(a, a_lo, b, b_lo, window: Box, a_vdim: int = 0, b_vdim: int = 0):
+    """out[k] = sum_s a[s] (x) b[k - s] for every k of the window.
+
+    ``a`` and ``b`` are dense arrays over boxes starting at ``a_lo``/``b_lo``:
+    lattice axes first, then ``a_vdim``/``b_vdim`` value axes.  The entry
+    product (x) is matrix @ (vector or matrix) and elementwise otherwise, with
+    value axes right-aligned (a vector times a matrix scales its columns).
+    Points outside either box contribute nothing.  One numpy product runs per
+    point of the smaller box, against the overlapping slice of the other, so
+    each k sums its terms in that box's row-major order.
+    """
+    n = window.dim
+    if a_vdim == 2 and b_vdim >= 1:
+        op = np.matmul
+        if b_vdim == 1:
+            b = b[..., None]
+    else:
+        op = np.multiply
+        d = max(a_vdim, b_vdim)
+        a = a.reshape(a.shape[:n] + (1,) * (d - a_vdim) + a.shape[n:])
+        b = b.reshape(b.shape[:n] + (1,) * (d - b_vdim) + b.shape[n:])
+    vshape = op(a[(0,) * n], b[(0,) * n]).shape
+    out = np.zeros(window.shape + vshape, dtype=np.result_type(a, b))
+    swap = math.prod(b.shape[:n]) < math.prod(a.shape[:n])
+    it, it_lo, other, other_lo = (b, b_lo, a, a_lo) if swap else (a, a_lo, b, b_lo)
+    # per axis, the iterated indices p with a non-empty overlap, and the slices
+    # of the window and of the other box they pair with (k = p + q)
+    per_axis = []
+    for i in range(n):
+        w_lo, o_lo = window.lo[i], other_lo[i]
+        opts = []
+        for p in range(it.shape[i]):
+            pk = it_lo[i] + p
+            k_lo = max(w_lo, o_lo + pk)
+            k_hi = min(window.hi[i], o_lo + other.shape[i] - 1 + pk)
+            if k_lo <= k_hi:
+                q = k_lo - pk - o_lo
+                opts.append((p, slice(k_lo - w_lo, k_hi - w_lo + 1), slice(q, q + k_hi - k_lo + 1)))
+        per_axis.append(opts)
+    for combo in itertools.product(*per_axis):
+        p = tuple(c[0] for c in combo)
+        piece = other[tuple(c[2] for c in combo)]
+        out[tuple(c[1] for c in combo)] += op(piece, it[p]) if swap else op(it[p], piece)
+    if a_vdim == 2 and b_vdim == 1:
+        out = out[..., 0]
+    return out
+
+
+def _check_tail(out, ledger, window: Box, tol: float, value_ndim: int) -> None:
+    """Raise at the first k (row-major) whose tail bound exceeds the tolerance."""
+    scale = np.maximum(value_norms(out, value_ndim), TOL_FLOOR / max(tol, 1e-300))
+    bad = ledger > np.maximum(tol * scale, TOL_FLOOR)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        k = tuple(lo + i for lo, i in zip(window.lo, idx))
+        raise DivergentConvolution(f"tail bound {ledger[idx]:.3e} at k={k} exceeds tolerance")
 
 
 def conv_general(
@@ -236,39 +250,23 @@ def conv_general(
     """
     if a.dim != b.dim or window.dim != a.dim:
         raise DimensionMismatch("convolution dimension mismatch")
-    n = a.dim
     out_kind = b.value_kind if a.value_kind == "scalar" else (
         b.value_kind if b.value_kind != "scalar" else a.value_kind
     )
     out_m = b.m if b.m is not None else a.m
-    vshape = b.vshape if b.value_kind != "scalar" else a.vshape
-    out = np.zeros(window.shape + vshape, dtype=complex)
-    has_env = a.envelope is not None or b.envelope is not None
-    ledger = np.zeros(window.shape) if has_env else None
-
-    axes = tuple(range(n))
-    for idx in np.ndindex(*window.shape):
-        k = tuple(lo + i for lo, i in zip(window.lo, idx))
-        acc = np.zeros(vshape, dtype=complex)
-        for s, av in a.support_points():
-            if s not in a.domain:
-                continue
-            l = tuple(ki - si for ki, si in zip(k, s))
-            if l not in b.domain or l not in b.support:
-                continue
-            acc = acc + _mul(av, b.at(l))
-        out[idx] = acc
-        if has_env:
-            t = _tail_bound(a, b, k, axes, axes)
-            ledger[idx] = t
-            if enforce:
-                scale = max(value_norm(acc), TOL_FLOOR / max(tol, 1e-300))
-                if t > max(tol * scale, TOL_FLOOR):
-                    raise DivergentConvolution(
-                        f"tail bound {t:.3e} at k={k} exceeds tolerance"
-                    )
-    domain = ConvPlan(a.domain, b.domain).result_domain
-    table = SequenceTable(domain, window, out, out_kind, out_m)
+    # stored entries outside a table's domain are zero, so the stored boxes
+    # are the whole summation range
+    out = _correlate(
+        a.values, a.support.lo, b.values, b.support.lo, window, len(a.vshape), len(b.vshape)
+    )
+    ledger = None
+    if a.envelope is not None or b.envelope is not None:
+        axes = tuple(range(a.dim))
+        ranges = [range(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
+        ledger = _tail_ledger(a, b, axes, axes, ranges)
+        if enforce:
+            _check_tail(out, ledger, window, tol, out.ndim - a.dim)
+    table = SequenceTable(result_domain(a.domain, b.domain), window, out, out_kind, out_m)
     return (table, ledger) if return_ledger else table
 
 
@@ -297,39 +295,32 @@ def conv_axes(
     if window.dim != b.dim:
         raise DimensionMismatch("window dimension mismatch")
     ax0 = tuple(j - 1 for j in axes)
-    has_env = a.envelope is not None or b.envelope is not None
-    out = np.zeros(window.shape + b.vshape, dtype=complex)
-    ledger = np.zeros(window.shape) if has_env else None
-
-    for idx in np.ndindex(*window.shape):
-        k = tuple(lo + i for lo, i in zip(window.lo, idx))
-        acc = np.zeros(b.vshape, dtype=complex)
-        for s, av in a.support_points():
-            if s not in a.domain:
-                continue
-            l = list(k)
-            for si, j in zip(s, ax0):
-                l[j] = k[j] - si
-            l = tuple(l)
-            if l not in b.domain or l not in b.support:
-                continue
-            acc = acc + np.asarray(b.at(l)) * av
-        out[idx] = acc
-        if has_env:
-            ksub = tuple(k[j] for j in ax0)
-            t = _tail_bound(a, b, ksub, tuple(range(a.dim)), ax0)
-            # pass-through coordinates scale b's envelope factors
-            if b.envelope is not None:
-                for j in range(b.dim):
-                    if j not in ax0:
-                        t *= b.envelope.axis_factor(j, k[j])
-            ledger[idx] = t
-            if enforce:
-                scale = max(value_norm(acc), TOL_FLOOR / max(tol, 1e-300))
-                if t > max(tol * scale, TOL_FLOOR):
-                    raise DivergentConvolution(
-                        f"tail bound {t:.3e} at k={k} exceeds tolerance"
-                    )
+    # embed the kernel in n dimensions with length-1 pass-through axes at 0
+    emb_shape = [1] * b.dim
+    emb_lo = [0] * b.dim
+    for i, j in enumerate(ax0):
+        emb_shape[j] = a.support.shape[i]
+        emb_lo[j] = a.support.lo[i]
+    out = _correlate(
+        a.values.reshape(emb_shape), emb_lo, b.values, b.support.lo, window, 0, len(b.vshape)
+    )
+    ledger = None
+    if a.envelope is not None or b.envelope is not None:
+        ranges = [range(window.lo[j], window.hi[j] + 1) for j in ax0]
+        ledger = _tail_ledger(a, b, tuple(range(a.dim)), ax0, ranges)
+        ledger = ledger.reshape([window.shape[j] if j in ax0 else 1 for j in range(b.dim)])
+        # pass-through coordinates scale b's envelope factors
+        if b.envelope is not None:
+            for j in range(b.dim):
+                if j not in ax0:
+                    shape = [1] * b.dim
+                    shape[j] = -1
+                    ks = range(window.lo[j], window.hi[j] + 1)
+                    factors = [b.envelope.axis_factor(j, kj) for kj in ks]
+                    ledger = ledger * np.array(factors).reshape(shape)
+        ledger = np.array(np.broadcast_to(ledger, window.shape))
+        if enforce:
+            _check_tail(out, ledger, window, tol, len(b.vshape))
     table = SequenceTable(FullLattice(b.dim), window, out, b.value_kind, b.m)
     return (table, ledger) if return_ledger else table
 

@@ -269,6 +269,57 @@ def value_norm(v) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def value_norms(values: np.ndarray, value_ndim: int) -> np.ndarray:
+    """``value_norm`` of every entry; the last ``value_ndim`` axes hold a value."""
+    if value_ndim == 0:
+        return np.abs(values)
+    if value_ndim == 1:
+        return np.linalg.norm(values, axis=-1)
+    return np.linalg.norm(values, 2, axis=(-2, -1))
+
+
+def axis_interval(domain: LatticeDomain, axis: int):
+    """(lo, hi) bounds of the domain along one axis; None means unbounded."""
+    off = 0
+    while isinstance(domain, Shifted):
+        off += domain.offset[axis]
+        domain = domain.base
+    if isinstance(domain, FullLattice):
+        return (None, None)
+    if isinstance(domain, Orthant):
+        return (off, None) if domain.signs[axis] > 0 else (None, off)
+    if isinstance(domain, Box):
+        return (domain.lo[axis] + off, domain.hi[axis] + off)
+    if isinstance(domain, FiniteSet):
+        cs = [p[axis] for p in domain.points]
+        return (min(cs) + off, max(cs) + off)
+    raise TypeError(f"unknown domain {domain!r}")
+
+
+def domain_mask(domain: LatticeDomain, support: Box) -> np.ndarray:
+    """Boolean array over the support box: True at the points of the domain."""
+    base, lo = domain, np.array(support.lo)
+    while isinstance(base, Shifted):
+        base, lo = base.base, lo - base.offset
+    if isinstance(base, FiniteSet):
+        mask = np.zeros(support.shape, dtype=bool)
+        for p in base.points:
+            idx = tuple(int(c) for c in np.subtract(p, lo))
+            if all(0 <= i < s for i, s in zip(idx, support.shape)):
+                mask[idx] = True
+        return mask
+    # every other kind is a product of per-axis intervals
+    mask = np.ones(support.shape, dtype=bool)
+    for ax, (a, b) in enumerate(zip(support.lo, support.hi)):
+        d_lo, d_hi = axis_interval(domain, ax)
+        ks = np.arange(a, b + 1)
+        keep = (ks >= (a if d_lo is None else d_lo)) & (ks <= (b if d_hi is None else d_hi))
+        shape = [1] * support.dim
+        shape[ax] = -1
+        mask &= keep.reshape(shape)
+    return mask
+
+
 class SequenceTable:
     """Dense finitely stored lattice sequence over a support box.
 
@@ -298,12 +349,11 @@ class SequenceTable:
         if not np.all(np.isfinite(vals)):
             raise ValueError("non-finite entries in sequence table")
         # Zero out entries outside the domain (finite-support semantics).
-        if not isinstance(domain, (FullLattice, Box)):
-            vals = vals.copy()
-            for idx in np.ndindex(*support.shape):
-                k = tuple(a + i for a, i in zip(support.lo, idx))
-                if k not in domain:
-                    vals[idx] = 0
+        if not isinstance(domain, FullLattice):
+            outside = ~domain_mask(domain, support)
+            if outside.any():
+                vals = vals.copy()
+                vals[outside] = 0
         vals.setflags(write=False)
         self.domain = domain
         self.support = support
@@ -346,22 +396,19 @@ class SequenceTable:
 
     def norms(self) -> np.ndarray:
         """||f(k)|| over the support box."""
-        if self.value_kind == "scalar":
-            return np.abs(self.values)
-        out = np.empty(self.support.shape)
-        for idx in np.ndindex(*self.support.shape):
-            out[idx] = value_norm(self.values[idx])
-        return out
+        return value_norms(self.values, len(self.vshape))
 
     def envelope_ok(self, slack: float = 1e-12) -> bool:
         """Check every stored value against the envelope bound."""
         if self.envelope is None:
             return True
-        for idx in np.ndindex(*self.support.shape):
-            k = tuple(a + i for a, i in zip(self.support.lo, idx))
-            if value_norm(self.values[idx]) > self.envelope.bound(k) + slack:
-                return False
-        return True
+        bound = np.full(self.support.shape, self.envelope.M)
+        for ax, (lo, hi) in enumerate(zip(self.support.lo, self.support.hi)):
+            shape = [1] * self.dim
+            shape[ax] = -1
+            factors = [self.envelope.axis_factor(ax, k) for k in range(lo, hi + 1)]
+            bound = bound * np.array(factors).reshape(shape)
+        return bool(np.all(self.norms() <= bound + slack))
 
     def __repr__(self):
         return (
@@ -442,17 +489,6 @@ def _shift_envelope(env: Envelope, beta: MultiIndex) -> Envelope:
         else:
             M *= r**b
     return Envelope(M, env.rates)
-
-
-def restrict_shift_overlap(f: SequenceTable, g: SequenceTable, beta) -> bool:
-    """True iff g equals beta_shift(f, beta) wherever both shifts stay in-domain."""
-    beta = _as_index(beta)
-    for k, _ in g.support_points():
-        kb = tuple(c + b for c, b in zip(k, beta))
-        if kb in f.domain and k in f.domain:
-            if value_norm(np.asarray(g.at(k)) - np.asarray(f.at(kb))) > 1e-14:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

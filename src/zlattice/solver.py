@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .convolution import conv_axes, conv_general
+from .convolution import _correlate, conv_axes, conv_general
 from .errors import (
     DimensionMismatch,
     InitialConditionViolated,
@@ -35,6 +35,7 @@ from .lattice import (
     SequenceTable,
     nonneg_orthant,
     value_norm,
+    value_norms,
 )
 from .ztransform import (
     InversionResult,
@@ -367,16 +368,12 @@ def _build_kernel(
     # most r^k * ||M^-1|| * ||dM|| * ||M^-1 C||-type terms; use the blunt
     # contour-uniform bound instead.
     if state["symbol_err"] > 0:
-        for idx in np.ndindex(*window.shape):
-            k = tuple(a + i for a, i in zip(window.lo, idx))
-            w = 1.0
-            for r, ki in zip(radii, k):
-                w *= float(r) ** ki
-            aliasing[idx] += (
-                w * state["symbol_err"] * state["contour_max"] ** 2 / max(
-                    value_norm(S.C), 1e-300
-                )
-            )
+        w = np.ones(())
+        for r, lo, hi in zip(radii, window.lo, window.hi):
+            w = np.multiply.outer(w, [float(r) ** ki for ki in range(lo, hi + 1)])
+        aliasing += (
+            w * state["symbol_err"] * state["contour_max"] ** 2 / max(value_norm(S.C), 1e-300)
+        )
     return KernelResult(
         table, aliasing, state["min_rcond"], state["contour_max"], state["symbol_err"]
     )
@@ -460,30 +457,18 @@ def solve(
         kr.table, f, out_window, enforce=False, return_ledger=True
     )
     err = conv_ledger if conv_ledger is not None else np.zeros(out_window.shape)
-    err = err.astype(float).copy()
     # propagate kernel aliasing through the convolution with |f|
-    fnorm = f.norms()
-    for idx in np.ndindex(*out_window.shape):
-        k = tuple(a + i for a, i in zip(out_window.lo, idx))
-        acc = 0.0
-        for fidx in np.ndindex(*f.support.shape):
-            l = tuple(a + i for a, i in zip(f.support.lo, fidx))
-            s = tuple(ki - li for ki, li in zip(k, l))
-            if s in kr.table.support:
-                kidx = tuple(c - a for c, a in zip(s, kernel_window.lo))
-                acc += kr.aliasing[kidx] * fnorm[fidx]
-        err[idx] += acc
+    err = err.astype(float) + _correlate(
+        kr.aliasing, kernel_window.lo, f.norms(), f.support.lo, out_window
+    )
     ledger = operator_amplification(S) * float(np.max(err)) + 1e-12
     return SolveResult(u, err, ledger, kr)
-
-
-def _u_value(u: SequenceTable, k):
-    return np.asarray(u.at(k))
 
 
 def residual(S: Problem, u: SequenceTable, f: SequenceTable, check_window: Box) -> dict:
     """Max over the window of || LHS(k) - C f(k) || by direct substitution."""
     f = promote_data(f, S.m)
+    n = check_window.dim
     if isinstance(S, OperatorPencil):
         lo = tuple(
             a - S.max_shift() for a in check_window.lo
@@ -493,86 +478,57 @@ def residual(S: Problem, u: SequenceTable, f: SequenceTable, check_window: Box) 
         for c, a, b, d in zip(need.lo, u.support.lo, u.support.hi, need.hi):
             if u.envelope is not None and (c < a or d > b):
                 raise InsufficientWindow("u window too small for residual shifts")
-        worst = 0.0
-        for k in check_window.points():
-            acc = np.zeros(u.vshape, dtype=complex)
-            for j, A in S.terms:
-                acc = acc + A @ np.atleast_1d(
-                    _u_value(u, tuple(c + ji for c, ji in zip(k, j)))
-                ) if u.value_kind != "scalar" else acc + (
-                    A.reshape(()) if A.size == 1 else A
-                ) * u.at(tuple(c + ji for c, ji in zip(k, j)))
-            rhs = S.C @ np.atleast_1d(np.asarray(f.at(k))) if u.value_kind != "scalar" else complex(
-                S.C.reshape(())
-            ) * f.at(k)
-            worst = max(worst, value_norm(np.asarray(acc) - np.asarray(rhs)))
-        return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
-    if isinstance(S, WeylFractionalSymbol):
-        return _residual_weyl(S, u, f, check_window)
-    if isinstance(S, MultiTermSymbol):
-        return _residual_multiterm(S, u, f, check_window)
-    if isinstance(S, MixedAxesSymbol):
-        return _residual_mixed(S, u, f, check_window)
-    raise TypeError(f"unknown problem type {type(S)!r}")
-
-
-def _apply_A(A: np.ndarray, v):
-    v = np.asarray(v)
-    if v.ndim == 0:
-        return complex(A.reshape(())) * complex(v) if A.size == 1 else A * v
-    return A @ v
-
-
-def _residual_weyl(S, u, f, check_window):
-    worst = 0.0
-    shifts = [t.shift for t in S.terms]
-    terms_out = []
-    for t in S.terms:
-        lo = check_window.lo[0] + t.shift
-        hi = check_window.hi[0] + t.shift
-        conv_win = Box((lo,), (hi + t.order,))
-        g = conv_general(t.kernel, u, conv_win, enforce=False)
-        d = forward_difference(g, t.order, Box((lo,), (hi,)))
-        terms_out.append((t, d))
-    for k in check_window.points():
-        acc = np.zeros(u.vshape, dtype=complex)
-        for t, d in terms_out:
-            acc = acc + _apply_A(t.A, d.at((k[0] + t.shift,)))
-        acc = acc + _apply_A(S.A0, u.at((k[0] + S.k0,)))
-        rhs = _apply_A(S.C, f.at(k))
-        worst = max(worst, value_norm(np.asarray(acc) - np.asarray(rhs)))
+        terms = [(A, u, j) for j, A in S.terms]
+    elif isinstance(S, WeylFractionalSymbol):
+        terms = []
+        for t in S.terms:
+            lo = check_window.lo[0] + t.shift
+            hi = check_window.hi[0] + t.shift
+            g = conv_general(t.kernel, u, Box((lo,), (hi + t.order,)), enforce=False)
+            d = forward_difference(g, t.order, Box((lo,), (hi,)))
+            terms.append((t.A, d, (t.shift,)))
+        terms.append((S.A0, u, (S.k0,)))
+    elif isinstance(S, MultiTermSymbol):
+        terms = [(S.B, u, (0,) * n)]
+        for t in S.terms:
+            lo = tuple(a + s for a, s in zip(check_window.lo, t.shift))
+            hi = tuple(b + s for b, s in zip(check_window.hi, t.shift))
+            terms.append((t.A, conv_general(t.kernel, u, Box(lo, hi), enforce=False), t.shift))
+    elif isinstance(S, MixedAxesSymbol):
+        terms = [
+            (t.A, conv_axes(t.kernel, u, t.axes, check_window, enforce=False), (0,) * n)
+            for t in S.terms
+        ]
+    else:
+        raise TypeError(f"unknown problem type {type(S)!r}")
+    acc = np.zeros(check_window.shape, dtype=complex)
+    for A, g, shift in terms:
+        acc = _add_values(acc, _shifted_apply(A, g, shift, check_window), n)
+    diff = _add_values(acc, -_shifted_apply(S.C, f, (0,) * n, check_window), n)
+    worst = float(np.max(value_norms(diff, diff.ndim - n)))
     return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
 
 
-def _residual_multiterm(S, u, f, check_window):
-    worst = 0.0
-    convs = []
-    for t in S.terms:
-        lo = tuple(a + s for a, s in zip(check_window.lo, t.shift))
-        hi = tuple(b + s for b, s in zip(check_window.hi, t.shift))
-        convs.append((t, conv_general(t.kernel, u, Box(lo, hi), enforce=False)))
-    for k in check_window.points():
-        acc = _apply_A(S.B, u.at(k))
-        for t, g in convs:
-            acc = acc + _apply_A(t.A, g.at(tuple(c + s for c, s in zip(k, t.shift))))
-        rhs = _apply_A(S.C, f.at(k))
-        worst = max(worst, value_norm(np.asarray(acc) - np.asarray(rhs)))
-    return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
+def _shifted_apply(A, g: SequenceTable, shift, window: Box) -> np.ndarray:
+    """A g(k + shift) at every k of the window, as a one-point correlation."""
+    A = np.asarray(A, dtype=complex)
+    n = window.dim
+    return _correlate(
+        A.reshape((1,) * n + A.shape),
+        tuple(-c for c in shift),
+        g.values,
+        g.support.lo,
+        window,
+        A.ndim,
+        len(g.vshape),
+    )
 
 
-def _residual_mixed(S, u, f, check_window):
-    worst = 0.0
-    convs = []
-    for t in S.terms:
-        g = conv_axes(t.kernel, u, t.axes, check_window, enforce=False)
-        convs.append((t, g))
-    for k in check_window.points():
-        acc = np.zeros(u.vshape, dtype=complex)
-        for t, g in convs:
-            acc = acc + _apply_A(t.A, g.at(k))
-        rhs = _apply_A(S.C, f.at(k))
-        worst = max(worst, value_norm(np.asarray(acc) - np.asarray(rhs)))
-    return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
+def _add_values(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """x + y over n lattice axes, value axes right-aligned as for single values."""
+    d = max(x.ndim, y.ndim) - n
+    x, y = (t.reshape(t.shape[:n] + (1,) * (d + n - t.ndim) + t.shape[n:]) for t in (x, y))
+    return x + y
 
 
 # ---------------------------------------------------------------------------

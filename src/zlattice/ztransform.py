@@ -10,6 +10,7 @@ inverse DFT with per-axis radius weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -211,13 +212,21 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
     return PolyAnnulus(tuple(axes))
 
 
-def _geom_partial(q: float, n_terms: int) -> float:
-    # sum_{j=0}^{n_terms-1} q^j
-    if n_terms <= 0:
-        return 0.0
-    if q == 1.0:
-        return float(n_terms)
-    return (1.0 - q**n_terms) / (1.0 - q)
+def _geom_sum(t: float, lo: int | None, hi: int | None) -> float:
+    """sum_{l=lo}^{hi} t^l with infinite ends allowed; inf if divergent."""
+    if t <= 0:
+        raise ValueError("ratio must be positive")
+    if lo is not None and hi is not None:
+        if lo > hi:
+            return 0.0
+        if t == 1.0:
+            return float(hi - lo + 1)
+        return (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
+    if hi is None and lo is not None:
+        return (t**lo) / (1.0 - t) if t < 1.0 else math.inf
+    if lo is None and hi is not None:
+        return (t**hi) / (1.0 - 1.0 / t) if t > 1.0 else math.inf
+    return math.inf
 
 
 def forward_tail_bound(f: SequenceTable, z) -> float:
@@ -242,20 +251,18 @@ def forward_tail_bound(f: SequenceTable, z) -> float:
             rp = r[1] if isinstance(r, tuple) else r
             q = rp / mods[i]
             full *= 1.0 / (1.0 - q)
-            stored *= _geom_partial(q, hi + 1) - _geom_partial(q, max(lo, 0))
+            stored *= _geom_sum(q, max(lo, 0), hi)
         elif side == "-":
             rn = r[0] if isinstance(r, tuple) else r
             q = mods[i] / rn
             full *= 1.0 / (1.0 - q)
-            stored *= _geom_partial(q, -lo + 1) - _geom_partial(q, max(-hi, 0))
+            stored *= _geom_sum(q, max(-hi, 0), -lo)
         else:
             r_neg, r_pos = r
             qp = r_pos / mods[i]
             qn = mods[i] / r_neg
             full *= 1.0 / (1.0 - qp) + qn / (1.0 - qn)
-            sp = _geom_partial(qp, hi + 1) - _geom_partial(qp, max(lo, 0)) if hi >= 0 else 0.0
-            sn = qn * _geom_partial(qn, -lo) if lo < 0 else 0.0
-            stored *= sp + sn
+            stored *= _geom_sum(qp, max(lo, 0), hi) + _geom_sum(qn, 1, -lo)
     return f.envelope.M * max(full - stored, 0.0)
 
 
@@ -553,36 +560,29 @@ def _aliasing_bounds(env, sides, radii, grid, window) -> np.ndarray:
     The computed coefficient equals f(k) + sum_{m != 0} f(k + m*N) * r^{-m*N};
     bounding f by the envelope gives a closed geometric form per axis.
     """
-    shape = window.shape
-    out = np.empty(shape)
-    for idx in np.ndindex(*shape):
-        k = tuple(a + i for a, i in zip(window.lo, idx))
-        total = 1.0
-        diag = 1.0
-        ok = True
-        for i, side in enumerate(sides):
-            r = env.rates[i]
-            rp = r[1] if isinstance(r, tuple) else r
-            rn = r[0] if isinstance(r, tuple) else r
-            N, R, ki = grid[i], radii[i], k[i]
-            base = rp ** max(ki, 0) if ki >= 0 else rn**ki
-            s = base
-            if side in ("+", "z"):
-                g = (rp / R) ** N
-                if g >= 1:
-                    ok = False
-                    break
-                s = base / (1.0 - g)
-            if side in ("-", "z"):
-                h = (R / rn) ** N
-                if h >= 1:
-                    ok = False
-                    break
-                s += base * h / (1.0 - h)
-            total *= s
-            diag *= base
-        out[idx] = env.M * max(total - diag, 0.0) if ok else np.inf
-    return out
+    total = np.ones(())
+    diag = np.ones(())
+    for i, side in enumerate(sides):
+        r = env.rates[i]
+        rp = r[1] if isinstance(r, tuple) else r
+        rn = r[0] if isinstance(r, tuple) else r
+        N, R = grid[i], radii[i]
+        ks = range(window.lo[i], window.hi[i] + 1)
+        base = np.array([rp**ki if ki >= 0 else rn**ki for ki in ks])
+        s = base
+        if side in ("+", "z"):
+            g = (rp / R) ** N
+            if g >= 1:
+                return np.full(window.shape, np.inf)
+            s = base / (1.0 - g)
+        if side in ("-", "z"):
+            h = (R / rn) ** N
+            if h >= 1:
+                return np.full(window.shape, np.inf)
+            s = s + base * h / (1.0 - h)
+        total = np.multiply.outer(total, s)
+        diag = np.multiply.outer(diag, base)
+    return env.M * np.maximum(total - diag, 0.0)
 
 
 def propose_radii(env: Envelope, factor: float = 1.5) -> tuple[float, ...]:

@@ -119,6 +119,31 @@ def test_solve_cli_and_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_report_is_byte_identical_across_runs(tmp_path):
+    prob = {
+        "kind": "pencil", "n": 1, "m": 1,
+        "terms": [
+            {"j": [1], "A": [[[1, 0]]]},
+            {"j": [0], "A": [[[-0.5, 0]]]},
+        ],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(prob))
+    reports = []
+    for name in ("r1.json", "r2.json"):
+        rep = tmp_path / name
+        code = run([
+            "solve", "--problem", str(p), "--radii", "1.0",
+            "--kernel-window", "0:40", "--check-window", "1:28",
+            "--out", str(tmp_path / "u.json"), "--report", str(rep),
+        ])
+        assert code == 0
+        reports.append(rep.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_schema_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

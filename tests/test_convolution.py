@@ -1,7 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlattice.convolution import (
+    DEFAULT_TOL,
+    TOL_FLOOR,
+    _pair_sum,
+    _profiles,
     conv_axes,
     conv_general,
     conv_theorem_check,
@@ -12,9 +20,16 @@ from zlattice.fractional import cesaro
 from zlattice.lattice import (
     Box,
     Envelope,
+    FiniteSet,
     FullLattice,
+    Orthant,
     SequenceTable,
+    Shifted,
+    value_norm,
+    value_shape,
 )
+from zlattice.solver import OperatorPencil, promote_data, solve
+from zlattice.ztransform import eval_forward
 
 
 def random_box_table(rng, n=2, span=2, lo_range=(-2, 1)):
@@ -237,3 +252,301 @@ def test_theorem_check_axes_mode():
     ]
     rep = conv_theorem_check(a, b, pts, axes=(1,))
     assert rep["max_rel_deviation"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Box domains smaller than the stored support
+# ---------------------------------------------------------------------------
+
+
+def test_box_domain_zeroes_stored_entries_outside_it():
+    f = SequenceTable(Box((0,), (2,)), Box((0,), (4,)), np.ones(5))
+    assert f.at((4,)) == 0
+    assert eval_forward(f, (2.0,)) == pytest.approx(1.75, rel=1e-15)
+    # at, the forward transform and a product with the unit impulse agree
+    d = SequenceTable.delta(1, domain=FullLattice(1))
+    prod = conv_general(d, f, f.support)
+    assert [prod.at((k,)) for k in range(5)] == [f.at((k,)) for k in range(5)]
+    assert sum(f.at((k,)) * 2.0**-k for k in range(5)) == eval_forward(f, (2.0,))
+
+
+# ---------------------------------------------------------------------------
+# Per-point references: the loops the products and solve ran before they used
+# the windowed correlation
+# ---------------------------------------------------------------------------
+
+
+def ref_mul(a_val, b_val):
+    av = np.asarray(a_val)
+    bv = np.asarray(b_val)
+    if av.ndim == 2 and bv.ndim >= 1:
+        return av @ bv
+    return av * bv
+
+
+def ref_tail_bound(a, b, k, a_axes, b_axes):
+    Ma, pa = _profiles(a, a_axes)
+    Mb, pb = _profiles(b, b_axes)
+    if Ma == 0.0 or Mb == 0.0:
+        return 0.0
+    full = 1.0
+    stored = 1.0
+    for i, (ai, bi) in enumerate(zip(a_axes, b_axes)):
+        ki = k[i]
+        lo_d = pb[i].lo
+        hi_d = pb[i].hi
+        if pa[i].hi is not None:
+            lo2 = ki - pa[i].hi
+            lo_d = lo2 if lo_d is None else max(lo_d, lo2)
+        if pa[i].lo is not None:
+            hi2 = ki - pa[i].lo
+            hi_d = hi2 if hi_d is None else min(hi_d, hi2)
+        s_full = _pair_sum(pa[i], pb[i], ki, lo_d, hi_d)
+        if np.isinf(s_full):
+            return np.inf
+        lo_s = max(b.support.lo[bi], ki - a.support.hi[ai])
+        hi_s = min(b.support.hi[bi], ki - a.support.lo[ai])
+        if lo_d is not None:
+            lo_s = max(lo_s, lo_d)
+        if hi_d is not None:
+            hi_s = min(hi_s, hi_d)
+        s_stored = _pair_sum(pa[i], pb[i], ki, lo_s, hi_s) if lo_s <= hi_s else 0.0
+        full *= s_full
+        stored *= min(s_stored, s_full)
+    return Ma * Mb * max(full - stored, 0.0)
+
+
+def ref_check(acc, t, k, tol):
+    scale = max(value_norm(acc), TOL_FLOOR / max(tol, 1e-300))
+    if t > max(tol * scale, TOL_FLOOR):
+        raise DivergentConvolution(f"tail bound {t:.3e} at k={k} exceeds tolerance")
+
+
+def ref_conv_general(a, b, window, tol=DEFAULT_TOL, enforce=True):
+    vshape = b.vshape if b.value_kind != "scalar" else a.vshape
+    out = np.zeros(window.shape + vshape, dtype=complex)
+    has_env = a.envelope is not None or b.envelope is not None
+    ledger = np.zeros(window.shape) if has_env else None
+    axes = tuple(range(a.dim))
+    for idx in np.ndindex(*window.shape):
+        k = tuple(lo + i for lo, i in zip(window.lo, idx))
+        acc = np.zeros(vshape, dtype=complex)
+        for s, av in a.support_points():
+            if s not in a.domain:
+                continue
+            l = tuple(ki - si for ki, si in zip(k, s))
+            if l not in b.domain or l not in b.support:
+                continue
+            acc = acc + ref_mul(av, b.at(l))
+        out[idx] = acc
+        if has_env:
+            ledger[idx] = ref_tail_bound(a, b, k, axes, axes)
+            if enforce:
+                ref_check(acc, ledger[idx], k, tol)
+    return out, ledger
+
+
+def ref_conv_axes(a, b, axes, window, tol=DEFAULT_TOL, enforce=True):
+    ax0 = tuple(j - 1 for j in axes)
+    has_env = a.envelope is not None or b.envelope is not None
+    out = np.zeros(window.shape + b.vshape, dtype=complex)
+    ledger = np.zeros(window.shape) if has_env else None
+    for idx in np.ndindex(*window.shape):
+        k = tuple(lo + i for lo, i in zip(window.lo, idx))
+        acc = np.zeros(b.vshape, dtype=complex)
+        for s, av in a.support_points():
+            if s not in a.domain:
+                continue
+            l = list(k)
+            for si, j in zip(s, ax0):
+                l[j] = k[j] - si
+            l = tuple(l)
+            if l not in b.domain or l not in b.support:
+                continue
+            acc = acc + np.asarray(b.at(l)) * av
+        out[idx] = acc
+        if has_env:
+            ksub = tuple(k[j] for j in ax0)
+            t = ref_tail_bound(a, b, ksub, tuple(range(a.dim)), ax0)
+            if b.envelope is not None:
+                for j in range(b.dim):
+                    if j not in ax0:
+                        t *= b.envelope.axis_factor(j, k[j])
+            ledger[idx] = t
+            if enforce:
+                ref_check(acc, t, k, tol)
+    return out, ledger
+
+
+def ref_solve_error(kr, f, kernel_window, out_window):
+    _, ledger = ref_conv_general(kr.table, f, out_window, enforce=False)
+    err = ledger.astype(float).copy()
+    fnorm = np.empty(f.support.shape)
+    for fidx in np.ndindex(*f.support.shape):
+        fnorm[fidx] = value_norm(f.values[fidx])
+    for idx in np.ndindex(*out_window.shape):
+        k = tuple(a + i for a, i in zip(out_window.lo, idx))
+        acc = 0.0
+        for fidx in np.ndindex(*f.support.shape):
+            l = tuple(a + i for a, i in zip(f.support.lo, fidx))
+            s = tuple(ki - li for ki, li in zip(k, l))
+            if s in kr.table.support:
+                kidx = tuple(c - a for c, a in zip(s, kernel_window.lo))
+                acc += kr.aliasing[kidx] * fnorm[fidx]
+        err[idx] += acc
+    return err
+
+
+# ---------------------------------------------------------------------------
+# Property tests against the references
+# ---------------------------------------------------------------------------
+
+KINDS = ("scalar", "vector", "matrix")
+RATES = (0.5, 0.9, 1.0, 1.3, (2.0, 0.5), (1.0, 1.0), (0.8, 1.2))
+
+
+@st.composite
+def domains(draw, support: Box):
+    n = support.dim
+    kind = draw(st.sampled_from(("orthant", "shifted", "finite", "full", "box")))
+    if kind == "full":
+        return FullLattice(n)
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
+    if kind == "orthant":
+        return Orthant(signs)
+    if kind == "shifted":
+        offset = tuple(draw(st.integers(-2, 2)) for _ in range(n))
+        return Shifted(Orthant(signs), offset)
+    if kind == "finite":
+        near = Box(tuple(a - 1 for a in support.lo), tuple(b + 1 for b in support.hi))
+        pts = draw(st.lists(st.sampled_from(list(near.points())), min_size=1, max_size=8))
+        return FiniteSet(tuple(pts))
+    # a box inside the support, smaller than it wherever the support allows
+    lo, hi = [], []
+    for a, b in zip(support.lo, support.hi):
+        c = draw(st.integers(a, b))
+        lo.append(c)
+        hi.append(draw(st.integers(c, max(c, b - 1))))
+    return Box(tuple(lo), tuple(hi))
+
+
+@st.composite
+def tables(draw, n, kind, m, max_span=3):
+    lo = tuple(draw(st.integers(-3, 2)) for _ in range(n))
+    hi = tuple(a + draw(st.integers(0, max_span)) for a in lo)
+    support = Box(lo, hi)
+    domain = draw(domains(support))
+    env = None
+    if draw(st.integers(0, 3)):  # mostly enveloped, so both factors often are
+        M = draw(st.sampled_from((0.0, 0.5, 2.0)))
+        env = Envelope(M, tuple(draw(st.sampled_from(RATES)) for _ in range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = support.shape + value_shape(kind, m)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return SequenceTable(domain, support, vals, kind, m if kind != "scalar" else None, env)
+
+
+@st.composite
+def windows(draw, lo, hi):
+    """A window around [lo, hi] that often sticks out of it."""
+    wlo = tuple(draw(st.integers(a - 2, b + 1)) for a, b in zip(lo, hi))
+    return Box(wlo, tuple(a + draw(st.integers(0, 4)) for a in wlo))
+
+
+def outcome(fn):
+    """(result, None) or (None, k) when fn raises DivergentConvolution at k."""
+    try:
+        return fn(), None
+    except DivergentConvolution as e:
+        return None, re.search(r"at k=(\(.*?\))", str(e)).group(1)
+
+
+def assert_values_close(new, ref):
+    # relative to the largest entry of the window: single entries may cancel
+    assert np.max(np.abs(new - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
+
+
+def assert_ledgers_close(new, ref):
+    if ref is None:
+        assert new is None
+        return
+    assert np.array_equal(np.isinf(new), np.isinf(ref))
+    np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0.0)
+
+
+@given(
+    st.data(),
+    st.integers(1, 2),
+    st.sampled_from(KINDS),
+    st.sampled_from(KINDS),
+    st.integers(1, 2),
+    st.sampled_from((1e-12, 1e-3, 10.0)),
+)
+@settings(max_examples=150, deadline=None)
+def test_conv_general_matches_per_point_reference(data, n, ka, kb, m, tol):
+    a = data.draw(tables(n, ka, m))
+    b = data.draw(tables(n, kb, m))
+    lo = tuple(x + y for x, y in zip(a.support.lo, b.support.lo))
+    hi = tuple(x + y for x, y in zip(a.support.hi, b.support.hi))
+    window = data.draw(windows(lo, hi))
+    table, ledger = conv_general(a, b, window, enforce=False, return_ledger=True)
+    ref, ref_ledger = ref_conv_general(a, b, window, enforce=False)
+    assert table.values.shape == ref.shape
+    assert_values_close(table.values, ref)
+    assert_ledgers_close(ledger, ref_ledger)
+    _, k_new = outcome(lambda: conv_general(a, b, window, tol=tol))
+    _, k_ref = outcome(lambda: ref_conv_general(a, b, window, tol=tol))
+    assert k_new == k_ref
+
+
+@given(
+    st.data(),
+    st.sampled_from(((1, (1,)), (2, (1,)), (2, (2,)), (2, (1, 2)), (3, (1, 3)))),
+    st.sampled_from(KINDS),
+    st.integers(1, 2),
+    st.sampled_from((1e-12, 1e-3, 10.0)),
+)
+@settings(max_examples=100, deadline=None)
+def test_conv_axes_matches_per_point_reference(data, shape, kb, m, tol):
+    n, axes = shape
+    a = data.draw(tables(len(axes), "scalar", m))
+    b = data.draw(tables(n, kb, m, max_span=2))
+    lo, hi = list(b.support.lo), list(b.support.hi)
+    for i, j in enumerate(axes):
+        lo[j - 1] += a.support.lo[i]
+        hi[j - 1] += a.support.hi[i]
+    window = data.draw(windows(lo, hi))
+    table, ledger = conv_axes(a, b, axes, window, enforce=False, return_ledger=True)
+    ref, ref_ledger = ref_conv_axes(a, b, axes, window, enforce=False)
+    assert table.values.shape == ref.shape
+    assert_values_close(table.values, ref)
+    assert_ledgers_close(ledger, ref_ledger)
+    _, k_new = outcome(lambda: conv_axes(a, b, axes, window, tol=tol))
+    _, k_ref = outcome(lambda: ref_conv_axes(a, b, axes, window, tol=tol))
+    assert k_new == k_ref
+
+
+@given(
+    st.data(),
+    st.integers(1, 2),
+    st.integers(1, 2),
+    st.sampled_from(KINDS),
+    st.floats(2.0, 3.0),
+)
+@settings(max_examples=30, deadline=None)
+def test_solve_error_matches_per_point_reference(data, n, m, kf, a_diag):
+    # A u(k + 1) - u(k) = f with A = a I: the Green kernel decays like a^-k
+    A = a_diag * np.eye(m)
+    P = OperatorPencil(n, m, (((1,) * n, A), ((0,) * n, -np.eye(m))), np.eye(m))
+    K = data.draw(st.integers(2, 10 if n == 1 else 4))
+    kernel_window = Box((0,) * n, (K,) * n)
+    f = data.draw(tables(n, kf, m, max_span=2))
+    lo = tuple(c for c in f.support.lo)
+    hi = tuple(c + K for c in f.support.hi)
+    out_window = data.draw(windows(lo, hi))
+    res = solve(P, f, (1.0,) * n, kernel_window, out_window)
+    fp = promote_data(f, m)
+    ref, _ = ref_conv_general(res.kernel.table, fp, out_window, enforce=False)
+    assert_values_close(res.u.values, ref)
+    err = ref_solve_error(res.kernel, fp, kernel_window, out_window)
+    np.testing.assert_allclose(res.error, err, rtol=1e-12, atol=0.0)

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,80 @@ def test_multiterm_solve_residual():
     sol = solve(S, f, (1.0,), Box((-10,), (60,)), Box((-10,), (40,)))
     rep = residual(S, sol.u, f, Box((0,), (24,)))
     assert rep["max_residual"] <= max(10 * sol.ledger, 1e-10)
+
+
+def brute_residual(lhs_terms, C, f, window):
+    """max_k || sum_t A_t g_t(k + shift_t) - C f(k) || with g_t given per point."""
+    worst = 0.0
+    for k in window.points():
+        acc = -C @ f.at(k)
+        for A, g, shift in lhs_terms:
+            acc = acc + A @ g(tuple(c + s for c, s in zip(k, shift)))
+        worst = max(worst, np.linalg.norm(acc))
+    return worst
+
+
+def test_residual_matches_per_point_substitution():
+    rng = np.random.default_rng(21)
+
+    def mat():
+        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+    def vec_table(n, lo, hi):
+        shape = tuple(b - a + 1 for a, b in zip(lo, hi)) + (2,)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return SequenceTable(FullLattice(n), Box(lo, hi), vals, "vector", 2)
+
+    def conv_at(a, u, axes):
+        # (a *^axes u)(k) = sum_s a(s) u(k - s on the given 1-based axes)
+        def g(k):
+            acc = np.zeros(2, dtype=complex)
+            for s, av in a.support_points():
+                l = list(k)
+                for si, j in zip(s, axes):
+                    l[j - 1] -= si
+                acc = acc + av * u.at(tuple(l))
+            return acc
+
+        return g
+
+    def diff_at(g, order):
+        coeffs = [(-1) ** (order - j) * math.comb(order, j) for j in range(order + 1)]
+        return lambda k: sum(c * g((k[0] + j,)) for j, c in enumerate(coeffs))
+
+    C = mat()
+    # 2-D pencil with shifts on both sides of the origin
+    u = vec_table(2, (-2, -1), (6, 5))
+    f = vec_table(2, (0, 0), (3, 4))
+    A1, A2 = mat(), mat()
+    P = OperatorPencil(2, 2, (((1, 0), A1), ((0, -1), A2)), C)
+    w = Box((0, 0), (4, 4))
+    expect = brute_residual([(A1, u.at, (1, 0)), (A2, u.at, (0, -1))], C, f, w)
+    assert residual(P, u, f, w)["max_residual"] == pytest.approx(expect, rel=1e-12)
+    # 2-D multi-term Volterra
+    a = SequenceTable(nonneg_orthant(2), Box((0, 0), (2, 1)), rng.normal(size=(3, 2)))
+    B, A = mat(), mat()
+    S = MultiTermSymbol(2, 2, B, (VolterraTerm(a, (1, 0), A),), C)
+    expect = brute_residual([(B, u.at, (0, 0)), (A, conv_at(a, u, (1, 2)), (1, 0))], C, f, w)
+    assert residual(S, u, f, w)["max_residual"] == pytest.approx(expect, rel=1e-12)
+    # 2-D mixed axes
+    a1 = SequenceTable(nonneg_orthant(1), Box((0,), (3,)), rng.normal(size=4))
+    S = MixedAxesSymbol(2, 2, (MixedAxesTerm(a1, (2,), A), MixedAxesTerm(a, (1, 2), B)), C)
+    expect = brute_residual(
+        [(A, conv_at(a1, u, (2,)), (0, 0)), (B, conv_at(a, u, (1, 2)), (0, 0))], C, f, w
+    )
+    assert residual(S, u, f, w)["max_residual"] == pytest.approx(expect, rel=1e-12)
+    # 1-D Weyl fractional: second difference of a Weyl product plus a shifted term
+    u1 = vec_table(1, (-3,), (12,))
+    f1 = vec_table(1, (0,), (5,))
+    a1 = SequenceTable(nonneg_orthant(1), Box((0,), (4,)), rng.normal(size=5))
+    A0 = mat()
+    S = WeylFractionalSymbol(2, (WeylTerm(a1, 2, 1, A),), A0, -1, C)
+    w1 = Box((0,), (6,))
+    expect = brute_residual(
+        [(A, diff_at(conv_at(a1, u1, (1,)), 2), (1,)), (A0, u1.at, (-1,))], C, f1, w1
+    )
+    assert residual(S, u1, f1, w1)["max_residual"] == pytest.approx(expect, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlattice.errors import (
     BoundaryNotFinite,
@@ -18,6 +20,7 @@ from zlattice.ztransform import (
     PolyAnnulus,
     Ring,
     TransformEvaluator,
+    _aliasing_bounds,
     convergence_region,
     derivative_series,
     eval_forward,
@@ -389,3 +392,61 @@ def test_inversion_deterministic():
     a = invert_contour(F, (1.0, 1.0), f.support)
     b = invert_contour(F, (1.0, 1.0), f.support)
     assert np.array_equal(a.table.values, b.table.values)
+
+
+def ref_aliasing_bounds(env, sides, radii, grid, window):
+    """Per-point wrap-around bound, as computed before the per-axis outer product."""
+    out = np.empty(window.shape)
+    for idx in np.ndindex(*window.shape):
+        k = tuple(a + i for a, i in zip(window.lo, idx))
+        total = 1.0
+        diag = 1.0
+        ok = True
+        for i, side in enumerate(sides):
+            r = env.rates[i]
+            rp = r[1] if isinstance(r, tuple) else r
+            rn = r[0] if isinstance(r, tuple) else r
+            N, R, ki = grid[i], radii[i], k[i]
+            base = rp ** max(ki, 0) if ki >= 0 else rn**ki
+            s = base
+            if side in ("+", "z"):
+                g = (rp / R) ** N
+                if g >= 1:
+                    ok = False
+                    break
+                s = base / (1.0 - g)
+            if side in ("-", "z"):
+                h = (R / rn) ** N
+                if h >= 1:
+                    ok = False
+                    break
+                s += base * h / (1.0 - h)
+            total *= s
+            diag *= base
+        out[idx] = env.M * max(total - diag, 0.0) if ok else np.inf
+    return out
+
+
+def aliasing_axes(n):
+    return st.lists(
+        st.tuples(
+            st.sampled_from((0.3, 0.8, 1.2, (1.5, 0.6), (0.9, 1.1))),  # rate
+            st.sampled_from("+-z"),  # side
+            st.sampled_from((0.7, 1.0, 1.4)),  # radius
+            st.integers(4, 20),  # grid
+            st.integers(-4, 4),  # window lo
+            st.integers(0, 4),  # window span
+        ),
+        min_size=n,
+        max_size=n,
+    )
+
+
+@given(st.integers(1, 3).flatmap(aliasing_axes), st.floats(0.0, 3.0))
+@settings(max_examples=100, deadline=None)
+def test_aliasing_bounds_match_per_point_reference(axes, M):
+    rates, sides, radii, grid, lo, span = zip(*axes)
+    env = Envelope(M, rates)
+    window = Box(lo, tuple(a + w for a, w in zip(lo, span)))
+    new = _aliasing_bounds(env, sides, radii, grid, window)
+    np.testing.assert_array_equal(new, ref_aliasing_bounds(env, sides, radii, grid, window))
