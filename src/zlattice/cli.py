@@ -261,9 +261,7 @@ def cmd_solve(args) -> int:
     pad = prob.max_shift()
     lo = [a - pad for a in check_window.lo]
     hi = [b + pad for b in check_window.hi]
-    from .solver import OperatorPencil
-
-    if not isinstance(prob, OperatorPencil):
+    if prob.terms:
         start = [kw + fl for kw, fl in zip(kernel_window.lo, f.support.lo)]
         lo = [min(a, s) for a, s in zip(lo, start)]
     out_window = Box(tuple(lo), tuple(hi))

@@ -309,15 +309,19 @@ def conv_axes(
         ranges = [range(window.lo[j], window.hi[j] + 1) for j in ax0]
         ledger = _tail_ledger(a, b, tuple(range(a.dim)), ax0, ranges)
         ledger = ledger.reshape([window.shape[j] if j in ax0 else 1 for j in range(b.dim)])
-        # pass-through coordinates scale b's envelope factors
+        # pass-through coordinates scale b's envelope factors; a divergent
+        # (inf) tail stays inf where a factor underflows to 0
         if b.envelope is not None:
+            divergent = np.isinf(ledger)
             for j in range(b.dim):
                 if j not in ax0:
                     shape = [1] * b.dim
                     shape[j] = -1
                     ks = range(window.lo[j], window.hi[j] + 1)
                     factors = [b.envelope.axis_factor(j, kj) for kj in ks]
-                    ledger = ledger * np.array(factors).reshape(shape)
+                    with np.errstate(invalid="ignore"):
+                        ledger = ledger * np.array(factors).reshape(shape)
+            ledger = np.where(divergent, math.inf, ledger)
         ledger = np.array(np.broadcast_to(ledger, window.shape))
         if enforce:
             _check_tail(out, ledger, window, tol, len(b.vshape))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .lattice import Box, Envelope, SequenceTable, nonneg_orthant
-from .solver import OperatorPencil, WeylFractionalSymbol, WeylTerm
+from .solver import OperatorPencil, Symbol, WeylFractionalSymbol, WeylTerm
 from .fractional import cesaro
 from .ztransform import (
     CustomRegion,
@@ -150,7 +150,7 @@ def gaussian_table(n: int = 2, K: int = 12) -> SequenceTable:
 # ---------------------------------------------------------------------------
 
 
-def scaling_pencil(A: np.ndarray | None = None) -> OperatorPencil:
+def scaling_pencil(A: np.ndarray | None = None) -> Symbol:
     """A u(k1+1, k2+1) - u(k1, k2) = f(k1, k2), default A = diag(2, 3).
 
     The Green kernel is diagonal-supported: G(j, j) = A^-(j+1) ... realized
@@ -165,14 +165,14 @@ def scaling_pencil(A: np.ndarray | None = None) -> OperatorPencil:
     )
 
 
-def first_order_pencil(lam: float) -> OperatorPencil:
+def first_order_pencil(lam: float) -> Symbol:
     """u(k+1) - lam u(k) = f(k), scalar."""
     return OperatorPencil(1, 1, (((1,), np.array([[1.0]])), ((0,), np.array([[-lam]]))), np.array([[1.0]]))
 
 
 def weyl_fractional_problem(
     alpha: float, A: np.ndarray | None = None, kernel_len: int = 160
-) -> WeylFractionalSymbol:
+) -> Symbol:
     """Delta_W^alpha u = f as a one-term symbol with kernel c^(m-alpha)."""
     if A is None:
         A = np.array([[1.0]])
@@ -187,7 +187,7 @@ def weyl_fractional_problem(
 
 def two_term_weyl_symbol(
     k0: int = 3, k1: int = 1, k2: int = 2, kernel_len: int = 128
-) -> WeylFractionalSymbol:
+) -> Symbol:
     """Two fractional terms plus a pure shift term.
 
     M(z) = (z^k2 - 2 z^(k2+1) + z^(k2+2)) F_a2(z) A2

@@ -16,19 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import fixtures
-from .errors import SchemaError
+from .errors import DimensionMismatch, SchemaError
 from .fractional import cesaro
 from .lattice import SequenceTable, ingest
-from .solver import (
-    MixedAxesSymbol,
-    MixedAxesTerm,
-    MultiTermSymbol,
-    OperatorPencil,
-    Problem,
-    VolterraTerm,
-    WeylFractionalSymbol,
-    WeylTerm,
-)
+from .solver import Symbol, Term
 
 
 def matrix_from_doc(doc, m: int | None = None) -> np.ndarray:
@@ -81,60 +72,59 @@ def data_from_doc(doc, n: int) -> SequenceTable:
     raise SchemaError(f"unknown data generator {gen!r}")
 
 
-def problem_from_doc(doc: dict) -> tuple[Problem, SequenceTable]:
+def problem_from_doc(doc) -> tuple[Symbol, SequenceTable]:
+    if not isinstance(doc, dict):
+        raise SchemaError("problem document must be an object")
     try:
         kind = doc["kind"]
         n = int(doc.get("n", 1))
         m = int(doc["m"])
         C = matrix_from_doc(doc["C"], m)
         terms = doc["terms"]
+        return _dispatch(kind, n, m, C, terms, doc)
     except KeyError as e:
         raise SchemaError(f"missing field {e}") from e
-
-    try:
-        return _dispatch(kind, n, m, C, terms, doc)
-    except (KeyError, TypeError) as e:
+    except (TypeError, ValueError, DimensionMismatch) as e:
         raise SchemaError(f"bad problem document: {e}") from e
 
 
-def _dispatch(kind, n, m, C, terms, doc) -> tuple[Problem, SequenceTable]:
+def _dispatch(kind, n, m, C, terms, doc) -> tuple[Symbol, SequenceTable]:
+    zero = [[[0.0, 0.0]] * m] * m
     if kind == "pencil":
-        ts = tuple(
-            (tuple(t["j"]), matrix_from_doc(t["A"], m)) for t in terms
-        )
-        prob: Problem = OperatorPencil(n, m, ts, C)
+        pencil = tuple((tuple(t["j"]), matrix_from_doc(t["A"], m)) for t in terms)
+        terms = ()
     elif kind == "volterra_zn":
-        B = matrix_from_doc(doc.get("B", [[[0.0, 0.0]] * m] * m), m)
-        ts = tuple(
-            VolterraTerm(
-                kernel_from_doc(t["kernel"]), tuple(t["shift"]), matrix_from_doc(t["A"], m)
-            )
+        pencil = (((0,) * n, matrix_from_doc(doc.get("B", zero), m)),)
+        terms = tuple(
+            Term(kernel_from_doc(t["kernel"]), matrix_from_doc(t["A"], m), tuple(t["shift"]))
             for t in terms
         )
-        prob = MultiTermSymbol(n, m, B, ts, C)
     elif kind == "weyl_1d":
         n = 1
-        ts = tuple(
-            WeylTerm(
+        terms = tuple(
+            Term(
                 kernel_from_doc(t["kernel"]),
-                int(t["order"]),
-                int(t.get("shift", 0)),
                 matrix_from_doc(t["A"], m),
+                (int(t.get("shift", 0)),),
+                order=int(t["order"]),
             )
             for t in terms
         )
-        A0 = matrix_from_doc(doc.get("A0", [[[0.0, 0.0]] * m] * m), m)
-        prob = WeylFractionalSymbol(m, ts, A0, int(doc.get("k0", 0)), C)
+        pencil = (((int(doc.get("k0", 0)),), matrix_from_doc(doc.get("A0", zero), m)),)
     elif kind == "mixed_axes":
-        ts = tuple(
-            MixedAxesTerm(
-                kernel_from_doc(t["kernel"]), tuple(t["axes"]), matrix_from_doc(t["A"], m)
+        pencil = ()
+        terms = tuple(
+            Term(
+                kernel_from_doc(t["kernel"]),
+                matrix_from_doc(t["A"], m),
+                (0,) * n,
+                tuple(t["axes"]),
             )
             for t in terms
         )
-        prob = MixedAxesSymbol(n, m, ts, C)
     else:
         raise SchemaError(f"unknown problem kind {kind!r}")
+    prob = Symbol(n, m, pencil, terms, C)
 
     if "data" not in doc:
         raise SchemaError("missing field 'data'")

@@ -13,8 +13,8 @@ that is reported, never silently asserted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -57,141 +57,113 @@ RCOND_MIN = 1e-12
 
 
 @dataclass
-class OperatorPencil:
-    """P(z) = sum_j z^j A_j with right-hand-side factor C."""
+class Term:
+    """One kernel summand A (Delta^{order} (a * u))(k + shift) of an equation.
+
+    The kernel acts on the 1-based axis subset ``axes`` (None: all axes); its
+    symbol contribution is z^shift (z - 1)^order F_a(z_axes) A.
+    """
+
+    kernel: SequenceTable
+    A: np.ndarray
+    shift: tuple[int, ...]
+    axes: tuple[int, ...] | None = None
+    order: int = 0
+
+    def __post_init__(self):
+        self.shift = tuple(int(c) for c in self.shift)
+        self.A = np.asarray(self.A, dtype=complex)
+        self.order = int(self.order)
+        if self.axes is not None:
+            self.axes = tuple(int(j) for j in self.axes)
+            if self.kernel.dim != len(self.axes):
+                raise DimensionMismatch("mixed-axes kernel dimension != axis count")
+
+
+@dataclass
+class Symbol:
+    """M(z) = sum_j z^j A_j + sum_w z^{s_w} (z-1)^{o_w} F_{a_w}(z_{axes_w}) A_w
+    with right-hand-side factor C: the transform of the equation
+    sum_j A_j u(k+j) + sum_w A_w (Delta^{o_w} (a_w * u))(k+s_w) = C f(k).
+
+    ``pencil`` holds the (j, A_j) pairs, ``terms`` the kernel summands.
+    """
 
     n: int
     m: int
-    terms: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    pencil: tuple[tuple[tuple[int, ...], np.ndarray], ...]
+    terms: tuple[Term, ...]
     C: np.ndarray
 
     def __post_init__(self):
-        terms = []
+        pencil = []
         seen = set()
-        for j, A in self.terms:
+        for j, A in self.pencil:
             j = tuple(int(c) for c in j)
             if len(j) != self.n:
                 raise DimensionMismatch("pencil term index dimension mismatch")
             if j in seen:
                 raise ValueError(f"duplicate pencil term index {j}")
             seen.add(j)
-            terms.append((j, np.asarray(A, dtype=complex).reshape(self.m, self.m)))
-        if not terms:
-            raise ValueError("pencil needs at least one term")
-        self.terms = tuple(terms)
+            pencil.append((j, np.asarray(A, dtype=complex).reshape(self.m, self.m)))
+        self.terms = tuple(self.terms)
+        if not pencil and not self.terms:
+            raise ValueError("symbol needs at least one pencil or kernel term")
+        for t in self.terms:
+            if len(t.shift) != self.n:
+                raise DimensionMismatch("term shift dimension mismatch")
+            if t.order and self.n != 1:
+                raise DimensionMismatch("difference terms are one-dimensional")
+        self.pencil = tuple(pencil)
         self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
 
     def max_shift(self) -> int:
-        return max(max(abs(c) for c in j) for j, _ in self.terms)
+        return max(
+            [max(abs(c) for c in j) for j, _ in self.pencil]
+            + [max(abs(c) for c in t.shift) + t.order for t in self.terms]
+        )
 
 
-@dataclass
-class VolterraTerm:
-    """One convolution term: kernel a on its domain, shift, operator matrix."""
-
-    kernel: SequenceTable
-    shift: tuple[int, ...]
-    A: np.ndarray
-
-    def __post_init__(self):
-        self.shift = tuple(int(c) for c in self.shift)
-        self.A = np.asarray(self.A, dtype=complex)
+def OperatorPencil(n: int, m: int, terms, C) -> Symbol:
+    """P(z) = sum_j z^j A_j with right-hand-side factor C."""
+    return Symbol(n, m, terms, (), C)
 
 
-@dataclass
-class MultiTermSymbol:
+def VolterraTerm(kernel: SequenceTable, shift, A) -> Term:
+    """A_w (a_w * u)(k + shift) over all axes."""
+    return Term(kernel, A, shift)
+
+
+def MultiTermSymbol(n: int, m: int, B, terms, C) -> Symbol:
     """Symbol B + sum_w z^{shift_w} F_{a_w}(z) A_w of the multi-term Volterra
     problem B u(k) + sum_w A_w (a_w * u)(k + shift_w) = C f(k) on Z^n."""
-
-    n: int
-    m: int
-    B: np.ndarray
-    terms: tuple[VolterraTerm, ...]
-    C: np.ndarray
-
-    def __post_init__(self):
-        self.B = np.asarray(self.B, dtype=complex).reshape(self.m, self.m)
-        self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
-
-    def max_shift(self) -> int:
-        return max((max(abs(c) for c in t.shift) for t in self.terms), default=0)
+    return Symbol(n, m, (((0,) * n, B),), terms, C)
 
 
-@dataclass
-class WeylTerm:
+def WeylTerm(kernel: SequenceTable, order: int, shift: int, A) -> Term:
     """A_w (Delta^{order} (a_w o u))(k + shift) summand, 1-D."""
-
-    kernel: SequenceTable
-    order: int
-    shift: int
-    A: np.ndarray
-
-    def __post_init__(self):
-        self.shift = int(self.shift)
-        self.order = int(self.order)
-        self.A = np.asarray(self.A, dtype=complex)
+    return Term(kernel, A, (shift,), order=order)
 
 
-@dataclass
-class WeylFractionalSymbol:
+def WeylFractionalSymbol(m: int, terms, A0, k0: int, C) -> Symbol:
     """Symbol of the 1-D multi-term generalized Weyl fractional problem.
 
     M(z) = sum_w sum_{j=0}^{m_w} (-1)^{m_w-j} C(m_w,j) z^{k_w+j} F_{a_w}(z) A_w
            + z^{k_0} A_0.
     """
-
-    m: int
-    terms: tuple[WeylTerm, ...]
-    A0: np.ndarray
-    k0: int
-    C: np.ndarray
-    n: int = 1
-
-    def __post_init__(self):
-        self.A0 = np.asarray(self.A0, dtype=complex).reshape(self.m, self.m)
-        self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
-        self.k0 = int(self.k0)
-
-    def max_shift(self) -> int:
-        s = abs(self.k0)
-        for t in self.terms:
-            s = max(s, abs(t.shift) + t.order)
-        return s
+    return Symbol(1, m, (((k0,), A0),), terms, C)
 
 
-@dataclass
-class MixedAxesTerm:
-    """A (a *^{l,j} u)(k) summand: kernel on an axis subset (1-based)."""
-
-    kernel: SequenceTable
-    axes: tuple[int, ...]
-    A: np.ndarray
-
-    def __post_init__(self):
-        self.axes = tuple(int(j) for j in self.axes)
-        self.A = np.asarray(self.A, dtype=complex)
-        if self.kernel.dim != len(self.axes):
-            raise DimensionMismatch("mixed-axes kernel dimension != axis count")
+def MixedAxesTerm(kernel: SequenceTable, axes, A) -> Term:
+    """A (a *^{l,j} u)(k) summand: kernel on an axis subset (1-based); its
+    zero shift gets the problem dimension in MixedAxesSymbol."""
+    return Term(kernel, A, (), axes)
 
 
-@dataclass
-class MixedAxesSymbol:
+def MixedAxesSymbol(n: int, m: int, terms, C) -> Symbol:
     """Symbol sum F_{a}(z_{j_1},...,z_{j_l}) A for partial-axes Volterra
-    problems; provided as machinery plus residual checking only."""
-
-    n: int
-    m: int
-    terms: tuple[MixedAxesTerm, ...]
-    C: np.ndarray
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
-
-    def max_shift(self) -> int:
-        return 0
-
-
-Problem = Union[OperatorPencil, MultiTermSymbol, WeylFractionalSymbol, MixedAxesSymbol]
+    problems."""
+    return Symbol(n, m, (), tuple(replace(t, shift=(0,) * n) for t in terms), C)
 
 
 # ---------------------------------------------------------------------------
@@ -212,71 +184,48 @@ def _zpow(z, j) -> complex:
     return w
 
 
-def pencil_eval(P: OperatorPencil, z) -> np.ndarray:
-    """P(z) = sum_j z^j A_j."""
-    z = tuple(complex(c) for c in z)
-    if len(z) != P.n:
-        raise DimensionMismatch("point dimension mismatch")
-    out = np.zeros((P.m, P.m), dtype=complex)
-    for j, A in P.terms:
-        out += _zpow(z, j) * A
-    return out
+def _prefactor(z, t: Term) -> complex:
+    """z^shift (z - 1)^order, the binomial sum written out when order > 0."""
+    if not t.order:
+        return _zpow(z, t.shift)
+    return sum(
+        (-1) ** (t.order - j) * math.comb(t.order, j) * z[0] ** (t.shift[0] + j)
+        for j in range(t.order + 1)
+    )
 
 
-def symbol_eval(S: Problem, z, with_err: bool = False):
+def pencil_eval(P: Symbol, z) -> np.ndarray:
+    """P(z) = sum_j z^j A_j of a pencil (the whole symbol M(z) in general)."""
+    return symbol_eval(P, z)
+
+
+def symbol_eval(S: Symbol, z, with_err: bool = False):
     """Evaluate the symbol matrix at z; optionally report the error radius
     contributed by truncated kernel-transform tails."""
-    if isinstance(S, OperatorPencil):
-        out = pencil_eval(S, z)
-        return (out, 0.0) if with_err else out
     z = tuple(complex(c) for c in z)
-    err = 0.0
+    if len(z) != S.n:
+        raise DimensionMismatch("point dimension mismatch")
     out = np.zeros((S.m, S.m), dtype=complex)
-    if isinstance(S, MultiTermSymbol):
-        out += S.B
-        for t in S.terms:
-            fa, tail = eval_forward(t.kernel, z, with_tail=True)
-            w = _zpow(z, t.shift)
-            out += w * fa * t.A
-            err += abs(w) * tail * value_norm(t.A)
-    elif isinstance(S, WeylFractionalSymbol):
-        zz = z[0]
-        out += _zpow(z, (S.k0,)) * S.A0
-        for t in S.terms:
-            fa, tail = eval_forward(t.kernel, (zz,), with_tail=True)
-            pref = sum(
-                (-1) ** (t.order - j) * math.comb(t.order, j) * zz ** (t.shift + j)
-                for j in range(t.order + 1)
-            )
-            out += pref * fa * t.A
-            err += abs(pref) * tail * value_norm(t.A)
-    elif isinstance(S, MixedAxesSymbol):
-        for t in S.terms:
-            zsub = tuple(z[j - 1] for j in t.axes)
-            fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
-            out += fa * t.A
-            err += tail * value_norm(t.A)
-    else:
-        raise TypeError(f"unknown symbol type {type(S)!r}")
+    for j, A in S.pencil:
+        out += _zpow(z, j) * A
+    err = 0.0
+    for t in S.terms:
+        zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
+        fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
+        w = _prefactor(z, t)
+        out += w * fa * t.A
+        err += abs(w) * tail * value_norm(t.A)
     return (out, err) if with_err else out
 
 
-def operator_amplification(S: Problem) -> float:
+def operator_amplification(S: Symbol) -> float:
     """Bound on how the equation operator scales a solution perturbation."""
-    if isinstance(S, OperatorPencil):
-        return sum(value_norm(A) for _, A in S.terms)
-    if isinstance(S, MultiTermSymbol):
-        return value_norm(S.B) + sum(
-            value_norm(t.A) * float(np.sum(t.kernel.norms())) for t in S.terms
-        )
-    if isinstance(S, WeylFractionalSymbol):
-        amp = value_norm(S.A0)
-        for t in S.terms:
-            amp += value_norm(t.A) * (2.0**t.order) * float(np.sum(t.kernel.norms()))
-        return amp
-    if isinstance(S, MixedAxesSymbol):
-        return sum(value_norm(t.A) * float(np.sum(t.kernel.norms())) for t in S.terms)
-    raise TypeError(f"unknown symbol type {type(S)!r}")
+    amp = 0.0
+    for _, A in S.pencil:
+        amp += value_norm(A)
+    for t in S.terms:
+        amp += value_norm(t.A) * (2.0**t.order) * float(np.sum(t.kernel.norms()))
+    return amp
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +242,7 @@ class KernelResult:
     symbol_err: float  # max kernel-transform tail radius over nodes
 
 
-def _inverse_evaluator(S: Problem, rcond_min: float):
+def _inverse_evaluator(S: Symbol, rcond_min: float):
     state = {"min_rcond": math.inf, "contour_max": 0.0, "symbol_err": 0.0}
 
     def fn(z):
@@ -346,7 +295,7 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
 
 
 def _build_kernel(
-    S: Problem,
+    S: Symbol,
     radii: Sequence[float],
     window: Box,
     grid=None,
@@ -380,7 +329,7 @@ def _build_kernel(
 
 
 def green_function(
-    P: OperatorPencil,
+    P: Symbol,
     radii: Sequence[float],
     window: Box,
     grid=None,
@@ -392,7 +341,7 @@ def green_function(
 
 
 def resolvent_kernel(
-    S: Problem,
+    S: Symbol,
     radii: Sequence[float],
     window: Box,
     grid=None,
@@ -426,9 +375,9 @@ def promote_data(f: SequenceTable, m: int) -> SequenceTable:
     )
 
 
-def check_initial_conditions(P: OperatorPencil, f: SequenceTable) -> None:
+def check_initial_conditions(P: Symbol, f: SequenceTable) -> None:
     """Orthant variant: f must vanish on the staircase N0^n \\ (j + N0^n)."""
-    for j, _ in P.terms:
+    for j, _ in P.pencil:
         for k, v in f.support_points():
             if all(c >= 0 for c in k) and any(c < ji for c, ji in zip(k, j)):
                 if value_norm(v) != 0.0:
@@ -438,7 +387,7 @@ def check_initial_conditions(P: OperatorPencil, f: SequenceTable) -> None:
 
 
 def solve(
-    S: Problem,
+    S: Symbol,
     f: SequenceTable,
     radii: Sequence[float],
     kernel_window: Box,
@@ -450,7 +399,7 @@ def solve(
 ) -> SolveResult:
     """u = kernel conv f on the output window, with an error surrogate ledger."""
     f = promote_data(f, S.m)
-    if orthant_variant and isinstance(S, OperatorPencil):
+    if orthant_variant and not S.terms:
         check_initial_conditions(S, f)
     kr = _build_kernel(S, radii, kernel_window, grid, dprime, rcond_min)
     u, conv_ledger = conv_general(
@@ -462,47 +411,33 @@ def solve(
         kr.aliasing, kernel_window.lo, f.norms(), f.support.lo, out_window
     )
     ledger = operator_amplification(S) * float(np.max(err)) + 1e-12
+    if f.value_kind == "scalar":  # m = 1: the 1 x 1 kernel acts as a scalar
+        u = SequenceTable(u.domain, u.support, u.values.reshape(u.support.shape))
     return SolveResult(u, err, ledger, kr)
 
 
-def residual(S: Problem, u: SequenceTable, f: SequenceTable, check_window: Box) -> dict:
+def residual(S: Symbol, u: SequenceTable, f: SequenceTable, check_window: Box) -> dict:
     """Max over the window of || LHS(k) - C f(k) || by direct substitution."""
     f = promote_data(f, S.m)
     n = check_window.dim
-    if isinstance(S, OperatorPencil):
-        lo = tuple(
-            a - S.max_shift() for a in check_window.lo
-        )
-        hi = tuple(b + S.max_shift() for b in check_window.hi)
-        need = Box(lo, hi)
-        for c, a, b, d in zip(need.lo, u.support.lo, u.support.hi, need.hi):
-            if u.envelope is not None and (c < a or d > b):
-                raise InsufficientWindow("u window too small for residual shifts")
-        terms = [(A, u, j) for j, A in S.terms]
-    elif isinstance(S, WeylFractionalSymbol):
-        terms = []
-        for t in S.terms:
-            lo = check_window.lo[0] + t.shift
-            hi = check_window.hi[0] + t.shift
-            g = conv_general(t.kernel, u, Box((lo,), (hi + t.order,)), enforce=False)
-            d = forward_difference(g, t.order, Box((lo,), (hi,)))
-            terms.append((t.A, d, (t.shift,)))
-        terms.append((S.A0, u, (S.k0,)))
-    elif isinstance(S, MultiTermSymbol):
-        terms = [(S.B, u, (0,) * n)]
-        for t in S.terms:
-            lo = tuple(a + s for a, s in zip(check_window.lo, t.shift))
-            hi = tuple(b + s for b, s in zip(check_window.hi, t.shift))
-            terms.append((t.A, conv_general(t.kernel, u, Box(lo, hi), enforce=False), t.shift))
-    elif isinstance(S, MixedAxesSymbol):
-        terms = [
-            (t.A, conv_axes(t.kernel, u, t.axes, check_window, enforce=False), (0,) * n)
-            for t in S.terms
-        ]
-    else:
-        raise TypeError(f"unknown problem type {type(S)!r}")
+    pad = S.max_shift()
+    for c, a, b, d in zip(check_window.lo, u.support.lo, u.support.hi, check_window.hi):
+        if u.envelope is not None and (c - pad < a or d + pad > b):
+            raise InsufficientWindow("u window too small for residual shifts")
+    parts = [(A, u, j) for j, A in S.pencil]
+    for t in S.terms:
+        lo = tuple(a + s for a, s in zip(check_window.lo, t.shift))
+        hi = tuple(b + s for b, s in zip(check_window.hi, t.shift))
+        ext = Box(lo, tuple(h + t.order for h in hi))
+        if t.axes is None:
+            g = conv_general(t.kernel, u, ext, enforce=False)
+        else:
+            g = conv_axes(t.kernel, u, t.axes, ext, enforce=False)
+        if t.order:
+            g = forward_difference(g, t.order, Box(lo, hi))
+        parts.append((t.A, g, t.shift))
     acc = np.zeros(check_window.shape, dtype=complex)
-    for A, g, shift in terms:
+    for A, g, shift in parts:
         acc = _add_values(acc, _shifted_apply(A, g, shift, check_window), n)
     diff = _add_values(acc, -_shifted_apply(S.C, f, (0,) * n, check_window), n)
     worst = float(np.max(value_norms(diff, diff.ndim - n)))
@@ -536,19 +471,19 @@ def _add_values(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def pencil_roots_1d(P: OperatorPencil) -> np.ndarray:
+def pencil_roots_1d(P: Symbol) -> np.ndarray:
     """Roots of a 1-D scalar pencil's characteristic polynomial."""
     if P.n != 1 or P.m != 1:
         raise ValueError("root location implemented for 1-D scalar pencils")
-    jmin = min(j[0] for j, _ in P.terms)
-    jmax = max(j[0] for j, _ in P.terms)
+    jmin = min(j[0] for j, _ in P.pencil)
+    jmax = max(j[0] for j, _ in P.pencil)
     coeffs = np.zeros(jmax - jmin + 1, dtype=complex)
-    for j, A in P.terms:
+    for j, A in P.pencil:
         coeffs[jmax - j[0]] = complex(A.reshape(()))
     return np.roots(coeffs)
 
 
-def homogeneous_mode_residual(P: OperatorPencil, lams, window: Box) -> float:
+def homogeneous_mode_residual(P: Symbol, lams, window: Box) -> float:
     """Max |sum_j a_j lam^{k+j}| over the window for a scalar pencil root.
 
     Zero (to rounding) certifies that adding the geometric mode
@@ -557,7 +492,7 @@ def homogeneous_mode_residual(P: OperatorPencil, lams, window: Box) -> float:
     worst = 0.0
     for k in window.points():
         acc = 0.0 + 0j
-        for j, A in P.terms:
+        for j, A in P.pencil:
             term = complex(A.reshape(()))
             for li, ki, ji in zip(lams, k, j):
                 term *= li ** (ki + ji)
@@ -567,7 +502,7 @@ def homogeneous_mode_residual(P: OperatorPencil, lams, window: Box) -> float:
 
 
 def uniqueness_probe(
-    S: Problem,
+    S: Symbol,
     z_samples: Sequence[Sequence[complex]],
     threshold: float = 1e-10,
 ) -> dict:
@@ -586,7 +521,7 @@ def uniqueness_probe(
         "threshold": threshold,
         "verdict": "injectivity witnessed on samples" if witnessed else "not witnessed",
     }
-    if isinstance(S, OperatorPencil) and S.n == 1 and S.m == 1:
+    if not S.terms and S.n == 1 and S.m == 1:
         roots = pencil_roots_1d(S)
         window = Box((0,), (16,))
         devs = [

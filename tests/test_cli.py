@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from zlattice.cli import main, parse_complex, parse_point, parse_window
 from zlattice.lattice import Box, SequenceTable, load, nonneg_orthant, save
@@ -208,3 +209,77 @@ def test_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def _pencil_doc():
+    """u(k+1) - 0.5 u(k) = delta(k), scalar."""
+    return {
+        "kind": "pencil", "n": 1, "m": 1,
+        "terms": [{"j": [1], "A": [[[1, 0]]]}, {"j": [0], "A": [[[-0.5, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+
+
+def test_solve_cli_writes_scalar_u_for_scalar_problem(tmp_path):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(_pencil_doc()))
+    out = tmp_path / "u.json"
+    code = run([
+        "solve", "--problem", str(p), "--radii", "1.0",
+        "--kernel-window", "0:40", "--check-window", "1:28", "--out", str(out),
+    ])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["value_kind"] == "scalar"
+    u = load(out)
+    assert u.value_kind == "scalar" and u.values.shape == u.support.shape
+    assert abs(u.at((5,)) - 0.5**4) < 1e-10
+
+
+def _weyl_doc(order):
+    return {
+        "kind": "weyl_1d", "m": 1,
+        "terms": [{"kernel": {"cesaro": {"alpha": 0.5, "len": 16}}, "order": order,
+                   "A": [[[1, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+
+
+def _malformed_docs():
+    dup = _pencil_doc()
+    dup["terms"][1]["j"] = [1]
+    empty = _pencil_doc()
+    empty["terms"] = []
+    long_j = _pencil_doc()
+    long_j["terms"][0]["j"] = [1, 0]
+    mixed = {
+        "kind": "mixed_axes", "n": 2, "m": 1,
+        "terms": [{"kernel": {"cesaro": {"alpha": 0.5, "len": 4}}, "axes": [1, 2],
+                   "A": [[[1, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+    return {
+        "top-level array": [_pencil_doc()],
+        "n not an integer": {**_pencil_doc(), "n": "two"},
+        "weyl order not an integer": _weyl_doc("x"),
+        "duplicate pencil index": dup,
+        "empty pencil": empty,
+        "pencil index of wrong length": long_j,
+        "axes not matching the kernel": mixed,
+    }
+
+
+@pytest.mark.parametrize("name", list(_malformed_docs()))
+def test_malformed_problem_document_exits_4(tmp_path, capsys, name):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(_malformed_docs()[name]))
+    code = run([
+        "solve", "--problem", str(p), "--radii", "1.0",
+        "--kernel-window", "0:8", "--check-window", "1:4", "--out", str(tmp_path / "u.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error:") and "Traceback" not in err

@@ -152,6 +152,20 @@ def test_divergent_weyl_convolution_detected():
         conv_general(a, b, Box((0,), (3,)))
 
 
+def test_axes_divergent_tail_stays_inf_where_pass_through_factor_underflows():
+    # no decay to the left along the convolved axis: the tail is infinite at
+    # every k, and 0.5^1100 underflows to 0 on the pass-through axis
+    b = SequenceTable(
+        FullLattice(2), Box((0, 0), (2, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((1.0, 1.0), 0.5)),
+    )
+    window = Box((0, 1100), (2, 1100))
+    with pytest.raises(DivergentConvolution):
+        conv_axes(cesaro(1.0, 5), b, (1,), window)
+    _, ledger = conv_axes(cesaro(1.0, 5), b, (1,), window, enforce=False, return_ledger=True)
+    assert np.all(np.isinf(ledger))
+
+
 def test_weyl_tail_within_tolerance_passes():
     a = cesaro(0.5, 200)
     b = SequenceTable.from_function(
@@ -547,6 +561,9 @@ def test_solve_error_matches_per_point_reference(data, n, m, kf, a_diag):
     res = solve(P, f, (1.0,) * n, kernel_window, out_window)
     fp = promote_data(f, m)
     ref, _ = ref_conv_general(res.kernel.table, fp, out_window, enforce=False)
+    if fp.value_kind == "scalar":  # m = 1 with scalar data: u is scalar too
+        assert res.u.value_kind == "scalar"
+        ref = ref.reshape(out_window.shape)
     assert_values_close(res.u.values, ref)
     err = ref_solve_error(res.kernel, fp, kernel_window, out_window)
     np.testing.assert_allclose(res.error, err, rtol=1e-12, atol=0.0)

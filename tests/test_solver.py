@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from zlattice.errors import InitialConditionViolated, SingularSymbol, ZeroCoordinate
+from zlattice.errors import (
+    DimensionMismatch,
+    InitialConditionViolated,
+    SingularSymbol,
+    ZeroCoordinate,
+)
 from zlattice.fixtures import (
     first_order_pencil,
     gaussian_table,
@@ -26,6 +31,8 @@ from zlattice.solver import (
     MixedAxesTerm,
     MultiTermSymbol,
     OperatorPencil,
+    Symbol,
+    Term,
     VolterraTerm,
     WeylFractionalSymbol,
     WeylTerm,
@@ -223,6 +230,45 @@ def test_solve_first_order_delta():
     for k in range(-2, 12):
         expect = lam ** (k - 1) if k >= 1 else 0.0
         assert abs(scalar(sol.u.at((k,))) - expect) < 1e-10
+
+
+def test_scalar_problem_returns_scalar_u():
+    f = SequenceTable.delta(1)
+    P = first_order_pencil(0.5)
+    sol = solve(P, f, (1.0,), Box((0,), (40,)), Box((0,), (30,)))
+    assert sol.u.value_kind == "scalar" and sol.u.values.shape == (31,)
+    assert sol.u.at((5,)) == pytest.approx(0.5**4, abs=1e-10)
+    assert residual(P, sol.u, f, Box((1,), (28,)))["max_residual"] < 1e-8
+    S = weyl_fractional_problem(0.5, kernel_len=64)
+    sol = solve(S, f, (1.3,), Box((0,), (40,)), Box((0,), (24,)))
+    assert sol.u.value_kind == "scalar"
+    # vector data keeps its kind
+    fv = SequenceTable.delta(1, value_kind="vector", m=1)
+    assert solve(P, fv, (1.0,), Box((0,), (40,)), Box((0,), (8,))).u.value_kind == "vector"
+
+
+def test_symbol_mixes_pencil_and_axes_terms():
+    # A1 u(k1+1, k2) + A (a *^{2} u)(k) in one symbol: the parts add
+    rng = np.random.default_rng(5)
+    A1, A = rng.normal(size=(2, 2, 2))
+    a = cesaro(0.5, 6)
+    S = Symbol(2, 2, (((1, 0), A1),), (Term(a, A, (0, 0), (2,)),), np.eye(2))
+    z = (1.3 + 0.2j, 0.9 - 0.7j)
+    expect = z[0] * A1 + scalar(eval_forward(a, (z[1],))) * A
+    assert np.allclose(symbol_eval(S, z), expect, rtol=1e-13, atol=0)
+    assert S.max_shift() == 1
+
+
+def test_symbol_rejects_malformed_terms():
+    a = cesaro(0.5, 6)
+    with pytest.raises(ValueError):
+        Symbol(1, 1, (), (), np.eye(1))
+    with pytest.raises(DimensionMismatch):
+        Symbol(2, 1, (), (Term(a, np.eye(1), (0,)),), np.eye(1))
+    with pytest.raises(DimensionMismatch):
+        Symbol(2, 1, (), (Term(a, np.eye(1), (0, 0), order=1),), np.eye(1))
+    with pytest.raises(DimensionMismatch):
+        Term(a, np.eye(1), (0, 0), (1, 2))
 
 
 def test_solve_zero_data():
