@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -40,6 +41,11 @@ EXIT_IO = 4
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as "-1.5+0i" is an argument, not an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -118,13 +124,13 @@ def _rational_evaluator(doc: dict) -> TransformEvaluator:
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"bad rational document: {e}") from e
 
-    def poly(terms, z):
+    def poly(terms, z):  # elementwise, so z may be a node mesh
         acc = 0.0 + 0j
         for j, c in terms:
             w = c
             for zi, ji in zip(z, j):
-                w *= zi**ji
-            acc += w
+                w = w * zi**ji
+            acc = acc + w
         return acc
 
     def fn(z):

@@ -309,19 +309,18 @@ def conv_axes(
         ranges = [range(window.lo[j], window.hi[j] + 1) for j in ax0]
         ledger = _tail_ledger(a, b, tuple(range(a.dim)), ax0, ranges)
         ledger = ledger.reshape([window.shape[j] if j in ax0 else 1 for j in range(b.dim)])
-        # pass-through coordinates scale b's envelope factors; a divergent
-        # (inf) tail stays inf where a factor underflows to 0
+        # pass-through coordinates scale b's envelope factors (inf where they
+        # overflow); an infinite factor or tail wins over a 0 from the other
+        # side, except that an exact 0 tail stays 0
         if b.envelope is not None:
-            divergent = np.isinf(ledger)
-            for j in range(b.dim):
-                if j not in ax0:
-                    shape = [1] * b.dim
-                    shape[j] = -1
-                    ks = range(window.lo[j], window.hi[j] + 1)
-                    factors = [b.envelope.axis_factor(j, kj) for kj in ks]
-                    with np.errstate(invalid="ignore"):
-                        ledger = ledger * np.array(factors).reshape(shape)
-            ledger = np.where(divergent, math.inf, ledger)
+            factors = (
+                np.ones(1) if j in ax0 else b.envelope.axis_factor(j, np.arange(lo, hi + 1))
+                for j, (lo, hi) in enumerate(zip(window.lo, window.hi))
+            )
+            with np.errstate(invalid="ignore"):
+                scaled = ledger * math.prod(np.ix_(*factors))
+            scaled[np.isnan(scaled)] = math.inf
+            ledger = np.where(ledger == 0, 0.0, scaled)
         ledger = np.array(np.broadcast_to(ledger, window.shape))
         if enforce:
             _check_tail(out, ledger, window, tol, len(b.vshape))

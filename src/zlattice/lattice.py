@@ -229,11 +229,13 @@ class Envelope:
     def dim(self) -> int:
         return len(self.rates)
 
-    def axis_factor(self, axis: int, k: int) -> float:
+    def axis_factor(self, axis: int, k):
+        """b_axis(k) for an index or an index array; inf where it overflows."""
         r = self.rates[axis]
-        if isinstance(r, tuple):
-            return (r[1] if k >= 0 else r[0]) ** k
-        return r**k
+        r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
+        k = np.asarray(k)
+        with np.errstate(over="ignore"):
+            return np.where(k >= 0, r_pos, r_neg) ** k.astype(float)
 
     def bound(self, k) -> float:
         out = self.M
@@ -402,12 +404,9 @@ class SequenceTable:
         """Check every stored value against the envelope bound."""
         if self.envelope is None:
             return True
-        bound = np.full(self.support.shape, self.envelope.M)
-        for ax, (lo, hi) in enumerate(zip(self.support.lo, self.support.hi)):
-            shape = [1] * self.dim
-            shape[ax] = -1
-            factors = [self.envelope.axis_factor(ax, k) for k in range(lo, hi + 1)]
-            bound = bound * np.array(factors).reshape(shape)
+        env, sup = self.envelope, self.support
+        ks = (np.arange(a, b + 1) for a, b in zip(sup.lo, sup.hi))
+        bound = env.M * math.prod(np.ix_(*(env.axis_factor(i, k) for i, k in enumerate(ks))))
         return bool(np.all(self.norms() <= bound + slack))
 
     def __repr__(self):

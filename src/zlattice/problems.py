@@ -37,10 +37,6 @@ def matrix_from_doc(doc, m: int | None = None) -> np.ndarray:
     return out
 
 
-def matrix_to_doc(A: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(A, dtype=complex)]
-
-
 def kernel_from_doc(doc) -> SequenceTable:
     if not isinstance(doc, dict):
         raise SchemaError("kernel must be an object")

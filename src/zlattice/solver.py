@@ -4,10 +4,10 @@ A constant-coefficient partial difference equation sum_j A_j u(k+j) = C f(k)
 has the matrix symbol P(z) = sum_j z^j A_j; its Green kernel is the inverse
 transform of P(z)^{-1} C and convolving it with the data yields a solution.
 Volterra and Weyl-fractional problems carry structured symbols built from
-kernel transforms.  Kernel construction inverts the symbol node by node on a
-polycircle (dense LU via numpy.linalg.solve, with a reciprocal-condition
-gate); truncation and aliasing surrogates are collected into an error ledger
-that is reported, never silently asserted.
+kernel transforms.  Kernel construction inverts the symbol on a whole
+polycircle node grid at once (stacked dense LU via numpy.linalg.solve, with a
+reciprocal-condition gate); truncation and aliasing surrogates are collected
+into an error ledger that is reported, never silently asserted.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .ztransform import (
     PolyAnnulus,
     TransformEvaluator,
     _aliasing_bounds,
+    _mesh,
     domain_sides,
     eval_forward,
     invert_contour,
@@ -171,25 +172,22 @@ def MixedAxesSymbol(n: int, m: int, terms, C) -> Symbol:
 # ---------------------------------------------------------------------------
 
 
-def _zpow(z, j) -> complex:
+def _zpow(z, j):
+    """prod_i z_i^j_i at a point or on an open mesh."""
     w = 1.0 + 0j
     for zi, ji in zip(z, j):
-        if zi == 0:
-            if ji < 0:
-                raise ZeroCoordinate("negative power of zero coordinate")
-            if ji > 0:
-                return 0.0 + 0j
-            continue
-        w *= zi**ji
+        if ji < 0 and np.any(zi == 0):
+            raise ZeroCoordinate("negative power of zero coordinate")
+        w = w * zi**ji
     return w
 
 
-def _prefactor(z, t: Term) -> complex:
+def _prefactor(z, t: Term):
     """z^shift (z - 1)^order, the binomial sum written out when order > 0."""
     if not t.order:
         return _zpow(z, t.shift)
     return sum(
-        (-1) ** (t.order - j) * math.comb(t.order, j) * z[0] ** (t.shift[0] + j)
+        (-1) ** (t.order - j) * math.comb(t.order, j) * _zpow(z, (t.shift[0] + j,))
         for j in range(t.order + 1)
     )
 
@@ -200,22 +198,27 @@ def pencil_eval(P: Symbol, z) -> np.ndarray:
 
 
 def symbol_eval(S: Symbol, z, with_err: bool = False):
-    """Evaluate the symbol matrix at z; optionally report the error radius
-    contributed by truncated kernel-transform tails."""
-    z = tuple(complex(c) for c in z)
+    """Evaluate the symbol matrix at a point or on an open mesh (see
+    ``TransformEvaluator``): the values have the mesh shape, then (m, m).
+    Optionally report, per node, the error radius contributed by truncated
+    kernel-transform tails."""
+    z = _mesh(z)
     if len(z) != S.n:
         raise DimensionMismatch("point dimension mismatch")
-    out = np.zeros((S.m, S.m), dtype=complex)
+    grid = np.broadcast_shapes(*(np.shape(zi) for zi in z))
+    out = np.zeros(grid + (S.m, S.m), dtype=complex)
     for j, A in S.pencil:
-        out += _zpow(z, j) * A
-    err = 0.0
+        out += np.multiply.outer(_zpow(z, j), A)
+    err = np.zeros(grid)
     for t in S.terms:
         zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
         fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
         w = _prefactor(z, t)
-        out += w * fa * t.A
-        err += abs(w) * tail * value_norm(t.A)
-    return (out, err) if with_err else out
+        # kernel value axes right-aligned against (m, m), as for one value
+        fa = np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape))))
+        out += np.expand_dims(w, (-2, -1)) * fa * t.A
+        err += np.abs(w) * tail * value_norm(t.A)
+    return (out, err[()]) if with_err else out
 
 
 def operator_amplification(S: Symbol) -> float:
@@ -248,13 +251,17 @@ def _inverse_evaluator(S: Symbol, rcond_min: float):
     def fn(z):
         M, err = symbol_eval(S, z, with_err=True)
         sv = np.linalg.svd(M, compute_uv=False)
-        rcond = float(sv[-1] / sv[0]) if sv[0] > 0 else 0.0
-        if rcond < rcond_min:
-            raise SingularSymbol(tuple(np.round(np.asarray(z), 12)), rcond)
-        out = np.linalg.solve(M, S.C)
-        state["min_rcond"] = min(state["min_rcond"], rcond)
-        state["contour_max"] = max(state["contour_max"], value_norm(out))
-        state["symbol_err"] = max(state["symbol_err"], err)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rcond = np.where(sv[..., 0] > 0, sv[..., -1] / sv[..., 0], 0.0)
+        bad = rcond < rcond_min
+        if bad.any():
+            t = tuple(np.argwhere(bad)[0])  # the first node in row-major order
+            node = np.array([np.broadcast_to(zi, bad.shape)[t] for zi in z])
+            raise SingularSymbol(tuple(np.round(node, 12)), float(rcond[t]))
+        out = np.linalg.solve(M, np.broadcast_to(S.C, M.shape))
+        state["min_rcond"] = min(state["min_rcond"], float(np.min(rcond)))
+        state["contour_max"] = max(state["contour_max"], float(np.max(value_norms(out, 2))))
+        state["symbol_err"] = max(state["symbol_err"], float(np.max(err)))
         return out
 
     region = PolyAnnulus(tuple(Outside(0.0) for _ in range(S.n)))

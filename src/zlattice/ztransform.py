@@ -35,6 +35,7 @@ from .lattice import (
     Orthant,
     SequenceTable,
     Shifted,
+    domain_mask,
     value_shape,
 )
 
@@ -49,7 +50,7 @@ class Outside:
 
     r: float
 
-    def holds(self, mod: float) -> bool:
+    def holds(self, mod):
         return mod > self.r
 
 
@@ -59,8 +60,8 @@ class Inside:
 
     r: float
 
-    def holds(self, mod: float) -> bool:
-        return 0 < mod < self.r
+    def holds(self, mod):
+        return (0 < mod) & (mod < self.r)
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,8 @@ class Ring:
         if not (0 < self.r_lo < self.r_hi):
             raise ValueError("ring requires 0 < r_lo < r_hi")
 
-    def holds(self, mod: float) -> bool:
-        return self.r_lo < mod < self.r_hi
+    def holds(self, mod):
+        return (self.r_lo < mod) & (mod < self.r_hi)
 
 
 AxisConstraint = Union[Outside, Inside, Ring]
@@ -91,10 +92,11 @@ class PolyAnnulus:
     def dim(self) -> int:
         return len(self.axes)
 
-    def contains(self, z: Sequence[complex]) -> bool:
+    def contains(self, z) -> bool:
+        """Whether the point, or every node of an open mesh, lies in the region."""
         if len(z) != self.dim:
             raise DimensionMismatch("region/point dimension mismatch")
-        return all(c.holds(abs(zi)) for c, zi in zip(self.axes, z))
+        return all(bool(np.all(c.holds(np.abs(zi)))) for c, zi in zip(self.axes, z))
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,14 @@ Region = Union[PolyAnnulus, CustomRegion]
 
 @dataclass
 class TransformEvaluator:
-    """A point evaluator for a transform, with its declared region of validity.
+    """A transform evaluator, with its declared region of validity.
+
+    ``fn(z)`` takes z as n complex arrays in open-mesh layout: coordinate i
+    varies along dimension i only, as ``np.ix_`` builds it.  It returns
+    values that broadcast to the mesh shape followed by the value shape
+    (``()``, ``(m,)`` or ``(m, m)``).  A point is the degenerate mesh of
+    scalars.  ``fn`` does no region check; calling the evaluator itself is the
+    region-checked point call, and returns a ``complex`` for scalar kinds.
 
     ``sequence_envelope``/``sequence_sides`` optionally describe the decay of
     the underlying sequence ('+' for an N0 axis, '-' for -N0, 'z' for a
@@ -141,7 +150,8 @@ class TransformEvaluator:
         z = tuple(complex(c) for c in z)
         if not self.region.contains(z):
             raise PointOutsideRegion(f"{z} outside declared region")
-        return self.fn(z)
+        out = self.fn(z)
+        return complex(out) if self.value_kind == "scalar" else out
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +159,28 @@ class TransformEvaluator:
 # ---------------------------------------------------------------------------
 
 
+def _mesh(z) -> tuple:
+    """Coordinates as complex numbers (a point) or complex arrays (a mesh)."""
+    return tuple(complex(c) if np.ndim(c) == 0 else np.asarray(c, dtype=complex) for c in z)
+
+
 def _check_powers(f: SequenceTable, z) -> None:
     for i, zi in enumerate(z):
-        if zi == 0:
+        if np.any(zi == 0):
             # 0^(-k) undefined for positive k; 0^k fine for k >= 0.
             if f.support.hi[i] > 0 or _axis_unbounded_above(f, i):
                 raise ZeroCoordinate(f"z[{i}] = 0 with positive indices on axis {i}")
 
 
-def _axis_unbounded_above(f: SequenceTable, i: int) -> bool:
-    d = f.domain
+def _base(d):
+    """The domain with its shifts removed (shifts keep the per-axis sides)."""
     while isinstance(d, Shifted):
         d = d.base
+    return d
+
+
+def _axis_unbounded_above(f: SequenceTable, i: int) -> bool:
+    d = _base(f.domain)
     if isinstance(d, FullLattice):
         return f.envelope is not None
     if isinstance(d, Orthant):
@@ -170,9 +190,7 @@ def _axis_unbounded_above(f: SequenceTable, i: int) -> bool:
 
 def domain_sides(f: SequenceTable) -> tuple[str, ...]:
     """Per-axis character of the domain: '+', '-', or 'z' (two-sided)."""
-    d = f.domain
-    while isinstance(d, Shifted):
-        d = d.base
+    d = _base(f.domain)
     if isinstance(d, Orthant):
         return tuple("+" if s > 0 else "-" for s in d.signs)
     if isinstance(d, FullLattice):
@@ -185,10 +203,7 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
     """Region implied by the envelope on a product (orthant / full) domain."""
     if f.envelope is None:
         raise NoEnvelope("convergence region needs a decay envelope")
-    d = f.domain
-    while isinstance(d, Shifted):
-        d = d.base
-    if not isinstance(d, (Orthant, FullLattice)):
+    if not isinstance(_base(f.domain), (Orthant, FullLattice)):
         raise NoEnvelope("convergence region defined for orthant or full domains only")
     sides = domain_sides(f)
     axes = []
@@ -212,118 +227,118 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
     return PolyAnnulus(tuple(axes))
 
 
-def _geom_sum(t: float, lo: int | None, hi: int | None) -> float:
-    """sum_{l=lo}^{hi} t^l with infinite ends allowed; inf if divergent."""
-    if t <= 0:
+def _geom_sum(t, lo: int | None, hi: int | None):
+    """sum_{l=lo}^{hi} t^l elementwise, with infinite ends allowed; inf where
+    divergent or beyond the float range."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
         raise ValueError("ratio must be positive")
-    if lo is not None and hi is not None:
-        if lo > hi:
-            return 0.0
-        if t == 1.0:
-            return float(hi - lo + 1)
-        return (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
-    if hi is None and lo is not None:
-        return (t**lo) / (1.0 - t) if t < 1.0 else math.inf
-    if lo is None and hi is not None:
-        return (t**hi) / (1.0 - 1.0 / t) if t > 1.0 else math.inf
-    return math.inf
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if lo is not None and hi is not None:
+            s = np.zeros_like(t) if lo > hi else np.where(
+                t == 1.0, float(hi - lo + 1), (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
+            )
+        elif lo is not None:
+            s = np.where(t < 1.0, (t**lo) / (1.0 - t), math.inf)
+        elif hi is not None:
+            s = np.where(t > 1.0, (t**hi) / (1.0 - 1.0 / t), math.inf)
+        else:
+            s = np.full_like(t, math.inf)
+    return s[()]
 
 
-def forward_tail_bound(f: SequenceTable, z) -> float:
+def forward_tail_bound(f: SequenceTable, z):
     """Bound on the modulus of the transform tail beyond the stored window.
 
     Uses the envelope and the closed-form geometric sums over each axis of a
-    product domain.  Raises if the point lies outside the convergence region.
+    product domain, multiplied across axes; on an open mesh this is an outer
+    product with one entry per node, at a point a float.  Raises if the point
+    or a mesh node lies outside the convergence region.
     """
     if f.envelope is None:
         return 0.0
-    region = convergence_region(f)
-    if not region.contains(z):
-        raise PointOutsideRegion(f"{tuple(z)} outside convergence region")
-    sides = domain_sides(f)
-    mods = [abs(zi) for zi in z]
-    full = 1.0
-    stored = 1.0
-    for i, side in enumerate(sides):
+    z = _mesh(z)
+    if not convergence_region(f).contains(z):
+        raise PointOutsideRegion(f"{z} outside convergence region")
+    full = stored = 1.0
+    for i, side in enumerate(domain_sides(f)):
         r = f.envelope.rates[i]
+        r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
         lo, hi = f.support.lo[i], f.support.hi[i]
-        if side == "+":
-            rp = r[1] if isinstance(r, tuple) else r
-            q = rp / mods[i]
-            full *= 1.0 / (1.0 - q)
-            stored *= _geom_sum(q, max(lo, 0), hi)
-        elif side == "-":
-            rn = r[0] if isinstance(r, tuple) else r
-            q = mods[i] / rn
-            full *= 1.0 / (1.0 - q)
-            stored *= _geom_sum(q, max(-hi, 0), -lo)
-        else:
-            r_neg, r_pos = r
-            qp = r_pos / mods[i]
-            qn = mods[i] / r_neg
-            full *= 1.0 / (1.0 - qp) + qn / (1.0 - qn)
-            stored *= _geom_sum(qp, max(lo, 0), hi) + _geom_sum(qn, 1, -lo)
-    return f.envelope.M * max(full - stored, 0.0)
+        full_i = stored_i = 0.0
+        if side != "-":  # k >= 0: terms (r_pos / |z|)^k
+            q = r_pos / np.abs(z[i])
+            full_i = 1.0 / (1.0 - q)
+            stored_i = _geom_sum(q, max(lo, 0), hi)
+        if side != "+":  # k < 0 (k <= 0 on a '-' axis): terms (|z| / r_neg)^-k
+            s = 1 if side == "z" else 0
+            q = np.abs(z[i]) / r_neg
+            full_i = full_i + q**s / (1.0 - q)
+            stored_i = stored_i + _geom_sum(q, max(-hi, s), -lo)
+        full = full * full_i
+        stored = stored * stored_i
+    out = f.envelope.M * np.maximum(full - stored, 0.0)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _power_sum(values, lo, z, v=None) -> np.ndarray:
+    """sum_k c(k) values[k] z^(-k-v) over a dense box that starts at ``lo``.
+
+    ``values`` has one lattice axis per coordinate of ``z``, then value axes;
+    ``z`` is a point or an open mesh.  c(k) = prod_i (-k_i)(-k_i-1)...
+    (-k_i-v_i+1) gives the termwise derivative of order v (c = 1 when v is
+    None).  One tensordot per axis contracts the values with the matrix
+    c_i(k) z_i^(-k_i-v_i); the result has the mesh shape, then the value shape.
+    """
+    acc = np.asarray(values, dtype=complex)
+    pos = []  # the mesh dimension each coordinate varies along
+    for i, zi in enumerate(z):
+        zi = np.asarray(zi, dtype=complex)
+        vi = 0 if v is None else v[i]
+        ks = np.arange(lo[i], lo[i] + acc.shape[0])[:, None]
+        c = np.ones(ks.shape)
+        for t in range(vi):
+            c = c * (-ks - t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.where(c != 0, c * zi.reshape(1, -1) ** (-ks - vi), 0.0)
+        acc = np.tensordot(acc, w, axes=(0, 0))
+        pos.append(int(np.argmax(zi.shape)) if zi.ndim else 0)
+    vdim = acc.ndim - len(z)
+    order = [vdim + i for i in np.argsort(pos, kind="stable")]
+    acc = acc.transpose(order + list(range(vdim)))
+    return acc.reshape(np.broadcast_shapes(*(np.shape(zi) for zi in z)) + acc.shape[len(z) :])
 
 
 def eval_forward(f: SequenceTable, z, with_tail: bool = False):
     """F(z) = sum over the stored support of f(k) * prod z_i^(-k_i).
 
-    With an envelope present the point must lie in the convergence region and
-    ``with_tail=True`` additionally returns the geometric tail bound.
+    z is a point or an open mesh (see ``TransformEvaluator``); a point gives
+    a ``complex`` for scalar tables.  With an envelope present every node must
+    lie in the convergence region and ``with_tail=True`` additionally returns
+    the geometric tail bound.
     """
-    z = tuple(complex(c) for c in z)
+    z = _mesh(z)
     if len(z) != f.dim:
         raise DimensionMismatch("point dimension mismatch")
     _check_powers(f, z)
-    tail = 0.0
-    if f.envelope is not None:
-        tail = forward_tail_bound(f, z)  # also validates region membership
-    acc = np.zeros(f.vshape, dtype=complex)
-    for k, v in f.support_points():
-        w = 1.0 + 0j
-        for zi, ki in zip(z, k):
-            w *= zi ** (-ki)
-        acc = acc + np.asarray(v) * w
-    out = complex(acc) if f.value_kind == "scalar" else acc
+    tail = forward_tail_bound(f, z)  # also validates region membership
+    out = _power_sum(f.values, f.support.lo, z)
+    if f.value_kind == "scalar" and out.ndim == 0:
+        out = complex(out)
     return (out, tail) if with_tail else out
 
 
-def eval_forward_grid(f: SequenceTable, axis_nodes: Sequence[np.ndarray]) -> np.ndarray:
-    """Evaluate the forward transform on a Cartesian grid of points.
-
-    axis_nodes[i] is the 1-D array of z_i values; the result has shape
-    grid_shape + value_shape.  Used by the inversion round-trip path.
-    """
-    grid_shape = tuple(len(a) for a in axis_nodes)
-    out = np.zeros(grid_shape + f.vshape, dtype=complex)
-    for k, v in f.support_points():
-        w = np.ones(grid_shape, dtype=complex)
-        for ax, (nodes, ki) in enumerate(zip(axis_nodes, k)):
-            shape = [1] * f.dim
-            shape[ax] = -1
-            w = w * (nodes ** (-ki)).reshape(shape)
-        out += w.reshape(grid_shape + (1,) * len(f.vshape)) * np.asarray(v)
-    return out
-
-
 def forward_evaluator(f: SequenceTable) -> TransformEvaluator:
-    """Wrap a table as a point evaluator with its natural region."""
-    if f.envelope is not None:
-        region: Region = convergence_region(f)
-        sides = domain_sides(f)
-        env = f.envelope
-    else:
-        region = PolyAnnulus(tuple(Outside(0.0) for _ in range(f.dim)))
-        sides = None
-        env = None
+    """Wrap a table as an evaluator with its natural region; ``fn`` is the
+    power sum over the stored support."""
+    env = f.envelope
     return TransformEvaluator(
-        fn=lambda z: eval_forward(f, z),
-        region=region,
+        fn=lambda z: _power_sum(f.values, f.support.lo, z),
+        region=convergence_region(f) if env is not None else PolyAnnulus((Outside(0.0),) * f.dim),
         value_kind=f.value_kind,
         m=f.m,
         sequence_envelope=env,
-        sequence_sides=sides,
+        sequence_sides=domain_sides(f) if env is not None else None,
     )
 
 
@@ -345,9 +360,7 @@ def shift_identity(
     if len(a) != f_window.dim:
         raise DimensionMismatch("shift dimension mismatch")
     d = f_window.domain
-    base = d
-    while isinstance(base, Shifted):
-        base = base.base
+    base = _base(d)
     if isinstance(base, Orthant):
         if any(s * ai < 0 for s, ai in zip(base.signs, a)):
             raise ShiftLeavesDomain(f"a + D not contained in D for a={a}")
@@ -365,24 +378,15 @@ def shift_identity(
         raise BoundaryNotFinite(
             "boundary set unbounded for an envelope-bounded multi-axis orthant"
         )
-    boundary = [
-        (k, v)
-        for k, v in f_window.support_points()
-        if k in d and tuple(c - ai for c, ai in zip(k, a)) not in d
-    ]
+    # the boundary D \ (a+D) masks the window (entries outside D are stored as 0)
+    sup, vdim = f_window.support, len(f_window.vshape)
+    leaves = ~domain_mask(Shifted(d, a), sup)
+    boundary = f_window.values * leaves.reshape(leaves.shape + (1,) * vdim)
 
     def fn(z):
-        za = 1.0 + 0j
-        for zi, ai in zip(z, a):
-            za *= zi**ai
-        acc = np.asarray(F.fn(z), dtype=complex).copy()
-        for k, v in boundary:
-            w = 1.0 + 0j
-            for zi, ki in zip(z, k):
-                w *= zi ** (-ki)
-            acc = acc - np.asarray(v) * w
-        out = za * acc
-        return complex(out) if F.value_kind == "scalar" else out
+        za = np.asarray(math.prod(zi**ai for zi, ai in zip(z, a)))
+        acc = np.asarray(F.fn(z), dtype=complex) - _power_sum(boundary, sup.lo, z)
+        return za.reshape(za.shape + (1,) * vdim) * acc
 
     return TransformEvaluator(fn, F.region, F.value_kind, F.m)
 
@@ -401,16 +405,10 @@ def modulation(f: SequenceTable, a) -> SequenceTable:
             s = abs(ai)
             rates.append((r[0] * s, r[1] * s) if isinstance(r, tuple) else r * s)
         env = Envelope(f.envelope.M, tuple(rates))
-
-    def fn(k):
-        w = 1.0 + 0j
-        for ai, ki in zip(a, k):
-            w *= ai**ki
-        return np.asarray(f.at(k)) * w
-
-    return SequenceTable.from_function(
-        f.domain, f.support, fn, f.value_kind, f.m, env
-    )
+    sup = f.support
+    w = math.prod(np.ix_(*(ai ** np.arange(lo, hi + 1) for ai, lo, hi in zip(a, sup.lo, sup.hi))))
+    vals = f.values * w.reshape(w.shape + (1,) * len(f.vshape))
+    return SequenceTable(f.domain, f.support, vals, f.value_kind, f.m, env)
 
 
 def separable_transform(factors: Sequence[SequenceTable]) -> TransformEvaluator:
@@ -429,12 +427,14 @@ def separable_transform(factors: Sequence[SequenceTable]) -> TransformEvaluator:
         else:
             axes.append(Outside(0.0))
     last = factors[-1]
+    ones = (1,) * len(last.vshape)
 
     def fn(z):
-        acc = np.asarray(eval_forward(last, (z[-1],)), dtype=complex)
-        for f, zi in zip(factors[:-1], z[:-1]):
-            acc = acc * eval_forward(f, (zi,))
-        return complex(acc) if last.value_kind == "scalar" else acc
+        acc = _power_sum(last.values, last.support.lo, z[-1:])
+        for f, zi in zip(factors[:-1], z):
+            fa = _power_sum(f.values, f.support.lo, (zi,))
+            acc = acc * fa.reshape(fa.shape + ones)
+        return acc
 
     return TransformEvaluator(
         fn, PolyAnnulus(tuple(axes)), last.value_kind, last.m
@@ -442,9 +442,10 @@ def separable_transform(factors: Sequence[SequenceTable]) -> TransformEvaluator:
 
 
 def derivative_series(f: SequenceTable, v, z):
-    """Partial derivative d^v F / dz^v as a termwise-differentiated series."""
+    """Partial derivative d^v F / dz^v as a termwise-differentiated series,
+    at a point or on an open mesh."""
     v = tuple(int(c) for c in v)
-    z = tuple(complex(c) for c in z)
+    z = _mesh(z)
     if len(v) != f.dim or len(z) != f.dim:
         raise DimensionMismatch("order/point dimension mismatch")
     if any(c < 0 for c in v):
@@ -452,19 +453,8 @@ def derivative_series(f: SequenceTable, v, z):
     _check_powers(f, z)
     if f.envelope is not None and not convergence_region(f).contains(z):
         raise PointOutsideRegion(f"{z} outside convergence region")
-    acc = np.zeros(f.vshape, dtype=complex)
-    for k, val in f.support_points():
-        coeff = 1.0
-        for ki, vi in zip(k, v):
-            for t in range(vi):
-                coeff *= -ki - t
-        if coeff == 0:
-            continue
-        w = 1.0 + 0j
-        for zi, ki, vi in zip(z, k, v):
-            w *= zi ** (-ki - vi)
-        acc = acc + np.asarray(val) * (coeff * w)
-    return complex(acc) if f.value_kind == "scalar" else acc
+    out = _power_sum(f.values, f.support.lo, z, v)
+    return complex(out) if f.value_kind == "scalar" and out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +483,12 @@ def invert_contour(
 
     f(k) ~= (1 / prod N_i) * sum_t prod_i (r_i^{k_i} e^{2 pi i k_i t_i / N_i})
             * F(r e^{2 pi i t / N}); realized as an inverse FFT over the node
-    grid followed by per-axis radius weights.  Nodes are evaluated in a fixed
-    row-major order; an evaluator failure at any node aborts (no skipping).
+    grid followed by per-axis radius weights.  ``F.fn`` is called once, on the
+    whole node grid as an open mesh.  A non-finite value raises
+    ``EvaluatorFailure`` at its first node in row-major order; an exception
+    raised by the call (other than ``SingularSymbol``), or a result that does
+    not broadcast to the grid plus the value shape, is reported at the grid
+    origin.  No node is skipped.
     """
     n = F.dim
     radii = tuple(float(r) for r in radii)
@@ -514,29 +508,23 @@ def invert_contour(
 
     vshape = value_shape(F.value_kind, F.m)
     nodes = [r * np.exp(2j * np.pi * np.arange(N) / N) for r, N in zip(radii, grid)]
-    samples = np.empty(grid + vshape, dtype=complex)
-    for t in np.ndindex(*grid):
-        z = tuple(nodes[i][ti] for i, ti in enumerate(t))
-        try:
-            val = F.fn(z)
-        except SingularSymbol:
-            raise
-        except Exception as e:  # noqa: BLE001 - propagate with node coordinates
-            raise EvaluatorFailure(t, e) from e
-        arr = np.asarray(val, dtype=complex)
-        if arr.shape != vshape or not np.all(np.isfinite(arr)):
-            raise EvaluatorFailure(t, f"bad value shape/finiteness: {val!r}")
-        samples[t] = arr
+    try:
+        val = F.fn(np.ix_(*nodes))
+        samples = np.broadcast_to(np.asarray(val, dtype=complex), grid + vshape)
+    except SingularSymbol:
+        raise
+    except Exception as e:  # noqa: BLE001 - the whole mesh failed: report its origin
+        raise EvaluatorFailure((0,) * n, e) from e
+    bad = ~np.isfinite(samples).reshape(grid + (-1,)).all(axis=-1)
+    if bad.any():
+        t = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise EvaluatorFailure(t, f"non-finite value {samples[t]!r}")
 
     coeff = np.fft.ifftn(samples, axes=tuple(range(n)))
-    shape = window.shape
-    out = np.empty(shape + vshape, dtype=complex)
-    for idx in np.ndindex(*shape):
-        k = tuple(a + i for a, i in zip(window.lo, idx))
-        w = 1.0
-        for r, ki in zip(radii, k):
-            w *= r**ki
-        out[idx] = w * coeff[tuple(ki % N for ki, N in zip(k, grid))]
+    ks = [np.arange(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
+    w = math.prod(np.ix_(*(r**k for r, k in zip(radii, ks))))  # outer product
+    coeff = coeff[np.ix_(*(k % N for k, N in zip(ks, grid)))]
+    out = w.reshape(w.shape + (1,) * len(vshape)) * coeff
 
     aliasing = None
     if F.sequence_envelope is not None:

@@ -51,6 +51,24 @@ def test_transform_invert_roundtrip(tmp_path):
     assert np.max(np.abs(g.values - f.values)) < 1e-10
 
 
+def test_transform_invert_rational_2d(tmp_path):
+    # z1 z2 / (z1 z2 - 1/4) = sum_k 4^-k (z1 z2)^-k: 4^-k on the diagonal
+    doc = {
+        "n": 2,
+        "numerator": [{"j": [1, 1], "c": [1, 0]}],
+        "denominator": [{"j": [1, 1], "c": [1, 0]}, {"j": [0, 0], "c": [-0.25, 0]}],
+    }
+    src = tmp_path / "r.json"
+    out = tmp_path / "g.json"
+    src.write_text(json.dumps(doc))
+    code = run([
+        "transform", "invert", "--rational", str(src), "--radii", "1,1",
+        "--window", "0:3,0:3", "--out", str(out),
+    ])
+    assert code == 0
+    assert np.max(np.abs(load(out).values - np.diag(0.25 ** np.arange(4)))) < 1e-12
+
+
 def test_invert_report_has_ledger(tmp_path):
     from zlattice.fixtures import geometric_table
 
@@ -80,6 +98,39 @@ def test_convolve_cli(tmp_path):
     assert code == 0
     c = load(out)
     assert np.allclose(c.values.real, np.arange(1, 9))
+
+
+@pytest.mark.parametrize("k2", ["-60", "-1100"])
+def test_convolve_axes_far_window_exits_2(tmp_path, k2):
+    # 0.5^-1100 overflows the pass-through envelope factor: the tail ledger is
+    # inf, a tolerance failure like the divergent tail at -60
+    from zlattice.fractional import cesaro
+    from zlattice.lattice import Envelope, FullLattice
+
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    save(cesaro(0.5, 5), a)
+    save(SequenceTable(
+        FullLattice(2), Box((0, 0), (2, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((0.5, 0.5), (0.5, 0.5))),
+    ), b)
+    code = run([
+        "convolve", "--mode", "axes", "--axes", "1", "--a", str(a), "--b", str(b),
+        "--window", f"0:2,{k2}:{k2}", "--out", str(tmp_path / "c.json"),
+    ])
+    assert code == 2
+
+
+def test_transform_eval_accepts_point_with_leading_minus(tmp_path, capsys):
+    from zlattice.fixtures import geometric_table
+
+    path = tmp_path / "g.json"
+    save(geometric_table(0.5, 8), path)
+    outs = []
+    for args in (["--at", "-1.5+0i"], ["--at=-1.5+0i"]):
+        assert run(["transform", "eval", "--seq", str(path), *args]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
 
 
 def test_fractional_cesaro_cli(tmp_path, capsys):

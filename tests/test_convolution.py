@@ -25,6 +25,7 @@ from zlattice.lattice import (
     Orthant,
     SequenceTable,
     Shifted,
+    nonneg_orthant,
     value_norm,
     value_shape,
 )
@@ -164,6 +165,45 @@ def test_axes_divergent_tail_stays_inf_where_pass_through_factor_underflows():
         conv_axes(cesaro(1.0, 5), b, (1,), window)
     _, ledger = conv_axes(cesaro(1.0, 5), b, (1,), window, enforce=False, return_ledger=True)
     assert np.all(np.isinf(ledger))
+
+
+def test_axes_pass_through_factor_overflow_gives_inf_ledger():
+    # 0.5^-1100 overflows on the pass-through axis: the ledger is inf there,
+    # and enforce rejects it
+    b = SequenceTable(
+        FullLattice(2), Box((0, 0), (2, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((0.5, 0.5), (0.5, 0.5))),
+    )
+    window = Box((0, -1100), (2, -1100))
+    _, ledger = conv_axes(cesaro(0.5, 5), b, (1,), window, enforce=False, return_ledger=True)
+    assert np.all(np.isinf(ledger))
+    with pytest.raises(DivergentConvolution):
+        conv_axes(cesaro(0.5, 5), b, (1,), window)
+    # a finite tail along the convolved axis times an overflowing factor is
+    # inf too, never nan
+    a = SequenceTable(
+        nonneg_orthant(1), Box((0,), (5,)), 0.3 ** np.arange(6), envelope=Envelope(1.0, (0.3,))
+    )
+    c = SequenceTable(
+        FullLattice(2), Box((0, 0), (2, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((2.0, 0.5), (0.5, 0.5))),
+    )
+    _, finite = conv_axes(a, c, (1,), Box((0, -60), (2, -60)), enforce=False, return_ledger=True)
+    assert np.all(np.isfinite(finite)) and np.all(finite > 0)
+    _, ledger = conv_axes(a, c, (1,), window, enforce=False, return_ledger=True)
+    assert np.all(np.isinf(ledger))
+
+
+def test_axes_exact_zero_tail_stays_zero_where_pass_through_factor_overflows():
+    # a finitely supported kernel against an enveloped table whose stored box
+    # covers the whole convolved axis: the tail is exactly 0 at every k
+    a = SequenceTable(nonneg_orthant(1), Box((0,), (1,)), np.ones(2))
+    b = SequenceTable(
+        Box((0, -1100), (2, -1100)), Box((0, -1100), (2, -1100)), np.full((3, 1), 0.1),
+        envelope=Envelope(0.0, (0.5, 0.5)),
+    )
+    _, ledger = conv_axes(a, b, (1,), Box((0, -1100), (3, -1100)), enforce=False, return_ledger=True)
+    assert np.array_equal(ledger, np.zeros((4, 1)))
 
 
 def test_weyl_tail_within_tolerance_passes():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlattice.errors import (
     DimensionMismatch,
@@ -25,6 +27,7 @@ from zlattice.lattice import (
     SequenceTable,
     beta_shift,
     nonneg_orthant,
+    value_norm,
 )
 from zlattice.solver import (
     MixedAxesSymbol,
@@ -123,6 +126,141 @@ def test_weyl_symbol_two_term_shape():
         + z**k0
     )
     assert scalar(symbol_eval(S, (z,))) == pytest.approx(expect, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# symbol evaluation on a mesh, against the per-point loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_zpow(z, j):
+    w = 1.0 + 0j
+    for zi, ji in zip(z, j):
+        if zi == 0:
+            if ji < 0:
+                raise ZeroCoordinate("negative power of zero coordinate")
+            if ji > 0:
+                return 0.0 + 0j
+            continue
+        w *= zi**ji
+    return w
+
+
+def ref_prefactor(z, t):
+    if not t.order:
+        return ref_zpow(z, t.shift)
+    return sum(
+        (-1) ** (t.order - j) * math.comb(t.order, j) * z[0] ** (t.shift[0] + j)
+        for j in range(t.order + 1)
+    )
+
+
+def ref_symbol_eval(S, z):
+    out = np.zeros((S.m, S.m), dtype=complex)
+    for j, A in S.pencil:
+        out += ref_zpow(z, j) * A
+    err = 0.0
+    for t in S.terms:
+        zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
+        fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
+        w = ref_prefactor(z, t)
+        out += w * fa * t.A
+        err += abs(w) * tail * value_norm(t.A)
+    return out, err
+
+
+@st.composite
+def kernels(draw, n):
+    """A Cesaro kernel (n = 1) or a random table with negative support indices."""
+    if n == 1 and draw(st.booleans()):
+        return cesaro(draw(st.sampled_from((0.3, 0.5, 1.4))), draw(st.integers(0, 12)))
+    lo = tuple(draw(st.integers(-2, 1)) for _ in range(n))
+    hi = tuple(a + draw(st.integers(0, 3)) for a in lo)
+    env = Envelope(1.0, ((2.0, 0.5),) * n) if draw(st.booleans()) else None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.normal(size=Box(lo, hi).shape) + 1j * rng.normal(size=Box(lo, hi).shape)
+    return SequenceTable(FullLattice(n), Box(lo, hi), vals, envelope=env)
+
+
+@st.composite
+def symbols(draw, kind, m):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def mat():
+        return rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+
+    if kind == "pencil":
+        n = draw(st.integers(1, 3))
+        js = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * n), min_size=1, max_size=4, unique=True))
+        return OperatorPencil(n, m, tuple((j, mat()) for j in js), np.eye(m))
+    if kind == "weyl":
+        terms = tuple(
+            WeylTerm(draw(kernels(1)), draw(st.integers(0, 2)), draw(st.integers(-1, 2)), mat())
+            for _ in range(draw(st.integers(1, 2)))
+        )
+        return WeylFractionalSymbol(m, terms, mat(), draw(st.integers(-1, 2)), np.eye(m))
+    n = draw(st.integers(2, 3))
+    # including axis subsets listed out of order: F_a(z_2, z_1)
+    subsets = [
+        a for a in ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (2, 1), (3, 1, 2))
+        if max(a) <= n
+    ]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        axes = draw(st.sampled_from(subsets))
+        terms.append(MixedAxesTerm(draw(kernels(len(axes))), axes, mat()))
+    return MixedAxesSymbol(n, m, tuple(terms), np.eye(m))
+
+
+@given(st.data(), st.sampled_from(("pencil", "weyl", "mixed")), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_symbol_eval_mesh_matches_per_point_reference(data, kind, m):
+    S = data.draw(symbols(kind, m))
+    nodes = []
+    for _ in range(S.n):
+        size = data.draw(st.integers(1, 3))
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 * size, max_size=2 * size)))
+        nodes.append((1.2 + 0.7 * u[:size]) * np.exp(2j * np.pi * u[size:]))
+    grid = tuple(len(a) for a in nodes)
+    M, err = symbol_eval(S, np.ix_(*nodes), with_err=True)
+    ref = np.empty(grid + (m, m), dtype=complex)
+    ref_err = np.empty(grid)
+    for t in np.ndindex(*grid):
+        ref[t], ref_err[t] = ref_symbol_eval(S, tuple(complex(a[i]) for a, i in zip(nodes, t)))
+    assert M.shape == ref.shape
+    assert np.max(np.abs(M - ref)) <= 1e-12 * np.max(np.abs(ref))
+    np.testing.assert_allclose(np.broadcast_to(err, grid), ref_err, rtol=1e-12, atol=0.0)
+
+
+def test_symbol_eval_mesh_with_axes_listed_out_of_order():
+    # the kernel's first axis runs along z_2: F_a(z_2, z_1)
+    rng = np.random.default_rng(5)
+    kernel = SequenceTable(FullLattice(2), Box((-1, 0), (1, 2)), rng.normal(size=(3, 3)))
+    S = MixedAxesSymbol(2, 1, (MixedAxesTerm(kernel, (2, 1), np.eye(1)),), np.eye(1))
+    nodes = [np.array([1.3, 1.5j]), np.array([0.7j, 1.2, -0.9])]
+    M = symbol_eval(S, np.ix_(*nodes))
+    ref = [[ref_symbol_eval(S, (a, b))[0] for b in nodes[1]] for a in nodes[0]]
+    np.testing.assert_allclose(M, np.array(ref), rtol=1e-12)
+
+
+def test_singular_pencil_names_the_first_row_major_node():
+    # P(z) = z1 z2 diag(1, 2) + I is singular where z1 z2 = -1, first at
+    # node (0, 4) of the 8 x 8 grid on the unit torus
+    P = OperatorPencil(2, 2, (((1, 1), np.diag([1.0, 2.0])), ((0, 0), np.eye(2))), np.eye(2))
+    grid = (8, 8)
+    nodes = [np.exp(2j * np.pi * np.arange(N) / N) for N in grid]
+    expect = None
+    for t in np.ndindex(*grid):  # the per-node loop, in row-major order
+        z = tuple(nodes[i][ti] for i, ti in enumerate(t))
+        sv = np.linalg.svd(ref_symbol_eval(P, z)[0], compute_uv=False)
+        if sv[-1] / sv[0] < 1e-12:
+            expect = tuple(np.round(np.asarray(z), 12))
+            break
+    assert expect is not None
+    with pytest.raises(SingularSymbol) as exc:
+        green_function(P, (1.0, 1.0), Box((0, 0), (3, 3)), grid=grid)
+    assert exc.value.node == expect
+    assert exc.value.node == (1.0 + 0j, -1.0 + 0j)
 
 
 # ---------------------------------------------------------------------------

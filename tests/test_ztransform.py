@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,15 @@ from zlattice.errors import (
     TwoSidedAxisWithoutRingRates,
     ZeroCoordinate,
 )
-from zlattice.lattice import Box, Envelope, FullLattice, Orthant, SequenceTable, nonneg_orthant
+from zlattice.lattice import (
+    Box,
+    Envelope,
+    FullLattice,
+    Orthant,
+    SequenceTable,
+    nonneg_orthant,
+    value_shape,
+)
 from zlattice.ztransform import (
     Inside,
     Outside,
@@ -23,6 +33,7 @@ from zlattice.ztransform import (
     _aliasing_bounds,
     convergence_region,
     derivative_series,
+    domain_sides,
     eval_forward,
     forward_evaluator,
     forward_tail_bound,
@@ -178,6 +189,22 @@ def test_tail_bound_dominates_actual_tail():
     bound = forward_tail_bound(f, z)
     actual = sum(0.5**k * 2.0 ** (-k) for k in range(K + 1, 400))
     assert 0 < actual <= bound + 1e-15
+
+
+def test_two_sided_tail_bound_covers_terms_between_support_and_zero():
+    # support -3..-2 on a two-sided axis: the unstored k = -1 term belongs to
+    # the tail
+    def fv(k):
+        return 2.0**k if k < 0 else 0.5**k
+
+    f = SequenceTable(
+        FullLattice(1), Box((-3,), (-2,)), np.array([fv(-3), fv(-2)]),
+        envelope=Envelope(1.0, ((2.0, 0.5),)),
+    )
+    z = (1.0,)
+    actual = sum(fv(k) for k in range(-400, 400) if k not in (-3, -2))
+    assert actual == pytest.approx(2.625)
+    assert actual <= forward_tail_bound(f, z) + 1e-15
 
 
 def test_eval_outside_region_rejected():
@@ -450,3 +477,258 @@ def test_aliasing_bounds_match_per_point_reference(axes, M):
     window = Box(lo, tuple(a + w for a, w in zip(lo, span)))
     new = _aliasing_bounds(env, sides, radii, grid, window)
     np.testing.assert_array_equal(new, ref_aliasing_bounds(env, sides, radii, grid, window))
+
+
+# ---------------------------------------------------------------------------
+# Mesh evaluation against the per-point loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_geom_sum(t, lo, hi):
+    if lo is not None and hi is not None:
+        if lo > hi:
+            return 0.0
+        if t == 1.0:
+            return float(hi - lo + 1)
+        return (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
+    if hi is None and lo is not None:
+        return (t**lo) / (1.0 - t) if t < 1.0 else math.inf
+    if lo is None and hi is not None:
+        return (t**hi) / (1.0 - 1.0 / t) if t > 1.0 else math.inf
+    return math.inf
+
+
+def ref_tail_bound(f, z):
+    """Per-point tail bound, the scalar loop mesh evaluation replaced."""
+    if f.envelope is None:
+        return 0.0
+    mods = [abs(zi) for zi in z]
+    full = 1.0
+    stored = 1.0
+    for i, side in enumerate(domain_sides(f)):
+        r = f.envelope.rates[i]
+        lo, hi = f.support.lo[i], f.support.hi[i]
+        if side == "+":
+            q = (r[1] if isinstance(r, tuple) else r) / mods[i]
+            full *= 1.0 / (1.0 - q)
+            stored *= ref_geom_sum(q, max(lo, 0), hi)
+        elif side == "-":
+            q = mods[i] / (r[0] if isinstance(r, tuple) else r)
+            full *= 1.0 / (1.0 - q)
+            stored *= ref_geom_sum(q, max(-hi, 0), -lo)
+        else:
+            r_neg, r_pos = r
+            qp = r_pos / mods[i]
+            qn = mods[i] / r_neg
+            full *= 1.0 / (1.0 - qp) + qn / (1.0 - qn)
+            # the stored negative part starts at k = hi when hi < -1: the
+            # terms between the window and 0 belong to the tail
+            stored *= ref_geom_sum(qp, max(lo, 0), hi) + ref_geom_sum(qn, max(-hi, 1), -lo)
+    return f.envelope.M * max(full - stored, 0.0)
+
+
+def ref_eval_forward(f, z):
+    acc = np.zeros(f.vshape, dtype=complex)
+    for k, v in f.support_points():
+        w = 1.0 + 0j
+        for zi, ki in zip(z, k):
+            w *= zi ** (-ki)
+        acc = acc + np.asarray(v) * w
+    return acc
+
+
+def ref_derivative_series(f, v, z):
+    acc = np.zeros(f.vshape, dtype=complex)
+    for k, val in f.support_points():
+        coeff = 1.0
+        for ki, vi in zip(k, v):
+            for t in range(vi):
+                coeff *= -ki - t
+        if coeff == 0:
+            continue
+        w = 1.0 + 0j
+        for zi, ki, vi in zip(z, k, v):
+            w *= zi ** (-ki - vi)
+        acc = acc + np.asarray(val) * (coeff * w)
+    return acc
+
+
+def ref_shift_identity(f, a, z):
+    boundary = [
+        (k, v)
+        for k, v in f.support_points()
+        if k in f.domain and tuple(c - ai for c, ai in zip(k, a)) not in f.domain
+    ]
+    za = 1.0 + 0j
+    for zi, ai in zip(z, a):
+        za *= zi**ai
+    acc = ref_eval_forward(f, z)
+    for k, v in boundary:
+        w = 1.0 + 0j
+        for zi, ki in zip(z, k):
+            w *= zi ** (-ki)
+        acc = acc - np.asarray(v) * w
+    return za * acc
+
+
+def on_nodes(nodes, fn, vshape=()):
+    """fn at every node of the mesh, stacked in row-major order."""
+    grid = tuple(len(a) for a in nodes)
+    out = np.empty(grid + vshape, dtype=complex)
+    for t in np.ndindex(*grid):
+        out[t] = fn(tuple(complex(a[i]) for a, i in zip(nodes, t)))
+    return out
+
+
+def assert_mesh_close(new, ref, scale=None):
+    # relative to the largest value on the mesh, or to the given term scale
+    # where the values themselves may cancel
+    assert new.shape == ref.shape
+    if scale is None:
+        scale = np.max(np.abs(ref), initial=0.0)
+    assert np.max(np.abs(new - ref), initial=0.0) <= 1e-12 * scale
+
+
+KINDS = ("scalar", "vector", "matrix")
+
+
+@st.composite
+def mesh_tables(draw, n, kind, m, envelope=True, full_only=False):
+    """A table with negative support indices allowed, on an orthant or on the
+    full lattice, often with an envelope."""
+    lo = tuple(draw(st.integers(-3, 1)) for _ in range(n))
+    hi = tuple(a + draw(st.integers(0, 3)) for a in lo)
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
+    full = full_only or draw(st.booleans())
+    domain = FullLattice(n) if full else Orthant(signs)
+    env = None
+    if envelope and draw(st.booleans()):
+        pairs = ((2.0, 0.5), (1.5, 0.8), (3.0, 1.2))
+        rates = [draw(st.sampled_from(pairs if full else (0.5, 0.9, 1.3))) for _ in range(n)]
+        env = Envelope(draw(st.sampled_from((0.5, 2.0))), tuple(rates))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = Box(lo, hi).shape + value_shape(kind, m)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return SequenceTable(domain, Box(lo, hi), vals, kind, m if kind != "scalar" else None, env)
+
+
+@st.composite
+def mesh_nodes(draw, f):
+    """Per-axis node arrays inside the table's convergence region."""
+    sides = domain_sides(f)
+    nodes = []
+    for i in range(f.dim):
+        size = draw(st.integers(1, 3))
+        u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)))
+        if f.envelope is None:
+            mods = 0.5 + 1.5 * u
+        else:
+            r = f.envelope.rates[i]
+            if sides[i] == "+":
+                mods = r * (1.2 + 0.8 * u)
+            elif sides[i] == "-":
+                mods = r * (0.5 + 0.3 * u)
+            else:
+                mods = r[1] * 1.05 + (r[0] * 0.95 - r[1] * 1.05) * u
+        phases = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=size, max_size=size)))
+        nodes.append(mods * np.exp(1j * phases))
+    return nodes
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(KINDS), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_eval_forward_mesh_matches_per_point_reference(data, n, kind, m):
+    f = data.draw(mesh_tables(n, kind, m))
+    nodes = data.draw(mesh_nodes(f))
+    grid = tuple(len(a) for a in nodes)
+    val, tail = eval_forward(f, np.ix_(*nodes), with_tail=True)
+    assert_mesh_close(val, on_nodes(nodes, lambda z: ref_eval_forward(f, z), f.vshape))
+    ref_tail = on_nodes(nodes, lambda z: ref_tail_bound(f, z)).real
+    np.testing.assert_allclose(np.broadcast_to(tail, grid), ref_tail, rtol=1e-12, atol=0.0)
+    # the evaluator's fn is the same power sum
+    assert_mesh_close(np.asarray(forward_evaluator(f).fn(np.ix_(*nodes))), val)
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(KINDS), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_derivative_series_mesh_matches_per_point_reference(data, n, kind, m):
+    f = data.draw(mesh_tables(n, kind, m))
+    nodes = data.draw(mesh_nodes(f))
+    v = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
+    new = derivative_series(f, v, np.ix_(*nodes))
+    assert_mesh_close(new, on_nodes(nodes, lambda z: ref_derivative_series(f, v, z), f.vshape))
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(KINDS), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_shift_identity_mesh_matches_per_point_reference(data, n, kind, m):
+    # an envelope on a multi-axis orthant makes the boundary unbounded
+    f = data.draw(mesh_tables(n, kind, m, envelope=n == 1))
+    signs = f.domain.signs if isinstance(f.domain, Orthant) else (1,) * n
+    a = tuple(s * data.draw(st.integers(0, 2)) for s in signs)
+    nodes = data.draw(mesh_nodes(f))
+    G = shift_identity(forward_evaluator(f), f, a)
+    new = np.broadcast_to(G.fn(np.ix_(*nodes)), tuple(len(x) for x in nodes) + f.vshape)
+    # the boundary sum may cancel F(z) exactly: scale by the summed terms
+    terms = SequenceTable(f.domain, f.support, np.abs(f.values), f.value_kind, f.m)
+    scale = np.max(np.abs(on_nodes(
+        [np.abs(x) for x in nodes],
+        lambda z: ref_eval_forward(terms, z) * np.prod(np.abs(z) ** np.array(a, dtype=float)),
+        f.vshape,
+    )))
+    assert_mesh_close(new, on_nodes(nodes, lambda z: ref_shift_identity(f, a, z), f.vshape), scale)
+
+
+@given(st.data(), st.integers(1, 3), st.sampled_from(KINDS), st.integers(1, 2))
+@settings(max_examples=60, deadline=None)
+def test_separable_transform_mesh_matches_per_point_reference(data, n, kind, m):
+    factors = [data.draw(mesh_tables(1, "scalar", None)) for _ in range(n - 1)]
+    factors.append(data.draw(mesh_tables(1, kind, m)))
+    nodes = [data.draw(mesh_nodes(f))[0] for f in factors]
+    F = separable_transform(factors)
+    new = np.broadcast_to(F.fn(np.ix_(*nodes)), tuple(len(x) for x in nodes) + factors[-1].vshape)
+
+    def ref(z):
+        acc = ref_eval_forward(factors[-1], (z[-1],))
+        for f, zi in zip(factors[:-1], z[:-1]):
+            acc = acc * ref_eval_forward(f, (zi,))
+        return acc
+
+    assert_mesh_close(new, on_nodes(nodes, ref, factors[-1].vshape))
+
+
+@pytest.mark.parametrize("kind,m", [("scalar", None), ("vector", 2), ("matrix", 2)])
+@pytest.mark.parametrize("bad", [[(3, 5)], [(7, 1)], [(7, 1), (3, 5)]])
+def test_invert_nan_at_interior_node_names_that_node(kind, m, bad):
+    # with several bad nodes the first in row-major order is named
+    grid = (8, 9)
+    vshape = value_shape(kind, m)
+
+    def fn(z):
+        z1, z2 = z
+        hit = np.zeros(np.broadcast_shapes(z1.shape, z2.shape), dtype=bool)
+        for t in bad:
+            at = [np.exp(2j * np.pi * ti / N) for ti, N in zip(t, grid)]
+            hit |= np.isclose(z1, at[0]) & np.isclose(z2, at[1])
+        val = np.where(hit, np.nan, 1.0 / (z1 * z2))
+        return val.reshape(val.shape + (1,) * len(vshape)) * np.ones(vshape)
+
+    F = TransformEvaluator(fn, PolyAnnulus((Outside(0.0), Outside(0.0))), kind, m)
+    with pytest.raises(EvaluatorFailure) as exc:
+        invert_contour(F, (1.0, 1.0), Box((0, 0), (3, 3)), grid=grid)
+    assert exc.value.node == min(bad)
+
+
+def test_invert_calls_evaluator_once_on_the_whole_grid():
+    calls = []
+
+    def fn(z):
+        calls.append(tuple(np.shape(zi) for zi in z))
+        return 1.0 / (z[0] * z[1])
+
+    F = TransformEvaluator(fn, PolyAnnulus((Outside(0.0), Outside(0.0))))
+    res = invert_contour(F, (1.0, 1.0), Box((-1, 0), (2, 2)), grid=(6, 5))
+    assert calls == [((6, 1), (1, 5))]
+    expect = np.zeros((4, 3))
+    expect[2, 1] = 1.0  # the coefficient at k = (1, 1)
+    assert np.max(np.abs(res.table.values - expect)) < 1e-12
