@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
@@ -94,6 +95,26 @@ def parse_window(text: str) -> Box:
         except ValueError as e:
             raise SchemaError(f"bad window component {part!r}") from e
     return Box(tuple(lo), tuple(hi))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        v = 0
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return v
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        v = math.nan
+    if not 0.0 <= v < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return v
 
 
 def fmt_complex(v: complex) -> str:
@@ -239,8 +260,6 @@ def cmd_fractional(args) -> int:
         _write_report(args.report, {"command": "fractional cesaro", "alpha": args.alpha})
         return EXIT_OK
     # weyl
-    import math
-
     f = load(args.seq)
     window = parse_window(args.window)
     m = args.m if args.m is not None else math.ceil(args.alpha)
@@ -409,8 +428,8 @@ def build_parser() -> _Parser:
     fr = sub.add_parser("fractional")
     fs = fr.add_subparsers(dest="action", required=True)
     fc = fs.add_parser("cesaro")
-    fc.add_argument("--alpha", type=float, required=True)
-    fc.add_argument("--len", type=int, default=64)
+    fc.add_argument("--alpha", type=_nonnegative_float, required=True)
+    fc.add_argument("--len", type=_positive_int, default=64)
     fc.add_argument("--out", required=True)
     fc.add_argument("--report")
     fw = fs.add_parser("weyl")

@@ -46,9 +46,6 @@ class _AxisProfile:
     r_neg: float  # envelope factor r_neg^k for k < 0
     r_pos: float  # envelope factor r_pos^k for k >= 0
 
-    def factor(self, k: int) -> float:
-        return (self.r_pos if k >= 0 else self.r_neg) ** k
-
 
 def _profiles(f: SequenceTable, axes: Sequence[int]) -> tuple[float, list[_AxisProfile]]:
     """Global constant and per-axis envelope profiles of a table.
@@ -75,38 +72,6 @@ def _profiles(f: SequenceTable, axes: Sequence[int]) -> tuple[float, list[_AxisP
     return M, profs
 
 
-def _pair_sum(pa: _AxisProfile, pb: _AxisProfile, k: int, lo: int | None, hi: int | None) -> float:
-    """sum over l in [lo, hi] of pa.factor(k - l) * pb.factor(l).
-
-    The summand is piecewise geometric; split the l-line at 0 and at k.
-    """
-
-    def clip(a, b, lo_, hi_):
-        lo2 = a if lo_ is None else (lo_ if a is None else max(a, lo_))
-        hi2 = b if hi_ is None else (hi_ if b is None else min(b, hi_))
-        return lo2, hi2
-
-    total = 0.0
-    # pieces by sign of l: l < 0 uses pb.r_neg, l >= 0 uses pb.r_pos;
-    # by sign of k - l: l <= k uses pa.r_pos, l > k uses pa.r_neg.
-    pieces = []
-    for (plo, phi, rb) in (( None, -1, pb.r_neg), (0, None, pb.r_pos)):
-        for (qlo, qhi, ra) in ((None, k, pa.r_pos), (k + 1, None, pa.r_neg)):
-            a, b = clip(plo, phi, qlo, qhi)
-            a, b = clip(a, b, lo, hi)
-            if a is not None and b is not None and a > b:
-                continue
-            pieces.append((a, b, ra, rb))
-    for a, b, ra, rb in pieces:
-        # term(l) = ra^(k-l) * rb^l = ra^k * (rb/ra)^l
-        t = rb / ra
-        s = _geom_sum(t, a, b)
-        if math.isinf(s):
-            return math.inf
-        total += (ra**k) * s
-    return total
-
-
 def _tail_ledger(
     a: SequenceTable,
     b: SequenceTable,
@@ -120,44 +85,46 @@ def _tail_ledger(
     Per axis: full admissible geometric sum minus the part over the stored
     box.  Both use the same envelope factors, so the difference bounds every
     term the windowed product did not add.  Both sums are products over axes,
-    so the ledger is an outer product of one 1-D array per axis; an axis whose
-    full sum diverges makes the entry infinite.
+    so the ledger is an outer product of one 1-D array per axis, each computed
+    for the whole index array at once; an axis whose full sum diverges or
+    leaves the float range makes the entry infinite.
     """
     Ma, pa = _profiles(a, a_axes)
     Mb, pb = _profiles(b, b_axes)
     shape = tuple(len(ks) for ks in ranges)
     if Ma == 0.0 or Mb == 0.0:
         return np.zeros(shape)
+    inf = math.inf
     full = np.ones(())
     stored = np.ones(())
     divergent = np.zeros((), dtype=bool)
     for i, (ai, bi) in enumerate(zip(a_axes, b_axes)):
-        s_full = []
-        s_stored = []
-        for ki in ranges[i]:
-            # admissible l-interval: l in dom_b, k - l in dom_a
-            lo_d = pb[i].lo
-            hi_d = pb[i].hi
-            if pa[i].hi is not None:
-                lo2 = ki - pa[i].hi
-                lo_d = lo2 if lo_d is None else max(lo_d, lo2)
-            if pa[i].lo is not None:
-                hi2 = ki - pa[i].lo
-                hi_d = hi2 if hi_d is None else min(hi_d, hi2)
-            s_full.append(_pair_sum(pa[i], pb[i], ki, lo_d, hi_d))
-            # stored box: l in supp(b), k - l in supp(a), intersected with admissible
-            lo_s = max(b.support.lo[bi], ki - a.support.hi[ai])
-            hi_s = min(b.support.hi[bi], ki - a.support.lo[ai])
-            if lo_d is not None:
-                lo_s = max(lo_s, lo_d)
-            if hi_d is not None:
-                hi_s = min(hi_s, hi_d)
-            s_stored.append(_pair_sum(pa[i], pb[i], ki, lo_s, hi_s) if lo_s <= hi_s else 0.0)
-        f_i = np.array(s_full)
+        p, q = pa[i], pb[i]
+        k = np.arange(ranges[i].start, ranges[i].stop, dtype=float)
+        # row 0: the admissible l-interval (l in dom_b, k - l in dom_a);
+        # row 1: the stored box (l in supp(b), k - l in supp(a)) within it
+        lo = np.maximum(-inf if q.lo is None else q.lo, -inf if p.hi is None else k - p.hi)
+        hi = np.minimum(inf if q.hi is None else q.hi, inf if p.lo is None else k - p.lo)
+        lo_s = np.maximum(np.maximum(b.support.lo[bi], k - a.support.hi[ai]), lo)
+        hi_s = np.minimum(np.minimum(b.support.hi[bi], k - a.support.lo[ai]), hi)
+        lo, hi = np.stack(np.broadcast_arrays(lo, lo_s)), np.stack(np.broadcast_arrays(hi, hi_s))
+        # sum over l in [lo, hi] of the envelope factors b_a(k - l) b_b(l):
+        # split the l-line at 0 and at k, where term(l) = ra^k (rb / ra)^l
+        sums = 0.0
+        for plo, phi, rb in ((-inf, -1.0, q.r_neg), (0.0, inf, q.r_pos)):
+            for qlo, qhi, ra in ((-inf, k, p.r_pos), (k + 1.0, inf, p.r_neg)):
+                s_lo = np.maximum(np.maximum(plo, qlo), lo)
+                s_hi = np.minimum(np.minimum(phi, qhi), hi)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    piece = ra**k * _geom_sum(rb / ra, s_lo, s_hi)
+                # nan where an infinite factor meets an underflowed one: the
+                # piece is beyond the float range, so bound it by inf
+                sums = sums + np.where(s_lo > s_hi, 0.0, np.where(np.isnan(piece), inf, piece))
+        f_i, s_i = sums
         inf_i = np.isinf(f_i)
         f_i[inf_i] = 0.0
         full = np.multiply.outer(full, f_i)
-        stored = np.multiply.outer(stored, np.minimum(s_stored, f_i))
+        stored = np.multiply.outer(stored, np.minimum(s_i, f_i))
         divergent = np.logical_or.outer(divergent, inf_i)
     return np.where(divergent, math.inf, Ma * Mb * np.maximum(full - stored, 0.0))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .convolution import conv_general
 from .errors import DimensionMismatch, InsufficientWindow
-from .lattice import Box, Envelope, SequenceTable, nonneg_orthant, value_norm
+from .lattice import Box, Envelope, SequenceTable, domain_mask, nonneg_orthant, value_norm
 from .ztransform import eval_forward
 
 CESARO_ENVELOPE_EPS = 0.05  # envelope rate 1 + eps; any eps > 0 is valid
@@ -87,17 +87,18 @@ def forward_difference(f: SequenceTable, m: int, window) -> SequenceTable:
         raise InsufficientWindow(
             f"window needs f up to {top}, stored up to {f.support.hi[0]}"
         )
-    coeffs = [(-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)]
-
-    def fn(k):
-        acc = np.zeros(f.vshape, dtype=complex)
-        for j, c in enumerate(coeffs):
-            acc = acc + c * np.asarray(f.at((k[0] + j,)))
-        return acc
-
-    return SequenceTable.from_function(
-        f.domain, window, fn, f.value_kind, f.m
-    )
+    # f over window.lo .. top, zero off its stored box, so the j-th term is a
+    # slice starting at j
+    w_lo, s_lo, s_hi = window.lo[0], f.support.lo[0], f.support.hi[0]
+    padded = np.zeros((top - w_lo + 1,) + f.vshape, dtype=complex)
+    lo, hi = max(s_lo, w_lo), min(s_hi, top)
+    if lo <= hi:
+        padded[lo - w_lo : hi - w_lo + 1] = f.values[lo - s_lo : hi - s_lo + 1]
+    acc = np.zeros(window.shape + f.vshape, dtype=complex)
+    for j in range(m + 1):
+        acc = acc + (-1) ** (m - j) * math.comb(m, j) * padded[j : j + window.shape[0]]
+    mask = domain_mask(f.domain, window).reshape(window.shape + (1,) * len(f.vshape))
+    return SequenceTable(f.domain, window, np.where(mask, acc, 0), f.value_kind, f.m)
 
 
 def weyl_derivative(

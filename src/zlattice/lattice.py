@@ -467,10 +467,12 @@ def beta_shift(f: SequenceTable, beta) -> SequenceTable:
         raise DimensionMismatch("shift dimension mismatch")
     lo = tuple(a - b for a, b in zip(f.support.lo, beta))
     hi = tuple(a - b for a, b in zip(f.support.hi, beta))
-    return SequenceTable.from_function(
+    # the stored values move as they are; the new box's points outside the
+    # domain are zeroed on construction
+    return SequenceTable(
         f.domain,
         Box(lo, hi),
-        lambda k: f.at(tuple(c + b for c, b in zip(k, beta))),
+        f.values,
         f.value_kind,
         f.m,
         f.envelope if f.envelope is None else _shift_envelope(f.envelope, beta),
@@ -551,22 +553,28 @@ def emit(f: SequenceTable) -> dict:
 
 def ingest(doc: dict) -> SequenceTable:
     """Parse a sequence document; validates shapes and finiteness."""
+    if not isinstance(doc, dict):
+        raise SchemaError("sequence document must be an object")
     try:
-        n = int(doc["n"])
-        value_kind = doc["value_kind"]
-        if value_kind not in _VALUE_KINDS:
-            raise SchemaError(f"unknown value kind {value_kind!r}")
-        m = int(doc["m"]) if value_kind != "scalar" else None
-        domain = _domain_from_doc(doc["domain"])
-        support = Box(tuple(doc["support_lo"]), tuple(doc["support_hi"]))
-        raw = doc["values"]
+        return _ingest(doc)
     except KeyError as e:
         raise SchemaError(f"missing field {e}") from e
+    except (TypeError, ValueError, DimensionMismatch) as e:
+        raise SchemaError(f"bad sequence document: {e}") from e
+
+
+def _ingest(doc: dict) -> SequenceTable:
+    n = int(doc["n"])
+    value_kind = doc["value_kind"]
+    if value_kind not in _VALUE_KINDS:
+        raise SchemaError(f"unknown value kind {value_kind!r}")
+    m = int(doc["m"]) if value_kind != "scalar" else None
+    domain = _domain_from_doc(doc["domain"])
+    support = Box(tuple(doc["support_lo"]), tuple(doc["support_hi"]))
+    raw = doc["values"]
     if domain.dim != n or support.dim != n:
         raise SchemaError("domain/support dimension inconsistent with n")
     count = math.prod(support.shape) * math.prod(value_shape(value_kind, m) or (1,))
-    if value_kind == "scalar":
-        count = math.prod(support.shape)
     if len(raw) != count:
         raise SchemaError(f"values length {len(raw)} != expected {count}")
     flat = np.array([complex(re, im) for re, im in raw])

@@ -214,9 +214,11 @@ def symbol_eval(S: Symbol, z, with_err: bool = False):
         zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
         fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
         w = _prefactor(z, t)
-        # kernel value axes right-aligned against (m, m), as for one value
-        fa = np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape))))
-        out += np.expand_dims(w, (-2, -1)) * fa * t.A
+        if t.kernel.value_kind == "matrix":  # A (a * u) has the symbol A F_a
+            out += np.expand_dims(w, (-2, -1)) * (t.A @ fa)
+        else:  # kernel value axes right-aligned against (m, m)
+            fa = np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape))))
+            out += np.expand_dims(w, (-2, -1)) * fa * t.A
         err += np.abs(w) * tail * value_norm(t.A)
     return (out, err[()]) if with_err else out
 
@@ -281,14 +283,11 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     rates = []
     for ax in range(n):
         lead = np.moveaxis(norms, ax, 0)
-        ratios = []
         L = lead.shape[0]
-        for i in range(max(L // 2, 1) - 1 if L > 2 else 0, L - 1):
-            a, b = lead[i], lead[i + 1]
-            mask = (a > 1e-250) & (b > 1e-250)
-            if np.any(mask):
-                ratios.append(float(np.max(b[mask] / a[mask])))
-        rho = max(ratios) if ratios else 0.5 * radii[ax]
+        start = max(L // 2, 1) - 1 if L > 2 else 0
+        a, b = lead[start:-1], lead[start + 1 :]
+        mask = (a > 1e-250) & (b > 1e-250)
+        rho = float(np.max(b[mask] / a[mask])) if mask.any() else 0.5 * radii[ax]
         rho = min(max(rho, 1e-6), 0.95 * radii[ax])
         rates.append(rho)
     weights = np.ones_like(norms)
@@ -376,21 +375,22 @@ def promote_data(f: SequenceTable, m: int) -> SequenceTable:
     """Scalar data against an m > 1 state space acts on the all-ones vector."""
     if m == 1 or f.value_kind != "scalar":
         return f
-    ones = np.ones(m, dtype=complex)
-    return SequenceTable.from_function(
-        f.domain, f.support, lambda k: f.at(k) * ones, "vector", m, f.envelope
-    )
+    values = f.values[..., None] * np.ones(m, dtype=complex)
+    return SequenceTable(f.domain, f.support, values, "vector", m, f.envelope)
 
 
 def check_initial_conditions(P: Symbol, f: SequenceTable) -> None:
     """Orthant variant: f must vanish on the staircase N0^n \\ (j + N0^n)."""
+    n = f.dim
+    k = np.indices(f.support.shape) + np.reshape(f.support.lo, (n,) + (1,) * n)
+    live = np.all(k >= 0, axis=0) & (f.norms() != 0.0)
     for j, _ in P.pencil:
-        for k, v in f.support_points():
-            if all(c >= 0 for c in k) and any(c < ji for c, ji in zip(k, j)):
-                if value_norm(v) != 0.0:
-                    raise InitialConditionViolated(
-                        f"f{k} = {v!r} nonzero on the staircase of term {j}"
-                    )
+        bad = live & np.any(k < np.reshape(j, (n,) + (1,) * n), axis=0)
+        if bad.any():
+            idx = tuple(np.argwhere(bad)[0])  # the first in row-major order
+            at = tuple(int(a + i) for a, i in zip(f.support.lo, idx))
+            v = complex(f.values[idx]) if f.value_kind == "scalar" else f.values[idx]
+            raise InitialConditionViolated(f"f{at} = {v!r} nonzero on the staircase of term {j}")
 
 
 def solve(
@@ -496,16 +496,14 @@ def homogeneous_mode_residual(P: Symbol, lams, window: Box) -> float:
     Zero (to rounding) certifies that adding the geometric mode
     prod lam_i^{k_i} to any solution leaves the equation residual unchanged.
     """
-    worst = 0.0
-    for k in window.points():
-        acc = 0.0 + 0j
-        for j, A in P.pencil:
-            term = complex(A.reshape(()))
-            for li, ki, ji in zip(lams, k, j):
-                term *= li ** (ki + ji)
-            acc += term
-        worst = max(worst, abs(acc))
-    return worst
+    ks = np.ix_(*(np.arange(a, b + 1) for a, b in zip(window.lo, window.hi)))
+    acc = np.zeros(window.shape, dtype=complex)
+    for j, A in P.pencil:
+        term = complex(A.reshape(()))
+        for li, ki, ji in zip(lams, ks, j):
+            term = term * complex(li) ** (ki + ji)
+        acc = acc + term
+    return float(np.max(np.abs(acc)))
 
 
 def uniqueness_probe(

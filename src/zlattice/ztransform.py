@@ -227,23 +227,22 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
     return PolyAnnulus(tuple(axes))
 
 
-def _geom_sum(t, lo: int | None, hi: int | None):
-    """sum_{l=lo}^{hi} t^l elementwise, with infinite ends allowed; inf where
-    divergent or beyond the float range."""
+def _geom_sum(t, lo, hi):
+    """sum_{l=lo}^{hi} t^l elementwise over the broadcast of t, lo and hi.
+
+    An open end is None or an infinite bound.  0 where lo > hi; inf where
+    divergent or beyond the float range.
+    """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("ratio must be positive")
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        if lo is not None and hi is not None:
-            s = np.zeros_like(t) if lo > hi else np.where(
-                t == 1.0, float(hi - lo + 1), (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
-            )
-        elif lo is not None:
-            s = np.where(t < 1.0, (t**lo) / (1.0 - t), math.inf)
-        elif hi is not None:
-            s = np.where(t > 1.0, (t**hi) / (1.0 - 1.0 / t), math.inf)
-        else:
-            s = np.full_like(t, math.inf)
+        s = np.where(t == 1.0, hi - lo + 1.0, (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t))
+        s = np.where(np.isinf(hi), np.where(t < 1.0, (t**lo) / (1.0 - t), math.inf), s)
+        s = np.where(np.isinf(lo), np.where(t > 1.0, (t**hi) / (1.0 - 1.0 / t), math.inf), s)
+        s = np.where(lo > hi, 0.0, s)
     return s[()]
 
 

@@ -121,6 +121,27 @@ def test_convolve_axes_far_window_exits_2(tmp_path, k2):
     assert code == 2
 
 
+def test_convolve_axes_far_window_along_convolved_axis_exits_0_or_2(tmp_path, capsys):
+    # 0.3^-1100 overflows along the convolved axis itself
+    from zlattice.lattice import Envelope, FullLattice
+
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    save(SequenceTable(
+        nonneg_orthant(1), Box((0,), (5,)), 0.3 ** np.arange(6), envelope=Envelope(1.0, (0.3,)),
+    ), a)
+    save(SequenceTable(
+        FullLattice(2), Box((0, 0), (2, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((2.0, 0.5), (0.5, 0.5))),
+    ), b)
+    code = run([
+        "convolve", "--mode", "axes", "--axes", "1", "--a", str(a), "--b", str(b),
+        "--window", "-1100:-1098,0:0", "--out", str(tmp_path / "c.json"),
+    ])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_transform_eval_accepts_point_with_leading_minus(tmp_path, capsys):
     from zlattice.fixtures import geometric_table
 
@@ -334,3 +355,33 @@ def test_malformed_problem_document_exits_4(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def _sequence_doc():
+    from zlattice.lattice import emit
+
+    return emit(SequenceTable(nonneg_orthant(1), Box((0,), (2,)), np.ones(3)))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[_sequence_doc()], {**_sequence_doc(), "n": "two"}],
+    ids=["top-level array", "n not an integer"],
+)
+def test_malformed_sequence_document_exits_4(tmp_path, capsys, doc):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    code = run(["transform", "eval", "--seq", str(p), "--at", "2"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [["--len", "0"], ["--alpha", "-1"]])
+def test_bad_cesaro_arguments_exit_1_at_parse_time(tmp_path, capsys, args):
+    out = tmp_path / "c.json"
+    code = run(["fractional", "cesaro", "--alpha", "0.5", *args, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: argument" in err and "Traceback" not in err
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from zlattice.convolution import (
     DEFAULT_TOL,
     TOL_FLOOR,
-    _pair_sum,
+    _AxisProfile,
     _profiles,
     conv_axes,
     conv_general,
@@ -194,6 +195,32 @@ def test_axes_pass_through_factor_overflow_gives_inf_ledger():
     assert np.all(np.isinf(ledger))
 
 
+def test_far_window_along_convolved_axis_has_no_overflow_or_nan():
+    # 0.3^-1100 overflows the kernel factor of the convolved axis while the
+    # geometric sum against it underflows; the entry is a bound (inf here),
+    # never nan or an OverflowError
+    a = SequenceTable(
+        nonneg_orthant(1), Box((0,), (5,)), 0.3 ** np.arange(6), envelope=Envelope(1.0, (0.3,))
+    )
+    c = SequenceTable(
+        FullLattice(2), Box((0, 0), (2, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((2.0, 0.5), (0.5, 0.5))),
+    )
+    window = Box((-1100, 0), (-1098, 0))
+    table, ledger = conv_axes(a, c, (1,), window, enforce=False, return_ledger=True)
+    assert table.values.shape == (3, 1)
+    assert ledger.shape == (3, 1) and not np.any(np.isnan(ledger)) and np.all(ledger >= 0)
+    with pytest.raises(DivergentConvolution):
+        conv_axes(a, c, (1,), window)
+    # here 0.3^-1100 overflows against a finite sum: the tail is past the
+    # float range, inf, not a finite number
+    b = SequenceTable(
+        FullLattice(1), Box((0,), (2,)), np.full(3, 0.1), envelope=Envelope(1.0, ((0.31, 0.5),))
+    )
+    _, ledger = conv_general(a, b, Box((-1100,), (-1098,)), enforce=False, return_ledger=True)
+    assert np.all(np.isinf(ledger))
+
+
 def test_axes_exact_zero_tail_stays_zero_where_pass_through_factor_overflows():
     # a finitely supported kernel against an enveloped table whose stored box
     # covers the whole convolved axis: the tail is exactly 0 at every k
@@ -336,6 +363,62 @@ def ref_mul(a_val, b_val):
     if av.ndim == 2 and bv.ndim >= 1:
         return av @ bv
     return av * bv
+
+
+# The per-index geometric sums the tail ledger used before it covered the whole
+# window at once, kept verbatim as an independent reference.
+
+
+def _geom_sum(t, lo: int | None, hi: int | None):
+    """sum_{l=lo}^{hi} t^l elementwise, with infinite ends allowed; inf where
+    divergent or beyond the float range."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0):
+        raise ValueError("ratio must be positive")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if lo is not None and hi is not None:
+            s = np.zeros_like(t) if lo > hi else np.where(
+                t == 1.0, float(hi - lo + 1), (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t)
+            )
+        elif lo is not None:
+            s = np.where(t < 1.0, (t**lo) / (1.0 - t), math.inf)
+        elif hi is not None:
+            s = np.where(t > 1.0, (t**hi) / (1.0 - 1.0 / t), math.inf)
+        else:
+            s = np.full_like(t, math.inf)
+    return s[()]
+
+
+def _pair_sum(pa: _AxisProfile, pb: _AxisProfile, k: int, lo: int | None, hi: int | None) -> float:
+    """sum over l in [lo, hi] of pa.factor(k - l) * pb.factor(l).
+
+    The summand is piecewise geometric; split the l-line at 0 and at k.
+    """
+
+    def clip(a, b, lo_, hi_):
+        lo2 = a if lo_ is None else (lo_ if a is None else max(a, lo_))
+        hi2 = b if hi_ is None else (hi_ if b is None else min(b, hi_))
+        return lo2, hi2
+
+    total = 0.0
+    # pieces by sign of l: l < 0 uses pb.r_neg, l >= 0 uses pb.r_pos;
+    # by sign of k - l: l <= k uses pa.r_pos, l > k uses pa.r_neg.
+    pieces = []
+    for (plo, phi, rb) in (( None, -1, pb.r_neg), (0, None, pb.r_pos)):
+        for (qlo, qhi, ra) in ((None, k, pa.r_pos), (k + 1, None, pa.r_neg)):
+            a, b = clip(plo, phi, qlo, qhi)
+            a, b = clip(a, b, lo, hi)
+            if a is not None and b is not None and a > b:
+                continue
+            pieces.append((a, b, ra, rb))
+    for a, b, ra, rb in pieces:
+        # term(l) = ra^(k-l) * rb^l = ra^k * (rb/ra)^l
+        t = rb / ra
+        s = _geom_sum(t, a, b)
+        if math.isinf(s):
+            return math.inf
+        total += (ra**k) * s
+    return total
 
 
 def ref_tail_bound(a, b, k, a_axes, b_axes):

@@ -3,9 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlattice.convolution import conv_general
-from zlattice.errors import InsufficientWindow
+from zlattice.errors import DimensionMismatch, InsufficientWindow
 from zlattice.fractional import (
     cesaro,
     cesaro_asymptote,
@@ -16,7 +18,17 @@ from zlattice.fractional import (
     weyl_fractional,
     weyl_transform_identity_check,
 )
-from zlattice.lattice import Box, Envelope, FullLattice, SequenceTable, nonneg_orthant
+from zlattice.lattice import (
+    Box,
+    Envelope,
+    FiniteSet,
+    FullLattice,
+    Orthant,
+    SequenceTable,
+    Shifted,
+    nonneg_orthant,
+    value_shape,
+)
 from zlattice.ztransform import eval_forward
 
 
@@ -231,3 +243,78 @@ def test_operators_linear_in_f():
     out_f = weyl_am(a, 1, f, w, enforce=False)
     out_g = weyl_am(a, 1, g, w, enforce=False)
     assert np.allclose(out_h.values, 2.0 * out_f.values - 0.5 * out_g.values)
+
+
+# ---------------------------------------------------------------------------
+# The slice stencil against the per-point loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_forward_difference(f, m, window):
+    if f.dim != 1:
+        raise DimensionMismatch("forward difference is one-dimensional")
+    if m < 0:
+        raise ValueError("difference order must be >= 0")
+    top = window.hi[0] + m
+    if top > f.support.hi[0] and f.envelope is not None:
+        raise InsufficientWindow(
+            f"window needs f up to {top}, stored up to {f.support.hi[0]}"
+        )
+    coeffs = [(-1) ** (m - j) * math.comb(m, j) for j in range(m + 1)]
+
+    def fn(k):
+        acc = np.zeros(f.vshape, dtype=complex)
+        for j, c in enumerate(coeffs):
+            acc = acc + c * np.asarray(f.at((k[0] + j,)))
+        return acc
+
+    return SequenceTable.from_function(
+        f.domain, window, fn, f.value_kind, f.m
+    )
+
+
+@st.composite
+def tables_1d(draw):
+    lo = draw(st.integers(-4, 3))
+    support = Box((lo,), (lo + draw(st.integers(0, 6)),))
+    domain = draw(st.sampled_from((
+        FullLattice(1),
+        nonneg_orthant(1),
+        Orthant((-1,)),
+        Box((lo + 1,), (lo + 3,)),
+        Shifted(nonneg_orthant(1), (lo + 2,)),
+        FiniteSet(((lo,), (lo + 2,), (lo + 5,))),
+    )))
+    kind = draw(st.sampled_from(("scalar", "vector", "matrix")))
+    m = None if kind == "scalar" else draw(st.integers(1, 2))
+    env = None
+    if draw(st.booleans()):
+        env = Envelope(1.0, (draw(st.sampled_from((0.5, 1.0, (2.0, 0.5)))),))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = support.shape + value_shape(kind, m)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return SequenceTable(domain, support, vals, kind, m, env)
+
+
+def raised(fn):
+    """(result, None) or (None, exception type)."""
+    try:
+        return fn(), None
+    except Exception as e:  # noqa: BLE001 - the type is what is compared
+        return None, type(e)
+
+
+@given(tables_1d(), st.integers(-1, 4), st.integers(-6, 8), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_forward_difference_matches_per_point_reference(f, m, w_lo, w_len):
+    window = Box((w_lo,), (w_lo + w_len,))
+    new, e_new = raised(lambda: forward_difference(f, m, window))
+    ref, e_ref = raised(lambda: ref_forward_difference(f, m, window))
+    assert e_new is e_ref
+    if ref is not None:
+        assert (new.domain, new.support, new.value_kind, new.m) == (
+            ref.domain, ref.support, ref.value_kind, ref.m
+        )
+        assert new.envelope is None
+        err = np.max(np.abs(new.values - ref.values), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(ref.values), initial=0.0)

@@ -21,7 +21,9 @@ from zlattice.lattice import (
     membership,
     minkowski_sum,
     nonneg_orthant,
+    value_shape,
 )
+from zlattice.lattice import _as_index, _shift_envelope
 
 
 def test_membership_orthant():
@@ -121,6 +123,67 @@ def test_beta_shift_inverse_on_overlap():
     for k in f.support.points():
         if (k[0] - 1, k[1] - 2) in f.domain:
             assert h.at(k) == f.at(k)
+
+
+def ref_beta_shift(f, beta):
+    """The per-point loop beta_shift ran before it offset the stored values."""
+    beta = _as_index(beta)
+    if len(beta) != f.dim:
+        raise DimensionMismatch("shift dimension mismatch")
+    lo = tuple(a - b for a, b in zip(f.support.lo, beta))
+    hi = tuple(a - b for a, b in zip(f.support.hi, beta))
+    return SequenceTable.from_function(
+        f.domain,
+        Box(lo, hi),
+        lambda k: f.at(tuple(c + b for c, b in zip(k, beta))),
+        f.value_kind,
+        f.m,
+        f.envelope if f.envelope is None else _shift_envelope(f.envelope, beta),
+    )
+
+
+@st.composite
+def shifted_tables(draw):
+    n = draw(st.integers(1, 2))
+    lo = tuple(draw(st.integers(-3, 2)) for _ in range(n))
+    support = Box(lo, tuple(a + draw(st.integers(0, 3)) for a in lo))
+    signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
+    domain = draw(st.sampled_from((
+        FullLattice(n),
+        Orthant(signs),
+        Shifted(Orthant(signs), tuple(a + 1 for a in lo)),
+        Box(tuple(a + 1 for a in lo), tuple(a + 2 for a in lo)),
+        FiniteSet((lo, tuple(a + 1 for a in lo), tuple(a + 3 for a in lo))),
+    )))
+    kind = draw(st.sampled_from(("scalar", "vector", "matrix")))
+    m = None if kind == "scalar" else draw(st.integers(1, 2))
+    env = None
+    if draw(st.booleans()):
+        env = Envelope(1.5, tuple(draw(st.sampled_from((0.5, 2.0, (2.0, 0.5)))) for _ in range(n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = support.shape + value_shape(kind, m)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # a beta of the wrong dimension now and then, for the raise
+    beta = tuple(draw(st.integers(-3, 3)) for _ in range(draw(st.sampled_from((n, n, n, 3)))))
+    return SequenceTable(domain, support, vals, kind, m, env), beta
+
+
+@given(shifted_tables())
+@settings(max_examples=200, deadline=None)
+def test_beta_shift_matches_per_point_reference(case):
+    f, beta = case
+    try:
+        ref = ref_beta_shift(f, beta)
+    except DimensionMismatch:
+        with pytest.raises(DimensionMismatch):
+            beta_shift(f, beta)
+        return
+    g = beta_shift(f, beta)
+    assert (g.domain, g.support, g.value_kind, g.m, g.envelope) == (
+        ref.domain, ref.support, ref.value_kind, ref.m, ref.envelope
+    )
+    err = np.max(np.abs(g.values - ref.values), initial=0.0)
+    assert err <= 1e-12 * np.max(np.abs(ref.values), initial=0.0)
 
 
 # ---------------------------------------------------------------------------

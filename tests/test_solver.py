@@ -23,11 +23,14 @@ from zlattice.fractional import cesaro, cesaro_values
 from zlattice.lattice import (
     Box,
     Envelope,
+    FiniteSet,
     FullLattice,
+    Orthant,
     SequenceTable,
     beta_shift,
     nonneg_orthant,
     value_norm,
+    value_shape,
 )
 from zlattice.solver import (
     MixedAxesSymbol,
@@ -39,10 +42,12 @@ from zlattice.solver import (
     VolterraTerm,
     WeylFractionalSymbol,
     WeylTerm,
+    check_initial_conditions,
     green_function,
     homogeneous_mode_residual,
     pencil_eval,
     pencil_roots_1d,
+    promote_data,
     resolvent_kernel,
     residual,
     solve,
@@ -101,6 +106,22 @@ def test_symbol_delta_kernel_reduces_to_matrix():
         np.eye(1),
     )
     assert np.allclose(symbol_eval(S, (1.5,)), A)
+
+
+def test_matrix_kernel_symbol_is_A_times_kernel_transform():
+    # the equation A (a * u)(k) = f(k) has the symbol A F_a(z), which for a
+    # matrix kernel differs from the entrywise product F_a(z) o A
+    K = np.array([[1.0, 2.0], [0.0, 1.0]])
+    A = np.array([[1.0, 0.0], [3.0, 1.0]])
+    kernel = SequenceTable(nonneg_orthant(1), Box((0,), (0,)), K, "matrix", 2)
+    S = Symbol(1, 2, (), (Term(kernel, A, (0,)),), np.eye(2))
+    assert np.allclose(symbol_eval(S, (1.5,)), [[1.0, 2.0], [3.0, 7.0]])
+    f = SequenceTable(
+        nonneg_orthant(1), Box((0,), (5,)), np.arange(12.0).reshape(6, 2), "vector", 2
+    )
+    sol = solve(S, f, (1.0,), Box((0,), (8,)), Box((0,), (10,)))
+    rep = residual(S, sol.u, f, Box((0,), (5,)))
+    assert rep["max_residual"] <= sol.ledger
 
 
 def test_weyl_symbol_delta_is_difference():
@@ -622,3 +643,114 @@ def test_uniqueness_two_term_weyl_witnessed():
     samples = [(1.4 * np.exp(1j * rng.uniform(0, 2 * np.pi)),) for _ in range(16)]
     rep = uniqueness_probe(S, samples)
     assert rep["verdict"] == "injectivity witnessed on samples"
+
+
+# ---------------------------------------------------------------------------
+# data promotion, initial conditions and root modes against the per-point
+# loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_promote_data(f, m):
+    if m == 1 or f.value_kind != "scalar":
+        return f
+    ones = np.ones(m, dtype=complex)
+    return SequenceTable.from_function(
+        f.domain, f.support, lambda k: f.at(k) * ones, "vector", m, f.envelope
+    )
+
+
+def ref_check_initial_conditions(P, f):
+    for j, _ in P.pencil:
+        for k, v in f.support_points():
+            if all(c >= 0 for c in k) and any(c < ji for c, ji in zip(k, j)):
+                if value_norm(v) != 0.0:
+                    raise InitialConditionViolated(
+                        f"f{k} = {v!r} nonzero on the staircase of term {j}"
+                    )
+
+
+def ref_homogeneous_mode_residual(P, lams, window):
+    worst = 0.0
+    for k in window.points():
+        acc = 0.0 + 0j
+        for j, A in P.pencil:
+            term = complex(A.reshape(()))
+            for li, ki, ji in zip(lams, k, j):
+                term *= li ** (ki + ji)
+            acc += term
+        worst = max(worst, abs(acc))
+    return worst
+
+
+@st.composite
+def data_tables(draw, n, kinds=("scalar", "vector")):
+    """Tables around the origin with exact zeros scattered over the support."""
+    lo = tuple(draw(st.integers(-2, 1)) for _ in range(n))
+    support = Box(lo, tuple(a + draw(st.integers(0, 3)) for a in lo))
+    domain = draw(st.sampled_from((
+        FullLattice(n), nonneg_orthant(n), Orthant((-1,) * n), FiniteSet((lo, (0,) * n)),
+    )))
+    kind = draw(st.sampled_from(kinds))
+    m = None if kind == "scalar" else draw(st.integers(1, 2))
+    env = Envelope(1.0, (0.5,) * n) if draw(st.booleans()) else None
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = support.shape + value_shape(kind, m)
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    vals[rng.random(support.shape) < draw(st.sampled_from((0.0, 0.5, 0.9, 1.0)))] = 0.0
+    return SequenceTable(domain, support, vals, kind, m, env)
+
+
+def assert_tables_close(new, ref):
+    assert (new.domain, new.support, new.value_kind, new.m, new.envelope) == (
+        ref.domain, ref.support, ref.value_kind, ref.m, ref.envelope
+    )
+    err = np.max(np.abs(new.values - ref.values), initial=0.0)
+    assert err <= 1e-12 * np.max(np.abs(ref.values), initial=0.0)
+
+
+@given(st.data(), st.integers(1, 2), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_promote_data_matches_per_point_reference(data, n, m):
+    f = data.draw(data_tables(n))
+    assert_tables_close(promote_data(f, m), ref_promote_data(f, m))
+
+
+@given(st.data(), st.integers(1, 2))
+@settings(max_examples=200, deadline=None)
+def test_check_initial_conditions_matches_per_point_reference(data, n):
+    f = data.draw(data_tables(n))
+    index = st.tuples(*[st.integers(0, 2)] * n)
+    js = data.draw(st.lists(index, min_size=1, max_size=3, unique=True))
+    P = OperatorPencil(n, 1, tuple((j, np.eye(1)) for j in js), np.eye(1))
+    messages = []
+    for check in (check_initial_conditions, ref_check_initial_conditions):
+        try:
+            check(P, f)
+            messages.append(None)
+        except InitialConditionViolated as e:
+            messages.append(str(e))
+    assert messages[0] == messages[1]
+
+
+@given(st.data(), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_homogeneous_mode_residual_matches_per_point_reference(data, n):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    index = st.tuples(*[st.integers(-1, 2)] * n)
+    js = data.draw(st.lists(index, min_size=1, max_size=4, unique=True))
+    coeffs = rng.normal(size=len(js)) + 1j * rng.normal(size=len(js))
+    P = OperatorPencil(n, 1, tuple((j, np.full((1, 1), c)) for j, c in zip(js, coeffs)), np.eye(1))
+    # nonzero modes: a zero root is never probed (uniqueness_probe skips it)
+    lams = tuple(complex(v) for v in rng.uniform(0.3, 2.0, n) * np.exp(2j * np.pi * rng.random(n)))
+    lo = tuple(data.draw(st.integers(-3, 2)) for _ in range(n))
+    window = Box(lo, tuple(a + data.draw(st.integers(0, 6)) for a in lo))
+    new = homogeneous_mode_residual(P, lams, window)
+    ref = ref_homogeneous_mode_residual(P, lams, window)
+    # the largest summed term sets the rounding scale
+    largest = max(
+        abs(c) * math.prod(abs(li) ** (ki + ji) for li, ki, ji in zip(lams, k, j))
+        for k in window.points()
+        for j, c in zip(js, coeffs)
+    )
+    assert abs(new - ref) <= 1e-12 * largest
