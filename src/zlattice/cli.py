@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 usage, 2 numerical-tolerance failure, 3 singular
-symbol, 4 I/O or schema error.  Result documents are written with sorted keys
+Exit codes: 0 success, 1 usage (including a point, radius or dimension the
+input does not admit), 2 numerical-tolerance failure, 3 singular symbol, 4 I/O
+or schema error.  Result documents are written with sorted keys
 and a fixed float format so identical inputs give byte-identical outputs; the
 --threads flag (default from ZLATTICE_THREADS) is accepted for interface
 compatibility but all computation is sequential and deterministic regardless.
@@ -20,7 +21,8 @@ import sys
 import numpy as np
 
 from . import fixtures, problems
-from .errors import SchemaError, SingularSymbol, ZLatticeError
+from .errors import CircleOutsideRegion, DimensionMismatch, PointOutsideRegion, SchemaError
+from .errors import SingularSymbol, ZeroCoordinate, ZLatticeError
 from .fractional import cesaro, weyl_am
 from .lattice import Box, load, save
 from .solver import residual, solve, uniqueness_probe
@@ -39,6 +41,14 @@ EXIT_USAGE = 1
 EXIT_TOLERANCE = 2
 EXIT_SINGULAR = 3
 EXIT_IO = 4
+
+# the exit code of each error class; the first matching row wins
+_ERROR_EXITS = (
+    (SingularSymbol, EXIT_SINGULAR),
+    ((SchemaError, OSError, json.JSONDecodeError), EXIT_IO),
+    ((DimensionMismatch, PointOutsideRegion, CircleOutsideRegion, ZeroCoordinate), EXIT_USAGE),
+    (ZLatticeError, EXIT_TOLERANCE),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +115,23 @@ def _positive_int(text: str) -> int:
     if v < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return v
+
+
+def _radii(text: str) -> tuple[float, ...]:
+    try:
+        radii = parse_reals(text)
+    except SchemaError as e:
+        raise argparse.ArgumentTypeError(str(e)) from e
+    if not all(0.0 < r < math.inf for r in radii):
+        raise argparse.ArgumentTypeError(f"radii must be finite and > 0, got {text!r}")
+    return radii
+
+
+def _window(text: str) -> Box:
+    try:
+        return parse_window(text)
+    except (SchemaError, ValueError) as e:  # Box rejects lo > hi
+        raise argparse.ArgumentTypeError(str(e)) from e
 
 
 def _nonnegative_float(text: str) -> float:
@@ -202,15 +229,14 @@ def cmd_transform(args) -> int:
         source = "fixture:binomial"
     else:
         raise SchemaError("invert needs --seq, --rational, or a known --fixture")
-    window = parse_window(args.window)
     if args.radii:
-        radii = parse_reals(args.radii)
+        radii = args.radii
     elif F.sequence_envelope is not None:
         radii = propose_radii(F.sequence_envelope)
     else:
         raise SchemaError("no --radii given and no envelope to propose from")
     grid = parse_ints(args.grid) if args.grid else None
-    res = invert_contour(F, radii, window, grid=grid)
+    res = invert_contour(F, radii, args.window, grid=grid)
     save(res.table, args.out)
     _write_report(
         args.report,
@@ -230,17 +256,16 @@ def cmd_convolve(args) -> int:
 
     a = load(args.a)
     b = load(args.b)
-    window = parse_window(args.window)
     if args.mode == "axes":
         if not args.axes:
             raise SchemaError("axes mode needs --axes")
         out, ledger = conv_axes(
-            a, b, parse_ints(args.axes), window, tol=args.tol, return_ledger=True
+            a, b, parse_ints(args.axes), args.window, tol=args.tol, return_ledger=True
         )
     else:
         # faltung / weyl / general differ only in the declared domains, which
         # travel with the tables themselves
-        out, ledger = conv_general(a, b, window, tol=args.tol, return_ledger=True)
+        out, ledger = conv_general(a, b, args.window, tol=args.tol, return_ledger=True)
     save(out, args.out)
     _write_report(
         args.report,
@@ -261,10 +286,9 @@ def cmd_fractional(args) -> int:
         return EXIT_OK
     # weyl
     f = load(args.seq)
-    window = parse_window(args.window)
     m = args.m if args.m is not None else math.ceil(args.alpha)
     kernel = cesaro(m - args.alpha, args.kernel_len)
-    out = weyl_am(kernel, m, f, window, enforce=not args.no_enforce)
+    out = weyl_am(kernel, m, f, args.window, enforce=not args.no_enforce)
     save(out, args.out)
     _write_report(
         args.report,
@@ -277,9 +301,9 @@ def cmd_solve(args) -> int:
     with open(args.problem) as fh:
         doc = json.load(fh)
     prob, f = problems.problem_from_doc(doc)
-    radii = parse_reals(args.radii)
-    kernel_window = parse_window(args.kernel_window)
-    check_window = parse_window(args.check_window)
+    radii = args.radii
+    kernel_window = args.kernel_window
+    check_window = args.check_window
     # u must cover the check window padded by the problem's largest shift;
     # convolution-type problems additionally need u from the start of its
     # support (the kernel has memory over the whole past)
@@ -311,7 +335,7 @@ def cmd_probe(args) -> int:
     with open(args.problem) as fh:
         doc = json.load(fh)
     prob, _ = problems.problem_from_doc(doc)
-    radii = parse_reals(args.radii)
+    radii = args.radii
     rng = np.random.default_rng(args.seed)
     samples = []
     for _ in range(args.samples):
@@ -407,8 +431,8 @@ def build_parser() -> _Parser:
     ti.add_argument("--seq")
     ti.add_argument("--rational")
     ti.add_argument("--fixture")
-    ti.add_argument("--radii")
-    ti.add_argument("--window", required=True, help='box as "lo:hi,lo:hi"')
+    ti.add_argument("--radii", type=_radii)
+    ti.add_argument("--window", type=_window, required=True, help='box as "lo:hi,lo:hi"')
     ti.add_argument("--grid")
     ti.add_argument("--out", required=True)
     ti.add_argument("--report")
@@ -419,7 +443,7 @@ def build_parser() -> _Parser:
     c.add_argument("--a", required=True)
     c.add_argument("--b", required=True)
     c.add_argument("--axes")
-    c.add_argument("--window", required=True)
+    c.add_argument("--window", type=_window, required=True)
     c.add_argument("--tol", type=float, default=1e-12)
     c.add_argument("--out", required=True)
     c.add_argument("--report")
@@ -436,7 +460,7 @@ def build_parser() -> _Parser:
     fw.add_argument("--alpha", type=float, required=True)
     fw.add_argument("--m", type=int)
     fw.add_argument("--seq", required=True)
-    fw.add_argument("--window", required=True)
+    fw.add_argument("--window", type=_window, required=True)
     fw.add_argument("--kernel-len", type=int, default=256, dest="kernel_len")
     fw.add_argument("--no-enforce", action="store_true")
     fw.add_argument("--out", required=True)
@@ -445,9 +469,9 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("solve")
     s.add_argument("--problem", required=True)
-    s.add_argument("--radii", required=True)
-    s.add_argument("--kernel-window", required=True, dest="kernel_window")
-    s.add_argument("--check-window", required=True, dest="check_window")
+    s.add_argument("--radii", type=_radii, required=True)
+    s.add_argument("--kernel-window", type=_window, required=True, dest="kernel_window")
+    s.add_argument("--check-window", type=_window, required=True, dest="check_window")
     s.add_argument("--out", required=True)
     s.add_argument("--tol", type=float, default=1e-8)
     s.add_argument("--orthant", action="store_true",
@@ -457,7 +481,7 @@ def build_parser() -> _Parser:
 
     u = sub.add_parser("probe-uniqueness")
     u.add_argument("--problem", required=True)
-    u.add_argument("--radii", required=True)
+    u.add_argument("--radii", type=_radii, required=True)
     u.add_argument("--samples", type=int, default=32)
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("--threshold", type=float, default=1e-10)
@@ -484,20 +508,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        code = args.fn(args)
-    except SingularSymbol as e:
+        return args.fn(args)
+    except (ZLatticeError, OSError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except SchemaError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except ZLatticeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return code
+        return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))
 
 
 if __name__ == "__main__":

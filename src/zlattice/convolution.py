@@ -28,7 +28,7 @@ from .lattice import (
     value_norm,
     value_norms,
 )
-from .ztransform import _geom_sum, eval_forward
+from .ztransform import _envelope_sum, eval_forward
 
 DEFAULT_TOL = 1e-12
 TOL_FLOOR = 1e-14
@@ -43,46 +43,51 @@ TOL_FLOOR = 1e-14
 class _AxisProfile:
     lo: int | None  # admissible interval along the axis
     hi: int | None
+    s_lo: int  # stored interval
+    s_hi: int
     r_neg: float  # envelope factor r_neg^k for k < 0
     r_pos: float  # envelope factor r_pos^k for k >= 0
 
 
-def _profiles(f: SequenceTable, axes: Sequence[int]) -> tuple[float, list[_AxisProfile]]:
+_UNIT = _AxisProfile(0, 0, 0, 0, 1.0, 1.0)  # the unit kernel: 1 at 0, nothing else
+
+
+def _profiles(f: SequenceTable, axes: Sequence[int | None]) -> tuple[float, list[_AxisProfile]]:
     """Global constant and per-axis envelope profiles of a table.
 
     Without an envelope, the table is exactly zero outside its support, so the
     admissible interval clips to the support and the bound constant is the
-    maximum stored norm.
+    maximum stored norm.  A ``None`` axis is the unit kernel.
     """
+    env = f.envelope
+    M = env.M if env is not None else (float(np.max(f.norms())) if f.values.size else 0.0)
     profs = []
-    if f.envelope is not None:
-        M = f.envelope.M
-        for ax in axes:
-            lo, hi = axis_interval(f.domain, ax)
-            r = f.envelope.rates[ax]
-            rn, rp = (r if isinstance(r, tuple) else (r, r))
-            profs.append(_AxisProfile(lo, hi, rn, rp))
-    else:
-        M = float(np.max(f.norms())) if f.values.size else 0.0
-        for ax in axes:
-            dlo, dhi = axis_interval(f.domain, ax)
-            lo = f.support.lo[ax] if dlo is None else max(dlo, f.support.lo[ax])
-            hi = f.support.hi[ax] if dhi is None else min(dhi, f.support.hi[ax])
-            profs.append(_AxisProfile(lo, hi, 1.0, 1.0))
+    for ax in axes:
+        if ax is None:
+            profs.append(_UNIT)
+            continue
+        lo, hi = axis_interval(f.domain, ax)
+        s_lo, s_hi = f.support.lo[ax], f.support.hi[ax]
+        r = env.rates[ax] if env is not None else 1.0
+        if env is None:
+            lo = s_lo if lo is None else max(lo, s_lo)
+            hi = s_hi if hi is None else min(hi, s_hi)
+        profs.append(_AxisProfile(lo, hi, s_lo, s_hi, *(r if isinstance(r, tuple) else (r, r))))
     return M, profs
 
 
 def _tail_ledger(
     a: SequenceTable,
     b: SequenceTable,
-    a_axes: Sequence[int],
+    a_axes: Sequence[int | None],
     b_axes: Sequence[int],
     ranges: Sequence[range],
 ) -> np.ndarray:
     """Bound the convolution mass outside the stored summation box at every k
-    of the window ``ranges`` (one range per convolved axis).
+    of the window ``ranges`` (one range per axis of ``b_axes``; a ``None`` in
+    ``a_axes`` passes b's axis through, as a convolution with the unit kernel).
 
-    Per axis: full admissible geometric sum minus the part over the stored
+    Per axis: full admissible envelope sum minus the part over the stored
     box.  Both use the same envelope factors, so the difference bounds every
     term the windowed product did not add.  Both sums are products over axes,
     so the ledger is an outer product of one 1-D array per axis, each computed
@@ -98,29 +103,24 @@ def _tail_ledger(
     full = np.ones(())
     stored = np.ones(())
     divergent = np.zeros((), dtype=bool)
-    for i, (ai, bi) in enumerate(zip(a_axes, b_axes)):
-        p, q = pa[i], pb[i]
-        k = np.arange(ranges[i].start, ranges[i].stop, dtype=float)
+    for p, q, ks in zip(pa, pb, ranges):
+        k = np.arange(ks.start, ks.stop, dtype=float)
         # row 0: the admissible l-interval (l in dom_b, k - l in dom_a);
         # row 1: the stored box (l in supp(b), k - l in supp(a)) within it
         lo = np.maximum(-inf if q.lo is None else q.lo, -inf if p.hi is None else k - p.hi)
         hi = np.minimum(inf if q.hi is None else q.hi, inf if p.lo is None else k - p.lo)
-        lo_s = np.maximum(np.maximum(b.support.lo[bi], k - a.support.hi[ai]), lo)
-        hi_s = np.minimum(np.minimum(b.support.hi[bi], k - a.support.lo[ai]), hi)
+        lo_s = np.maximum(np.maximum(q.s_lo, k - p.s_hi), lo)
+        hi_s = np.minimum(np.minimum(q.s_hi, k - p.s_lo), hi)
         lo, hi = np.stack(np.broadcast_arrays(lo, lo_s)), np.stack(np.broadcast_arrays(hi, hi_s))
-        # sum over l in [lo, hi] of the envelope factors b_a(k - l) b_b(l):
-        # split the l-line at 0 and at k, where term(l) = ra^k (rb / ra)^l
-        sums = 0.0
-        for plo, phi, rb in ((-inf, -1.0, q.r_neg), (0.0, inf, q.r_pos)):
-            for qlo, qhi, ra in ((-inf, k, p.r_pos), (k + 1.0, inf, p.r_neg)):
-                s_lo = np.maximum(np.maximum(plo, qlo), lo)
-                s_hi = np.minimum(np.minimum(phi, qhi), hi)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    piece = ra**k * _geom_sum(rb / ra, s_lo, s_hi)
-                # nan where an infinite factor meets an underflowed one: the
-                # piece is beyond the float range, so bound it by inf
-                sums = sums + np.where(s_lo > s_hi, 0.0, np.where(np.isnan(piece), inf, piece))
-        f_i, s_i = sums
+        # sum over l in [lo, hi] of b_a(k - l) b_b(l), split at l = k:
+        # b_a(k - l) = ra^k ra^-l with ra = r_pos for l <= k, r_neg for l > k
+        f_i, s_i = sum(
+            _envelope_sum(q.r_neg / ra, q.r_pos / ra, l_lo, l_hi, k * math.log(ra))
+            for ra, l_lo, l_hi in (
+                (p.r_pos, lo, np.minimum(hi, k)),
+                (p.r_neg, np.maximum(lo, k + 1.0), hi),
+            )
+        )
         inf_i = np.isinf(f_i)
         f_i[inf_i] = 0.0
         full = np.multiply.outer(full, f_i)
@@ -273,22 +273,9 @@ def conv_axes(
     )
     ledger = None
     if a.envelope is not None or b.envelope is not None:
-        ranges = [range(window.lo[j], window.hi[j] + 1) for j in ax0]
-        ledger = _tail_ledger(a, b, tuple(range(a.dim)), ax0, ranges)
-        ledger = ledger.reshape([window.shape[j] if j in ax0 else 1 for j in range(b.dim)])
-        # pass-through coordinates scale b's envelope factors (inf where they
-        # overflow); an infinite factor or tail wins over a 0 from the other
-        # side, except that an exact 0 tail stays 0
-        if b.envelope is not None:
-            factors = (
-                np.ones(1) if j in ax0 else b.envelope.axis_factor(j, np.arange(lo, hi + 1))
-                for j, (lo, hi) in enumerate(zip(window.lo, window.hi))
-            )
-            with np.errstate(invalid="ignore"):
-                scaled = ledger * math.prod(np.ix_(*factors))
-            scaled[np.isnan(scaled)] = math.inf
-            ledger = np.where(ledger == 0, 0.0, scaled)
-        ledger = np.array(np.broadcast_to(ledger, window.shape))
+        ranges = [range(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
+        a_axes = [ax0.index(j) if j in ax0 else None for j in range(b.dim)]
+        ledger = _tail_ledger(a, b, a_axes, tuple(range(b.dim)), ranges)
         if enforce:
             _check_tail(out, ledger, window, tol, len(b.vshape))
     table = SequenceTable(FullLattice(b.dim), window, out, b.value_kind, b.m)

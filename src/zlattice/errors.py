@@ -62,7 +62,7 @@ class SingularSymbol(ZLatticeError):
     """Symbol matrix is numerically singular at a contour node."""
 
     def __init__(self, node, rcond):
-        self.node = tuple(node)
+        self.node = tuple(complex(c) for c in node)
         self.rcond = rcond
         super().__init__(f"symbol singular at node {self.node} (rcond={rcond:.3e})")
 

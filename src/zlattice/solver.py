@@ -323,9 +323,8 @@ def _build_kernel(
     # most r^k * ||M^-1|| * ||dM|| * ||M^-1 C||-type terms; use the blunt
     # contour-uniform bound instead.
     if state["symbol_err"] > 0:
-        w = np.ones(())
-        for r, lo, hi in zip(radii, window.lo, window.hi):
-            w = np.multiply.outer(w, [float(r) ** ki for ki in range(lo, hi + 1)])
+        ks = (np.arange(lo, hi + 1.0) for lo, hi in zip(window.lo, window.hi))
+        w = math.prod(np.ix_(*(float(r) ** k for r, k in zip(radii, ks))))
         aliasing += (
             w * state["symbol_err"] * state["contour_max"] ** 2 / max(value_norm(S.C), 1e-300)
         )

@@ -35,6 +35,7 @@ from .lattice import (
     Orthant,
     SequenceTable,
     Shifted,
+    axis_interval,
     domain_mask,
     value_shape,
 )
@@ -166,37 +167,26 @@ def _mesh(z) -> tuple:
 
 def _check_powers(f: SequenceTable, z) -> None:
     for i, zi in enumerate(z):
-        if np.any(zi == 0):
+        # an enveloped table's tail runs to the upper end of its domain
+        top = axis_interval(f.domain, i)[1] if f.envelope is not None else f.support.hi[i]
+        if np.any(zi == 0) and (top is None or max(top, f.support.hi[i]) > 0):
             # 0^(-k) undefined for positive k; 0^k fine for k >= 0.
-            if f.support.hi[i] > 0 or _axis_unbounded_above(f, i):
-                raise ZeroCoordinate(f"z[{i}] = 0 with positive indices on axis {i}")
+            raise ZeroCoordinate(f"z[{i}] = 0 with positive indices on axis {i}")
 
 
 def _base(d):
-    """The domain with its shifts removed (shifts keep the per-axis sides)."""
+    """The domain with its shifts removed."""
     while isinstance(d, Shifted):
         d = d.base
     return d
 
 
-def _axis_unbounded_above(f: SequenceTable, i: int) -> bool:
-    d = _base(f.domain)
-    if isinstance(d, FullLattice):
-        return f.envelope is not None
-    if isinstance(d, Orthant):
-        return d.signs[i] > 0 and f.envelope is not None
-    return False
-
-
 def domain_sides(f: SequenceTable) -> tuple[str, ...]:
-    """Per-axis character of the domain: '+', '-', or 'z' (two-sided)."""
-    d = _base(f.domain)
-    if isinstance(d, Orthant):
-        return tuple("+" if s > 0 else "-" for s in d.signs)
-    if isinstance(d, FullLattice):
-        return ("z",) * d.dim
-    # Finite kinds behave like bounded two-sided axes.
-    return ("z",) * f.dim
+    """Per-axis character of the domain: '+' (bounded below only), '-'
+    (bounded above only) or 'z' (two-sided, or bounded on both ends)."""
+    sides = {(False, True): "+", (True, False): "-"}  # keyed by (lo open, hi open)
+    ends = (axis_interval(f.domain, i) for i in range(f.dim))
+    return tuple(sides.get((lo is None, hi is None), "z") for lo, hi in ends)
 
 
 def convergence_region(f: SequenceTable) -> PolyAnnulus:
@@ -227,32 +217,38 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
     return PolyAnnulus(tuple(axes))
 
 
-def _geom_sum(t, lo, hi):
-    """sum_{l=lo}^{hi} t^l elementwise over the broadcast of t, lo and hi.
+def _envelope_sum(r_neg, r_pos, lo, hi, log_scale=0.0):
+    """exp(log_scale) * sum_{k=lo}^{hi} b(k), where b(k) = r_pos^k for k >= 0
+    and r_neg^k for k < 0, elementwise over the broadcast of the arguments.
 
-    An open end is None or an infinite bound.  0 where lo > hi; inf where
-    divergent or beyond the float range.
+    An open end is None or an infinite bound.  Each side of 0 is a geometric
+    run, formed as its largest term times a factor in [1, run length]; the
+    term is computed in log space, so a scale beyond the float range may meet
+    a run that underflows.  0 where the interval is empty; inf where a run
+    diverges or the sum is beyond the float range.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("ratio must be positive")
     lo = -math.inf if lo is None else lo
     hi = math.inf if hi is None else hi
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        s = np.where(t == 1.0, hi - lo + 1.0, (t**lo) * (1.0 - t ** (hi - lo + 1)) / (1.0 - t))
-        s = np.where(np.isinf(hi), np.where(t < 1.0, (t**lo) / (1.0 - t), math.inf), s)
-        s = np.where(np.isinf(lo), np.where(t > 1.0, (t**hi) / (1.0 - 1.0 / t), math.inf), s)
-        s = np.where(lo > hi, 0.0, s)
-    return s[()]
+    total = 0.0
+    for r, a, b in ((r_neg, lo, np.minimum(hi, -1.0)), (r_pos, np.maximum(lo, 0.0), hi)):
+        log_r = np.log(r)
+        u = np.minimum(r, 1.0 / r)  # ratio of each term to its neighbour towards the top
+        n = b - a + 1.0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            top = np.where(log_r == 0, 0.0, np.where(log_r < 0, a, b) * log_r)
+            factor = np.where(u == 1.0, n, (1.0 - u**n) / (1.0 - u))
+            total = total + np.where(a > b, 0.0, np.exp(log_scale + top) * factor)
+    return total[()]
 
 
 def forward_tail_bound(f: SequenceTable, z):
     """Bound on the modulus of the transform tail beyond the stored window.
 
-    Uses the envelope and the closed-form geometric sums over each axis of a
-    product domain, multiplied across axes; on an open mesh this is an outer
-    product with one entry per node, at a point a float.  Raises if the point
-    or a mesh node lies outside the convergence region.
+    Per axis, the envelope terms b(k) |z|^-k summed over the domain's
+    admissible interval and over its stored part; the bound is M times the
+    difference of their products over axes.  On an open mesh this is an
+    outer product with one entry per node, at a point a float.  Raises if the
+    point or a mesh node lies outside the convergence region.
     """
     if f.envelope is None:
         return 0.0
@@ -260,22 +256,15 @@ def forward_tail_bound(f: SequenceTable, z):
     if not convergence_region(f).contains(z):
         raise PointOutsideRegion(f"{z} outside convergence region")
     full = stored = 1.0
-    for i, side in enumerate(domain_sides(f)):
+    for i, zi in enumerate(z):
         r = f.envelope.rates[i]
         r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
-        lo, hi = f.support.lo[i], f.support.hi[i]
-        full_i = stored_i = 0.0
-        if side != "-":  # k >= 0: terms (r_pos / |z|)^k
-            q = r_pos / np.abs(z[i])
-            full_i = 1.0 / (1.0 - q)
-            stored_i = _geom_sum(q, max(lo, 0), hi)
-        if side != "+":  # k < 0 (k <= 0 on a '-' axis): terms (|z| / r_neg)^-k
-            s = 1 if side == "z" else 0
-            q = np.abs(z[i]) / r_neg
-            full_i = full_i + q**s / (1.0 - q)
-            stored_i = stored_i + _geom_sum(q, max(-hi, s), -lo)
-        full = full * full_i
-        stored = stored * stored_i
+        lo, hi = axis_interval(f.domain, i)
+        s_lo = f.support.lo[i] if lo is None else max(lo, f.support.lo[i])
+        s_hi = f.support.hi[i] if hi is None else min(hi, f.support.hi[i])
+        mod = np.abs(zi)
+        full = full * _envelope_sum(r_neg / mod, r_pos / mod, lo, hi)
+        stored = stored * _envelope_sum(r_neg / mod, r_pos / mod, s_lo, s_hi)
     out = f.envelope.M * np.maximum(full - stored, 0.0)
     return float(out) if np.ndim(out) == 0 else out
 

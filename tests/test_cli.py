@@ -385,3 +385,61 @@ def test_bad_cesaro_arguments_exit_1_at_parse_time(tmp_path, capsys, args):
     assert code == 1
     assert "error: argument" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["transform", "invert", "--radii=-1", "--window", "0:3"],
+        ["transform", "invert", "--radii", "1,inf", "--window", "0:3"],
+        ["transform", "invert", "--radii", "1.0", "--window", "5:1"],
+        ["transform", "invert", "--radii", "1.0", "--window", "0:x"],
+        ["solve", "--problem", "p.json", "--radii", "nan", "--kernel-window", "0:4",
+         "--check-window", "0:2"],
+        ["solve", "--problem", "p.json", "--radii", "1.0", "--kernel-window", "4:0",
+         "--check-window", "0:2"],
+    ],
+    ids=["negative radius", "infinite radius", "window lo > hi", "bad window",
+         "nan radius", "kernel window lo > hi"],
+)
+def test_bad_radii_and_windows_exit_1_at_parse_time(tmp_path, capsys, args):
+    from zlattice.fixtures import geometric_table
+
+    save(geometric_table(0.5, 8), tmp_path / "g.json")
+    (tmp_path / "p.json").write_text(json.dumps(_pencil_doc()))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "o.json"
+    seq = ["--seq", str(tmp_path / "g.json")] if args[0] == "transform" else []
+    code = run([*args, *seq, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: argument" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "at", ["1.5,2", "0.2", "0"], ids=["dimension mismatch", "outside region", "zero coordinate"]
+)
+def test_point_the_sequence_does_not_admit_exits_1(tmp_path, capsys, at):
+    from zlattice.fixtures import geometric_table
+
+    path = tmp_path / "g.json"
+    save(geometric_table(0.5, 8), path)
+    code = run(["transform", "eval", "--seq", str(path), "--at", at])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_singular_symbol_message_prints_plain_complex_numbers(tmp_path, capsys):
+    doc = _pencil_doc()
+    doc["terms"] = [{"j": [1], "A": [[[1, 0]]]}, {"j": [0], "A": [[[-1, 0]]]}]
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    code = run([
+        "solve", "--problem", str(p), "--radii", "1.0",
+        "--kernel-window", "0:8", "--check-window", "1:4", "--out", str(tmp_path / "u.json"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "at node ((1+0j),)" in err and "np." not in err and "Traceback" not in err
