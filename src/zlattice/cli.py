@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 usage (including a point, radius or dimension the
-input does not admit), 2 numerical-tolerance failure, 3 singular symbol, 4 I/O
-or schema error.  Result documents are written with sorted keys
+Exit codes: 0 success, 1 usage (including a point or dimension the input does
+not admit), 2 numerical-tolerance failure, 3 singular symbol, 4 I/O or schema
+error.  Result documents are written with sorted keys
 and a fixed float format so identical inputs give byte-identical outputs; the
 --threads flag (default from ZLATTICE_THREADS) is accepted for interface
 compatibility but all computation is sequential and deterministic regardless.
@@ -21,8 +21,8 @@ import sys
 import numpy as np
 
 from . import fixtures, problems
-from .errors import CircleOutsideRegion, DimensionMismatch, PointOutsideRegion, SchemaError
-from .errors import SingularSymbol, ZeroCoordinate, ZLatticeError
+from .errors import DimensionMismatch, PointOutsideRegion, SchemaError, SingularSymbol
+from .errors import ZLatticeError
 from .fractional import cesaro, weyl_am
 from .lattice import Box, load, save
 from .solver import residual, solve, uniqueness_probe
@@ -46,7 +46,7 @@ EXIT_IO = 4
 _ERROR_EXITS = (
     (SingularSymbol, EXIT_SINGULAR),
     ((SchemaError, OSError, json.JSONDecodeError), EXIT_IO),
-    ((DimensionMismatch, PointOutsideRegion, CircleOutsideRegion, ZeroCoordinate), EXIT_USAGE),
+    ((DimensionMismatch, PointOutsideRegion), EXIT_USAGE),
     (ZLatticeError, EXIT_TOLERANCE),
 )
 

@@ -121,7 +121,7 @@ def _tail_ledger(
                 (p.r_neg, np.maximum(lo, k + 1.0), hi),
             )
         )
-        inf_i = np.isinf(f_i)
+        inf_i = ~np.isfinite(f_i)
         f_i[inf_i] = 0.0
         full = np.multiply.outer(full, f_i)
         stored = np.multiply.outer(stored, np.minimum(s_i, f_i))

@@ -225,7 +225,7 @@ def _envelope_sum(r_neg, r_pos, lo, hi, log_scale=0.0):
     run, formed as its largest term times a factor in [1, run length]; the
     term is computed in log space, so a scale beyond the float range may meet
     a run that underflows.  0 where the interval is empty; inf where a run
-    diverges or the sum is beyond the float range.
+    diverges (whatever the scale) or the sum is beyond the float range.
     """
     lo = -math.inf if lo is None else lo
     hi = math.inf if hi is None else hi
@@ -237,7 +237,8 @@ def _envelope_sum(r_neg, r_pos, lo, hi, log_scale=0.0):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             top = np.where(log_r == 0, 0.0, np.where(log_r < 0, a, b) * log_r)
             factor = np.where(u == 1.0, n, (1.0 - u**n) / (1.0 - u))
-            total = total + np.where(a > b, 0.0, np.exp(log_scale + top) * factor)
+            run = np.where(np.isinf(factor), math.inf, np.exp(log_scale + top) * factor)
+            total = total + np.where(a > b, 0.0, run)
     return total[()]
 
 

@@ -1,11 +1,13 @@
 """Every reported bound is a bound.
 
 Tables whose values equal their envelope, M * b(k), on the whole domain are
-stored twice: on a small sub-box and on a long box that covers the domain far
-out.  All terms are positive, so the difference of the two results is part of
-the true truncation error, and the reported tail bound or ledger must be at
-least that difference, up to the rounding of the sums themselves (ROUND
-times the sum of the moduli of their terms).
+stored on a small sub-box.  The reference sums the same sequence over a long
+box that covers the domain far out, in long double, so its own rounding is
+negligible.  All terms are positive, so the difference between the reference
+and the library's result is part of the true truncation error, and the
+reported tail bound or ledger must be at least that difference, up to the
+float64 rounding of the library's short sums and envelope sums: ROUND unit
+roundoffs per stored term, times the sum of the moduli of the terms.
 """
 
 import numpy as np
@@ -28,16 +30,17 @@ from zlattice.lattice import (
 from zlattice.ztransform import eval_forward
 
 SLACK = 1 + 1e-12
-ROUND = 1e-12
+ROUND = 4 * 2.0**-52
 RATES = ((2.0, 0.5), (1.5, 0.8), (3.0, 1.2), (1.25, 0.9))
 
 
-def envelope_values(env, box):
+def envelope_values(env, box, dtype=float):
     """M * prod_i b_i(k_i) over the box, without the library's own helpers."""
-    out = np.full((), env.M)
+    out = np.full((), env.M, dtype=dtype)
     for (r_neg, r_pos), lo, hi in zip(env.rates, box.lo, box.hi):
         k = np.arange(lo, hi + 1)
-        out = np.multiply.outer(out, np.where(k >= 0, r_pos, r_neg) ** k.astype(float))
+        r = np.where(k >= 0, r_pos, r_neg).astype(dtype)
+        out = np.multiply.outer(out, r**k)
     return out
 
 
@@ -45,10 +48,45 @@ def stored_on(domain, env, box):
     return SequenceTable(domain, box, envelope_values(env, box), envelope=env)
 
 
+def slack(table, moduli):
+    """The float64 rounding allowed for the library's sums over ``table``."""
+    return ROUND * (table.values.size + table.dim) * moduli
+
+
+def ref_forward(env, box, z):
+    """sum over the box of M b(k) prod_i z_i^(-k_i) at every node of the
+    open mesh z, in long double; nodes in mesh order."""
+    acc = envelope_values(env, box, np.longdouble)
+    for lo, hi, zi in zip(box.lo, box.hi, z):
+        k = np.arange(lo, hi + 1)[:, None]
+        acc = np.tensordot(acc, np.asarray(zi, np.clongdouble).reshape(1, -1) ** -k, axes=(0, 0))
+    return acc
+
+
+def ref_conv(a_vals, a_lo, b_vals, b_lo, window):
+    """sum over l of a(k - l) b(l) at every k of the window, where a and b
+    are dense arrays over boxes starting at a_lo and b_lo."""
+    out = np.zeros(window.shape, dtype=np.result_type(a_vals, b_vals))
+    for idx in np.ndindex(*window.shape):
+        sl_a, sl_b = [], []
+        for i, (w_lo, alo, blo) in enumerate(zip(window.lo, a_lo, b_lo)):
+            k = w_lo + idx[i]
+            lo = max(blo, k - (alo + a_vals.shape[i] - 1))
+            hi = min(blo + b_vals.shape[i] - 1, k - alo)
+            if lo > hi:
+                break
+            sl_b.append(slice(lo - blo, hi - blo + 1))
+            stop = k - hi - alo - 1  # a's index runs down from k - lo to k - hi
+            sl_a.append(slice(k - lo - alo, None if stop < 0 else stop, -1))
+        else:
+            out[idx] = np.sum(a_vals[tuple(sl_a)] * b_vals[tuple(sl_b)])
+    return out
+
+
 @st.composite
 def envelope_tables(draw, n, reach):
-    """(short, long): one sequence M b(k) on an orthant, a shifted orthant or
-    the full lattice, stored on a small box and on a box out to ``reach``."""
+    """(table, long box): one sequence M b(k) on an orthant, a shifted orthant
+    or the full lattice, stored on a small box, and a box out to ``reach``."""
     kind = draw(st.sampled_from(("shifted", "orthant", "full")))
     signs = tuple(draw(st.sampled_from((1, -1))) for _ in range(n))
     if kind == "full":
@@ -67,25 +105,24 @@ def envelope_tables(draw, n, reach):
         a = min(max(draw(st.integers(-4, 3)), lo[-1]), hi[-1])
         s_lo.append(a)
         s_hi.append(min(a + draw(st.integers(0, 4)), hi[-1]))
-    short = stored_on(domain, env, Box(tuple(s_lo), tuple(s_hi)))
-    return short, stored_on(domain, env, Box(tuple(lo), tuple(hi)))
+    return stored_on(domain, env, Box(tuple(s_lo), tuple(s_hi))), Box(tuple(lo), tuple(hi))
 
 
 @given(st.data(), st.integers(1, 2))
 @settings(max_examples=150, deadline=None)
 def test_forward_tail_bound_covers_the_unstored_terms(data, n):
-    short, long = data.draw(envelope_tables(n, 400 if n == 1 else 120))
+    f, long = data.draw(envelope_tables(n, 400 if n == 1 else 120))
     nodes = []
-    for r_neg, r_pos in short.envelope.rates:
+    for r_neg, r_pos in f.envelope.rates:
         # inside r_pos < |z| < r_neg, which every domain kind admits
         u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)))
         phase = data.draw(st.floats(0.0, 2 * np.pi))
         nodes.append((1.1 * r_pos + (0.9 * r_neg - 1.1 * r_pos) * u) * np.exp(1j * phase))
     z = np.ix_(*nodes)
-    val, tail = eval_forward(short, z, with_tail=True)
-    err = np.abs(eval_forward(long, z) - val)
-    moduli = eval_forward(long, tuple(np.abs(zi) for zi in z)).real
-    assert np.all(err <= tail * SLACK + ROUND * moduli)
+    val, tail = eval_forward(f, z, with_tail=True)
+    err = np.abs(ref_forward(f.envelope, long, z) - val)
+    moduli = ref_forward(f.envelope, f.support, tuple(np.abs(zi) for zi in z)).real
+    assert np.all(err <= tail * SLACK + slack(f, moduli))
 
 
 @st.composite
@@ -94,6 +131,10 @@ def windows_near(draw, box, reach):
         draw(st.integers(max(a - 3, -reach), min(b + 3, reach))) for a, b in zip(box.lo, box.hi)
     )
     return Box(lo, tuple(c + draw(st.integers(0, 3)) for c in lo))
+
+
+def long_values(f, box):
+    return envelope_values(f.envelope, box, np.longdouble)
 
 
 @given(st.data(), st.integers(1, 2))
@@ -106,8 +147,9 @@ def test_conv_general_ledger_covers_the_unstored_terms(data, n):
     hi = tuple(x + y for x, y in zip(a.support.hi, b.support.hi))
     window = data.draw(windows_near(Box(lo, hi), reach))
     out, ledger = conv_general(a, b, window, enforce=False, return_ledger=True)
-    ref = conv_general(a_long, b_long, window, enforce=False).values
-    assert np.all(np.abs(ref - out.values) <= ledger * SLACK + ROUND * ref.real)
+    ref = ref_conv(long_values(a, a_long), a_long.lo, long_values(b, b_long), b_long.lo, window)
+    small = a if a.values.size < b.values.size else b
+    assert np.all(np.abs(ref - out.values) <= ledger * SLACK + slack(small, ref))
 
 
 @given(st.data(), st.sampled_from(((1, (1,)), (2, (1,)), (2, (2,)), (2, (1, 2)))))
@@ -124,8 +166,14 @@ def test_conv_axes_ledger_covers_the_unstored_terms(data, shape):
     # the window often lies past b's stored box on a pass-through axis
     window = data.draw(windows_near(Box(tuple(lo), tuple(hi)), reach))
     out, ledger = conv_axes(a, b, axes, window, enforce=False, return_ledger=True)
-    ref = conv_axes(a_long, b_long, axes, window, enforce=False).values
-    assert np.all(np.abs(ref - out.values) <= ledger * SLACK + ROUND * ref.real)
+    # the reference convolves with a on all n axes, the unit kernel (1 at 0)
+    # on the pass-through ones
+    a_ref = long_values(a, a_long).reshape(
+        tuple(a_long.shape[axes.index(j)] if j in axes else 1 for j in range(1, n + 1))
+    )
+    a_lo = tuple(a_long.lo[axes.index(j)] if j in axes else 0 for j in range(1, n + 1))
+    ref = ref_conv(a_ref, a_lo, long_values(b, b_long), b_long.lo, window)
+    assert np.all(np.abs(ref - out.values) <= ledger * SLACK + slack(a, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -187,3 +235,20 @@ def test_far_window_on_the_decaying_side_has_a_finite_ledger():
     assert true <= ledger[0] * SLACK
     _, ledger = conv_general(a, b, Box((1400,), (1400,)), return_ledger=True)
     assert np.all(np.isfinite(ledger)) and np.all(ledger >= 0)
+
+
+def test_divergent_run_under_a_vanishing_scale_is_inf_not_nan():
+    # for l < 0, a(k - l) b(l) = 0.5^k: a ratio of exactly 1 over an infinite
+    # run, so the tail diverges, while 0.5^1100 underflows to 0
+    a = SequenceTable(
+        nonneg_orthant(1), Box((0,), (5,)), 0.5 ** np.arange(6.0), envelope=Envelope(1.0, (0.5,))
+    )
+    b = SequenceTable(
+        FullLattice(1), Box((0,), (2,)), 0.25 ** np.arange(3.0),
+        envelope=Envelope(1.0, ((0.5, 0.25),)),
+    )
+    window = Box((1100,), (1100,))
+    _, ledger = conv_general(a, b, window, enforce=False, return_ledger=True)
+    assert np.isinf(ledger[0])
+    with pytest.raises(DivergentConvolution):
+        conv_general(a, b, window)

@@ -417,9 +417,7 @@ def test_bad_radii_and_windows_exit_1_at_parse_time(tmp_path, capsys, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "at", ["1.5,2", "0.2", "0"], ids=["dimension mismatch", "outside region", "zero coordinate"]
-)
+@pytest.mark.parametrize("at", ["1.5,2", "0.2"], ids=["dimension mismatch", "outside region"])
 def test_point_the_sequence_does_not_admit_exits_1(tmp_path, capsys, at):
     from zlattice.fixtures import geometric_table
 

@@ -1,5 +1,6 @@
 import math
 import re
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from hypothesis import strategies as st
 from zlattice.convolution import (
     DEFAULT_TOL,
     TOL_FLOOR,
-    _AxisProfile,
-    _profiles,
     conv_axes,
     conv_general,
     conv_theorem_check,
@@ -26,6 +25,7 @@ from zlattice.lattice import (
     Orthant,
     SequenceTable,
     Shifted,
+    axis_interval,
     nonneg_orthant,
     value_norm,
     value_shape,
@@ -389,7 +389,40 @@ def _geom_sum(t, lo: int | None, hi: int | None):
     return s[()]
 
 
-def _pair_sum(pa: _AxisProfile, pb: _AxisProfile, k: int, lo: int | None, hi: int | None) -> float:
+class RefProfile(NamedTuple):
+    lo: int | None  # admissible interval along the axis
+    hi: int | None
+    r_neg: float  # envelope factor r_neg^k for k < 0
+    r_pos: float  # envelope factor r_pos^k for k >= 0
+
+
+REF_UNIT = RefProfile(0, 0, 1.0, 1.0)  # the unit kernel: 1 at 0, nothing else
+
+
+def ref_profiles(f, axes):
+    """Envelope constant and per-axis profiles; a None axis is the unit kernel.
+    Without an envelope the table is zero outside its support, so the
+    admissible interval clips to the support and M is the largest stored norm."""
+    env = f.envelope
+    M = env.M if env is not None else (float(np.max(f.norms())) if f.values.size else 0.0)
+    profs = []
+    for ax in axes:
+        if ax is None:
+            profs.append(REF_UNIT)
+            continue
+        lo, hi = axis_interval(f.domain, ax)
+        if env is None:
+            s_lo, s_hi = f.support.lo[ax], f.support.hi[ax]
+            lo = s_lo if lo is None else max(lo, s_lo)
+            hi = s_hi if hi is None else min(hi, s_hi)
+            profs.append(RefProfile(lo, hi, 1.0, 1.0))
+        else:
+            r = env.rates[ax]
+            profs.append(RefProfile(lo, hi, *(r if isinstance(r, tuple) else (r, r))))
+    return M, profs
+
+
+def _pair_sum(pa: RefProfile, pb: RefProfile, k: int, lo: int | None, hi: int | None) -> float:
     """sum over l in [lo, hi] of pa.factor(k - l) * pb.factor(l).
 
     The summand is piecewise geometric; split the l-line at 0 and at k.
@@ -423,8 +456,8 @@ def _pair_sum(pa: _AxisProfile, pb: _AxisProfile, k: int, lo: int | None, hi: in
 
 def ref_tail_bound(a, b, k, a_axes, b_axes):
     # a None in a_axes is the unit kernel: stored and admissible at 0 only
-    Ma, pa = _profiles(a, a_axes)
-    Mb, pb = _profiles(b, b_axes)
+    Ma, pa = ref_profiles(a, a_axes)
+    Mb, pb = ref_profiles(b, b_axes)
     if Ma == 0.0 or Mb == 0.0:
         return 0.0
     full = 1.0
