@@ -92,7 +92,8 @@ def _tail_ledger(
     term the windowed product did not add.  Both sums are products over axes,
     so the ledger is an outer product of one 1-D array per axis, each computed
     for the whole index array at once; an axis whose full sum diverges or
-    leaves the float range makes the entry infinite.
+    leaves the float range makes the entry infinite, unless another axis
+    admits no l at all, which makes the product, and the entry, exactly 0.
     """
     Ma, pa = _profiles(a, a_axes)
     Mb, pb = _profiles(b, b_axes)
@@ -103,6 +104,7 @@ def _tail_ledger(
     full = np.ones(())
     stored = np.ones(())
     divergent = np.zeros((), dtype=bool)
+    empty = np.zeros((), dtype=bool)
     for p, q, ks in zip(pa, pb, ranges):
         k = np.arange(ks.start, ks.stop, dtype=float)
         # row 0: the admissible l-interval (l in dom_b, k - l in dom_a);
@@ -126,7 +128,8 @@ def _tail_ledger(
         full = np.multiply.outer(full, f_i)
         stored = np.multiply.outer(stored, np.minimum(s_i, f_i))
         divergent = np.logical_or.outer(divergent, inf_i)
-    return np.where(divergent, math.inf, Ma * Mb * np.maximum(full - stored, 0.0))
+        empty = np.logical_or.outer(empty, lo[0] > hi[0])
+    return np.where(divergent & ~empty, math.inf, Ma * Mb * np.maximum(full - stored, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -270,14 +270,57 @@ def forward_tail_bound(f: SequenceTable, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
+# An axis of L stored terms on N circle nodes is contracted by FFT when
+# L * N > _FFT_CROSSOVER * N * log2(N).  A sweep of both paths over
+# L = 2..10 log2(N) and N = 16..512 in 1-D and 2-D put the break-even near
+# 2 log2(N) at N >= 176 and near 6 log2(N) at N = 32..36, where either path
+# takes about 0.1-0.2 ms; 4 keeps the 2-D tables of span <= 10 on 32-36
+# nodes on the direct path.
+_FFT_CROSSOVER = 4.0
+
+
+def _circle(r, N) -> np.ndarray:
+    """The N nodes r e^(2 pi i t / N), t = 0..N-1, of a uniform circle."""
+    return r * np.exp(2j * np.pi * np.arange(N) / N)
+
+
+def _circle_radius(zi, L):
+    """r when the coordinate array is exactly ``_circle(r, N)`` and an FFT
+    over its N nodes beats the direct contraction of L terms, else None."""
+    if zi.ndim == 0 or zi.size == 0 or L <= _FFT_CROSSOVER * math.log2(zi.size):
+        return None
+    flat = zi.reshape(-1)
+    r = flat[0].real
+    if flat[0].imag != 0 or not r > 0 or not np.array_equal(flat, _circle(r, flat.size)):
+        return None
+    return r
+
+
+def _fold_fft(acc, w, start, N) -> np.ndarray:
+    """sum_k w[k] acc[k] e^(-2 pi i t (start + k) / N) for t = 0..N-1: the
+    weighted terms folded at (start + k) mod N, then one FFT; the node axis
+    is appended last, as ``np.tensordot`` leaves it."""
+    L = acc.shape[0]
+    j0 = start % N
+    rows = -(-(j0 + L) // N)
+    buf = np.zeros((rows * N,) + acc.shape[1:], dtype=complex)
+    buf[j0 : j0 + L] = w.reshape((L,) + (1,) * (acc.ndim - 1)) * acc
+    folded = buf.reshape((rows, N) + acc.shape[1:]).sum(axis=0)
+    return np.moveaxis(np.fft.fft(folded, axis=0), 0, -1)
+
+
 def _power_sum(values, lo, z, v=None) -> np.ndarray:
     """sum_k c(k) values[k] z^(-k-v) over a dense box that starts at ``lo``.
 
     ``values`` has one lattice axis per coordinate of ``z``, then value axes;
     ``z`` is a point or an open mesh.  c(k) = prod_i (-k_i)(-k_i-1)...
     (-k_i-v_i+1) gives the termwise derivative of order v (c = 1 when v is
-    None).  One tensordot per axis contracts the values with the matrix
-    c_i(k) z_i^(-k_i-v_i); the result has the mesh shape, then the value shape.
+    None).  Each axis is contracted in turn, and the result has the mesh
+    shape, then the value shape.  An axis whose coordinate is exactly a
+    ``_circle`` grid r e^(2 pi i t / N), and whose stored length passes the
+    crossover, is the FFT of c(k) r^(-k-v) values[k] folded at (k+v) mod N;
+    any other axis, or one whose weights leave the float range, is one
+    tensordot with the matrix c_i(k) z_i^(-k_i-v_i).
     """
     acc = np.asarray(values, dtype=complex)
     pos = []  # the mesh dimension each coordinate varies along
@@ -288,9 +331,15 @@ def _power_sum(values, lo, z, v=None) -> np.ndarray:
         c = np.ones(ks.shape)
         for t in range(vi):
             c = c * (-ks - t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(c != 0, c * zi.reshape(1, -1) ** (-ks - vi), 0.0)
-        acc = np.tensordot(acc, w, axes=(0, 0))
+        r = _circle_radius(zi, acc.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = None if r is None else c * r ** (-ks - vi)
+        if w is not None and np.isfinite(w).all():
+            acc = _fold_fft(acc, w, lo[i] + vi, zi.size)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = np.where(c != 0, c * zi.reshape(1, -1) ** (-ks - vi), 0.0)
+            acc = np.tensordot(acc, w, axes=(0, 0))
         pos.append(int(np.argmax(zi.shape)) if zi.ndim else 0)
     vdim = acc.ndim - len(z)
     order = [vdim + i for i in np.argsort(pos, kind="stable")]
@@ -496,7 +545,7 @@ def invert_contour(
         raise ValueError("grid must cover the window span")
 
     vshape = value_shape(F.value_kind, F.m)
-    nodes = [r * np.exp(2j * np.pi * np.arange(N) / N) for r, N in zip(radii, grid)]
+    nodes = [_circle(r, N) for r, N in zip(radii, grid)]
     try:
         val = F.fn(np.ix_(*nodes))
         samples = np.broadcast_to(np.asarray(val, dtype=complex), grid + vshape)

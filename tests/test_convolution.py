@@ -233,6 +233,24 @@ def test_axes_exact_zero_tail_stays_zero_where_pass_through_factor_overflows():
     assert np.array_equal(ledger, np.zeros((4, 1)))
 
 
+def test_empty_axis_makes_a_divergent_tail_exactly_zero():
+    # the convolved axis has no decay to the left, so its full sum diverges
+    # at every k; but b's domain admits no k2 < 0 on the pass-through axis,
+    # so the product is exactly 0 there and so is its ledger
+    b = SequenceTable(
+        Orthant((-1, 1)), Box((-2, 0), (0, 2)), np.full((3, 3), 0.1),
+        envelope=Envelope(1.0, ((1.0, 1.0), 0.5)),
+    )
+    window = Box((0, -3), (2, -1))
+    table, ledger = conv_axes(cesaro(1.0, 5), b, (1,), window, enforce=False, return_ledger=True)
+    assert np.array_equal(table.values, np.zeros((3, 3)))
+    assert np.array_equal(ledger, np.zeros((3, 3)))
+    assert np.array_equal(conv_axes(cesaro(1.0, 5), b, (1,), window).values, np.zeros((3, 3)))
+    # where k2 >= 0 is admitted the divergent axis still makes the entry inf
+    _, ledger = conv_axes(cesaro(1.0, 5), b, (1,), Box((0, -1), (2, 0)), enforce=False, return_ledger=True)
+    assert np.array_equal(ledger[:, 0], np.zeros(3)) and np.all(np.isinf(ledger[:, 1]))
+
+
 def test_weyl_tail_within_tolerance_passes():
     a = cesaro(0.5, 200)
     b = SequenceTable.from_function(
@@ -462,6 +480,7 @@ def ref_tail_bound(a, b, k, a_axes, b_axes):
         return 0.0
     full = 1.0
     stored = 1.0
+    divergent = empty = False
     for i, (ai, bi) in enumerate(zip(a_axes, b_axes)):
         ki = k[i]
         lo_d = pb[i].lo
@@ -472,9 +491,13 @@ def ref_tail_bound(a, b, k, a_axes, b_axes):
         if pa[i].lo is not None:
             hi2 = ki - pa[i].lo
             hi_d = hi2 if hi_d is None else min(hi_d, hi2)
+        # an axis that admits no l makes the product exactly 0, even where
+        # another axis diverges
+        empty = empty or (lo_d is not None and hi_d is not None and lo_d > hi_d)
         s_full = _pair_sum(pa[i], pb[i], ki, lo_d, hi_d)
         if np.isinf(s_full):
-            return np.inf
+            divergent = True
+            continue
         a_lo, a_hi = (0, 0) if ai is None else (a.support.lo[ai], a.support.hi[ai])
         lo_s = max(b.support.lo[bi], ki - a_hi)
         hi_s = min(b.support.hi[bi], ki - a_lo)
@@ -485,6 +508,10 @@ def ref_tail_bound(a, b, k, a_axes, b_axes):
         s_stored = _pair_sum(pa[i], pb[i], ki, lo_s, hi_s) if lo_s <= hi_s else 0.0
         full *= s_full
         stored *= min(s_stored, s_full)
+    if empty:
+        return 0.0
+    if divergent:
+        return np.inf
     return Ma * Mb * max(full - stored, 0.0)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zlattice import ztransform
 from zlattice.errors import (
     DimensionMismatch,
     InitialConditionViolated,
@@ -506,6 +507,25 @@ def test_weyl_solve_residual_within_ledger():
     sol = solve(S, f, (1.3,), Box((0,), (80,)), Box((0,), (48,)))
     rep = residual(S, sol.u, f, Box((4,), (32,)))
     assert rep["max_residual"] <= 10 * sol.ledger
+
+
+def test_long_kernel_weyl_solve_takes_the_fft_path(monkeypatch):
+    # 640 kernel terms on the 656 contour nodes of the window 0:320: the
+    # kernel transform is one folded FFT; forcing every axis onto the direct
+    # power matrix must give the same u
+    S = weyl_fractional_problem(0.5, kernel_len=640)
+    f = SequenceTable.delta(1)
+    ffts = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: ffts.append(1) or fft(*a, **kw))
+    sol = solve(S, f, (1.3,), Box((0,), (320,)), Box((0,), (48,)))
+    assert ffts
+    monkeypatch.setattr(ztransform, "_FFT_CROSSOVER", math.inf)
+    ffts.clear()
+    direct = solve(S, f, (1.3,), Box((0,), (320,)), Box((0,), (48,)))
+    assert not ffts
+    scale = np.max(np.abs(direct.u.values))
+    assert np.max(np.abs(sol.u.values - direct.u.values)) <= 1e-10 * scale
 
 
 def test_multiterm_solve_residual():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zlattice import ztransform
 from zlattice.errors import (
     BoundaryNotFinite,
     CircleOutsideRegion,
@@ -732,3 +733,156 @@ def test_invert_calls_evaluator_once_on_the_whole_grid():
     expect = np.zeros((4, 3))
     expect[2, 1] = 1.0  # the coefficient at k = (1, 1)
     assert np.max(np.abs(res.table.values - expect)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# power sums on circle grids: the folded FFT against the direct contraction
+# ---------------------------------------------------------------------------
+
+
+def ref_power_sum(values, lo, z, v):
+    """sum_k c(k) values[k] z^(-k-v) and the sum of the term moduli, in long
+    double, with z given as one 1-D node array per coordinate; node axes in
+    coordinate order, then the value axes."""
+    acc = np.asarray(values, np.clongdouble)
+    mod = np.abs(acc)
+    for lo_i, zi, vi in zip(lo, z, v):
+        k = np.arange(lo_i, lo_i + acc.shape[0])[:, None]
+        c = np.ones(k.shape, np.longdouble)
+        for t in range(vi):
+            c = c * (-k - t)
+        w = c * np.asarray(zi, np.clongdouble).reshape(1, -1) ** (-k - vi)
+        acc = np.tensordot(acc, w, axes=(0, 0))
+        mod = np.tensordot(mod, np.abs(w), axes=(0, 0))
+    vdim = acc.ndim - len(z)
+    order = list(range(vdim, acc.ndim)) + list(range(vdim))
+    return acc.transpose(order), mod.transpose(order)
+
+
+def count_calls(mp, owner, name):
+    """Replace owner.name by a wrapper that records each call."""
+    calls = []
+    fn = getattr(owner, name)
+    mp.setattr(owner, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
+def assert_within_term_mass(new, ref, mod):
+    err = np.abs(np.asarray(new, np.clongdouble) - ref)
+    assert np.all(err <= 1e-12 * mod)
+
+
+@st.composite
+def circle_power_sums(draw):
+    """Values on a box, a mesh of 1-3 uniform circles and the coordinates
+    the kernel reads, in any order: (values, lo, v, mesh nodes, coordinate
+    -> mesh dimension)."""
+    dims = draw(st.integers(1, 3))
+    n = draw(st.integers(1, dims))
+    kind = draw(st.sampled_from(KINDS))
+    vshape = value_shape(kind, draw(st.integers(1, 2)))
+    top = {1: 120, 2: 40, 3: 10}[n]  # above the crossover and several wraps
+    mesh = [
+        ztransform._circle(draw(st.floats(0.5, 2.0)), draw(st.integers(1, 32)))
+        for _ in range(dims)
+    ]
+    axes = draw(st.permutations(range(dims)))[:n]
+    lo = tuple(draw(st.integers(-5, 3)) for _ in range(n))
+    v = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    L = tuple(draw(st.integers(1, top)) for _ in range(n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.normal(size=L + vshape) + 1j * rng.normal(size=L + vshape)
+    return vals, lo, v, mesh, axes
+
+
+@given(circle_power_sums())
+@settings(max_examples=150, deadline=None)
+def test_power_sum_fft_path_matches_long_double_reference(case):
+    vals, lo, v, mesh, axes = case
+    n = len(axes)
+    z = tuple(np.ix_(*mesh)[d] for d in axes)
+    ref, mod = ref_power_sum(vals, lo, [mesh[d] for d in axes], v)
+    # nodes in mesh order, 1 on the mesh dimensions the kernel does not read
+    shape = [1] * len(mesh)
+    for d in axes:
+        shape[d] = mesh[d].size
+    order = list(np.argsort(axes)) + list(range(n, ref.ndim))
+    ref = ref.transpose(order).reshape(tuple(shape) + vals.shape[n:])
+    mod = mod.transpose(order).reshape(ref.shape)
+    crossing = sum(
+        L > ztransform._FFT_CROSSOVER * math.log2(mesh[d].size) for L, d in zip(vals.shape, axes)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        ffts = count_calls(mp, np.fft, "fft")
+        assert_within_term_mass(ztransform._power_sum(vals, lo, z, v), ref, mod)
+        assert len(ffts) == crossing
+        # every axis on the FFT path, whatever its length
+        mp.setattr(ztransform, "_FFT_CROSSOVER", -1.0)
+        ffts.clear()
+        assert_within_term_mass(ztransform._power_sum(vals, lo, z, v), ref, mod)
+        assert len(ffts) == n
+
+
+def _moved_by_one_ulp(nodes):
+    nodes = nodes.copy()
+    nodes[5] = complex(np.nextafter(nodes[5].real, np.inf), nodes[5].imag)
+    return nodes
+
+
+OFF_GRID = {
+    "one node moved by 1 ulp": _moved_by_one_ulp,
+    "rotated": lambda c: c * np.exp(1j * np.pi / c.size),
+    "reversed": lambda c: np.conj(c),
+    "non-uniform": lambda c: abs(c[0]) * np.exp(2j * np.pi * (np.arange(c.size) / c.size) ** 1.1),
+    "point": lambda c: c[3],
+    "no nodes": lambda c: c[:0],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_GRID))
+def test_power_sum_off_grid_coordinates_take_the_direct_path(monkeypatch, case):
+    circle = ztransform._circle(1.1, 64)
+    zi = OFF_GRID[case](circle)
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+    ref, mod = ref_power_sum(vals, (-3,), [np.atleast_1d(zi)], (0,))
+    ffts = count_calls(monkeypatch, np.fft, "fft")
+    dots = count_calls(monkeypatch, np, "tensordot")
+    new = ztransform._power_sum(vals, (-3,), (zi,))
+    assert not ffts and len(dots) == 1
+    assert_within_term_mass(new, ref.reshape(new.shape), mod.reshape(new.shape))
+    # the exact circle itself takes the FFT path
+    ztransform._power_sum(vals, (-3,), (circle,))
+    assert len(ffts) == 1 and len(dots) == 1
+
+
+def test_invert_contour_nodes_take_the_fft_path(monkeypatch):
+    # axis 0 stores 121 terms on 96 nodes (past the crossover, with a wrap),
+    # axis 1 stores 4 terms on 22 nodes (direct)
+    k1, k2 = np.meshgrid(np.arange(121), np.arange(4), indexing="ij")
+    f = SequenceTable(nonneg_orthant(2), Box((0, 0), (120, 3)), 0.9**k1 * 0.5**k2)
+    F = forward_evaluator(f)
+    window = Box((0, 0), (40, 3))
+    ffts = count_calls(monkeypatch, np.fft, "fft")
+    res = invert_contour(F, (1.0, 1.0), window)
+    assert res.grid == (96, 22) and len(ffts) == 1
+    # on the unit circle the coefficient at k is the wrap sum over k + 96 m
+    wrap = f.values[:41] + np.pad(f.values[96:], ((0, 16), (0, 0)))
+    assert np.max(np.abs(res.table.values - wrap)) <= 1e-12 * np.max(np.abs(wrap))
+    monkeypatch.setattr(ztransform, "_FFT_CROSSOVER", math.inf)
+    direct = invert_contour(F, (1.0, 1.0), window)
+    assert len(ffts) == 1
+    assert np.max(np.abs(res.table.values - direct.table.values)) <= 1e-12 * np.max(np.abs(wrap))
+
+
+def test_power_sum_weights_beyond_float_range_keep_the_direct_result(monkeypatch):
+    # r^-(k+v) overflows for r = 1e-3 and k near 200: the axis falls back to
+    # the direct power matrix, with the same non-finite entries
+    circle = ztransform._circle(1e-3, 64)
+    vals = np.ones((200, 2))
+    ffts = count_calls(monkeypatch, np.fft, "fft")
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = ztransform._power_sum(vals, (0,), (circle,), (1,))
+        assert not ffts and not np.all(np.isfinite(new))
+        monkeypatch.setattr(ztransform, "_FFT_CROSSOVER", math.inf)
+        np.testing.assert_array_equal(new, ztransform._power_sum(vals, (0,), (circle,), (1,)))
