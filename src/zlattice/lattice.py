@@ -264,11 +264,7 @@ def value_shape(value_kind: str, m: int | None) -> tuple[int, ...]:
 def value_norm(v) -> float:
     """Operator 2-norm for matrices, Euclidean norm for vectors, |.| for scalars."""
     a = np.asarray(v)
-    if a.ndim == 0:
-        return abs(complex(a))
-    if a.ndim == 1:
-        return float(np.linalg.norm(a))
-    return float(np.linalg.norm(a, 2))
+    return float(value_norms(a, a.ndim))
 
 
 def value_norms(values: np.ndarray, value_ndim: int) -> np.ndarray:
@@ -277,7 +273,50 @@ def value_norms(values: np.ndarray, value_ndim: int) -> np.ndarray:
         return np.abs(values)
     if value_ndim == 1:
         return np.linalg.norm(values, axis=-1)
-    return np.linalg.norm(values, 2, axis=(-2, -1))
+    return _sv_extremes(values)[0]
+
+
+def _sv_extremes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma_max, sigma_min) of every m x m matrix in a stack.
+
+    Closed forms for m <= 2: |a| twice for 1 x 1.  A 2 x 2 matrix is scaled
+    by the power of two that brings its largest |entry| into [0.5, 1), so that
+    no square over- or underflows, and reduced by one column-pivoted QR step
+    to R = [[f, g], [0, h]] with f its largest column norm, g = |col_1^H
+    col_2| / f and h = |det| / f.  Then sigma_max = (sqrt((f + h)^2 + g^2) +
+    sqrt((f - h)^2 + g^2)) / 2, which is (sqrt(F + 2|det|) + sqrt(F -
+    2|det|)) / 2 for F = ||M||_F^2 with F - 2|det| formed without
+    cancellation, and sigma_min = |det| / sigma_max, both scaled back; each
+    step is one elementwise operation over the whole stack.  Larger m takes a
+    stacked SVD.  A matrix with an inf entry has sigma_max inf, one with a nan
+    entry nan; sigma_min of a non-finite 2 x 2 matrix is nan.
+    """
+    if M.shape[-2:] == (1, 1):
+        s = np.abs(M[..., 0, 0])
+        return s, s
+    if M.shape[-2:] != (2, 2):
+        sv = np.linalg.svd(M, compute_uv=False)
+        return sv[..., 0], sv[..., -1]
+    a, b, c, d = (M[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
+    s = np.maximum(np.maximum(ma, mb), np.maximum(mc, md))
+    ok = np.isfinite(s) & (s > 0)
+    if not ok.all():  # zero and non-finite matrices are patched in below
+        a, b, c, d, ma, mb, mc, md = (np.where(ok, v, 0.0) for v in (a, b, c, d, ma, mb, mc, md))
+    e = np.frexp(np.where(ok, s, 1.0))[1]
+    r = np.ldexp(1.0, -e)
+    a, b, c, d, ma, mb, mc, md = (v * r for v in (a, b, c, d, ma, mb, mc, md))
+    f = np.sqrt(np.maximum(np.maximum(ma * ma + mc * mc, mb * mb + md * md), 0.25))  # >= 0.5 where ok
+    det = np.abs(a * d - b * c)
+    g = np.abs(a.conj() * b + c.conj() * d) / f
+    h = det / f
+    g2 = g * g
+    smax = 0.5 * (np.sqrt((f + h) ** 2 + g2) + np.sqrt((f - h) ** 2 + g2))
+    smax, smin = np.ldexp(smax, e), np.ldexp(det / smax, e)
+    if not ok.all():
+        smax = np.where(ok, smax, s)
+        smin = np.where(ok, smin, np.where(s == 0, 0.0, np.nan))
+    return smax, smin
 
 
 def axis_interval(domain: LatticeDomain, axis: int):

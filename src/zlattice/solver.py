@@ -5,9 +5,14 @@ has the matrix symbol P(z) = sum_j z^j A_j; its Green kernel is the inverse
 transform of P(z)^{-1} C and convolving it with the data yields a solution.
 Volterra and Weyl-fractional problems carry structured symbols built from
 kernel transforms.  Kernel construction inverts the symbol on a whole
-polycircle node grid at once (stacked dense LU via numpy.linalg.solve, with a
-reciprocal-condition gate); truncation and aliasing surrogates are collected
-into an error ledger that is reported, never silently asserted.
+polycircle node grid at once, behind a 2-norm reciprocal-condition gate.  For
+m <= 2 the gate and the solve are closed forms over the whole node stack,
+with no per-node LAPACK call: sigma_max and sigma_min of a 2 x 2 matrix from
+one column-pivoted QR step (its column norms, column inner product and
+determinant), and the solve as 2 x 2 Gaussian elimination with partial
+pivoting written elementwise (a division for m = 1); larger m uses the
+stacked numpy.linalg svd and solve.  Truncation and aliasing surrogates are
+collected into an error ledger that is reported, never silently asserted.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from .convolution import _correlate, conv_axes, conv_general
 from .errors import (
     DimensionMismatch,
+    EvaluatorFailure,
     InitialConditionViolated,
     InsufficientWindow,
     SingularSymbol,
@@ -33,6 +39,7 @@ from .lattice import (
     FullLattice,
     LatticeDomain,
     SequenceTable,
+    _sv_extremes,
     nonneg_orthant,
     value_norm,
     value_norms,
@@ -247,20 +254,57 @@ class KernelResult:
     symbol_err: float  # max kernel-transform tail radius over nodes
 
 
+@np.errstate(divide="ignore", invalid="ignore")
+def _solve_stack(M: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """M^{-1} C at every node of a stack of m x m matrices.
+
+    m = 1 divides; m = 2 is Gaussian elimination with partial pivoting (the
+    pivot LAPACK picks, by |re| + |im|) written elementwise, which is backward
+    stable.  Each node's system is first scaled by 1 / its pivot's |re| +
+    |im|, so that no later divisor is subnormal where rcond >= 1e-12: numpy's
+    complex division overflows on one.  Each step is one elementwise
+    operation over the whole stack, one right-hand side column at a time.
+    Larger m calls the stacked LAPACK solve.  A singular node gives a
+    non-finite value at that node.
+    """
+    if M.shape[-2:] == (1, 1):
+        return C / M
+    if M.shape[-2:] != (2, 2):
+        return np.linalg.solve(M, np.broadcast_to(C, M.shape))
+    a, b, c, d = (M[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    na, nc = (np.abs(v.real) + np.abs(v.imag) for v in (a, c))
+    swap = nc > na
+    s = 1.0 / np.maximum(na, nc)
+    p, q = np.where(swap, c, a) * s, np.where(swap, a, c) * s  # pivot row, other row
+    pb, qb = np.where(swap, d, b) * s, np.where(swap, b, d) * s
+    l = q / p
+    u = qb - l * pb
+    out = np.empty(np.broadcast_shapes(M.shape, C.shape), dtype=complex)
+    for j in range(out.shape[-1]):  # one right-hand side column at a time
+        y0, y1 = C[..., 0, j], C[..., 1, j]
+        py, qy = np.where(swap, y1, y0) * s, np.where(swap, y0, y1) * s
+        out[..., 1, j] = x1 = (qy - l * py) / u
+        out[..., 0, j] = (py - pb * x1) / p
+    return out
+
+
 def _inverse_evaluator(S: Symbol, rcond_min: float):
     state = {"min_rcond": math.inf, "contour_max": 0.0, "symbol_err": 0.0}
 
     def fn(z):
         M, err = symbol_eval(S, z, with_err=True)
-        sv = np.linalg.svd(M, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rcond = np.where(sv[..., 0] > 0, sv[..., -1] / sv[..., 0], 0.0)
+        finite = np.isfinite(M)
+        if not finite.all():
+            t = tuple(int(i) for i in np.argwhere(~finite)[0][:-2])  # first in row-major order
+            raise EvaluatorFailure(t, f"non-finite symbol value {M[t]!r}")
+        smax, smin = _sv_extremes(M)
+        rcond = smin / np.where(smax > 0, smax, 1.0)  # 0 where M = 0
         bad = rcond < rcond_min
         if bad.any():
             t = tuple(np.argwhere(bad)[0])  # the first node in row-major order
             node = np.array([np.broadcast_to(zi, bad.shape)[t] for zi in z])
             raise SingularSymbol(tuple(np.round(node, 12)), float(rcond[t]))
-        out = np.linalg.solve(M, np.broadcast_to(S.C, M.shape))
+        out = _solve_stack(M, S.C)
         state["min_rcond"] = min(state["min_rcond"], float(np.min(rcond)))
         state["contour_max"] = max(state["contour_max"], float(np.max(value_norms(out, 2))))
         state["symbol_err"] = max(state["symbol_err"], float(np.max(err)))
@@ -513,11 +557,8 @@ def uniqueness_probe(
     """sigma_min of the symbol at each sample; injectivity witnessed iff all
     exceed the threshold.  For 1-D scalar pencils the root modes are located
     and their residual-invariance is verified as well."""
-    sigmas = []
-    for z in z_samples:
-        M = symbol_eval(S, z)
-        sv = np.linalg.svd(np.atleast_2d(M), compute_uv=False)
-        sigmas.append(float(sv[-1]))
+    Ms = [symbol_eval(S, z) for z in z_samples]
+    sigmas = _sv_extremes(np.array(Ms))[1].tolist() if Ms else []
     witnessed = bool(sigmas) and all(s > threshold for s in sigmas)
     report = {
         "min_sigma": min(sigmas) if sigmas else float("nan"),

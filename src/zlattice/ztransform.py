@@ -523,10 +523,11 @@ def invert_contour(
             * F(r e^{2 pi i t / N}); realized as an inverse FFT over the node
     grid followed by per-axis radius weights.  ``F.fn`` is called once, on the
     whole node grid as an open mesh.  A non-finite value raises
-    ``EvaluatorFailure`` at its first node in row-major order; an exception
-    raised by the call (other than ``SingularSymbol``), or a result that does
-    not broadcast to the grid plus the value shape, is reported at the grid
-    origin.  No node is skipped.
+    ``EvaluatorFailure`` at its first node in row-major order.  The call may
+    raise ``SingularSymbol`` or an ``EvaluatorFailure`` naming its own node;
+    any other exception it raises, or a result that does not broadcast to the
+    grid plus the value shape, is reported at the grid origin.  No node is
+    skipped.
     """
     n = F.dim
     radii = tuple(float(r) for r in radii)
@@ -549,7 +550,7 @@ def invert_contour(
     try:
         val = F.fn(np.ix_(*nodes))
         samples = np.broadcast_to(np.asarray(val, dtype=complex), grid + vshape)
-    except SingularSymbol:
+    except (SingularSymbol, EvaluatorFailure):
         raise
     except Exception as e:  # noqa: BLE001 - the whole mesh failed: report its origin
         raise EvaluatorFailure((0,) * n, e) from e

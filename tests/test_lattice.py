@@ -21,6 +21,8 @@ from zlattice.lattice import (
     membership,
     minkowski_sum,
     nonneg_orthant,
+    value_norm,
+    value_norms,
     value_shape,
 )
 from zlattice.lattice import _as_index, _shift_envelope
@@ -305,3 +307,23 @@ def test_roundtrip_random(n, span, seed):
     g = ingest(emit(f))
     assert np.array_equal(f.values, g.values)
     assert g.domain == f.domain and g.support == f.support
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_value_norms_of_non_finite_matrices(m):
+    # the closed forms give inf for an inf entry and nan for a nan entry
+    M = np.zeros((4, m, m), dtype=complex)
+    M[:, 0, 0] = [np.inf, complex(1.0, -np.inf), np.nan, 0.0]
+    M[:, -1, -1] += m - 1
+    assert np.all(np.isposinf(value_norms(M[:2], 2)))
+    assert value_norm(M[0]) == math.inf
+    assert np.isnan(value_norms(M[2], 2))
+    assert value_norms(M[3], 2) == m - 1
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e300])
+def test_value_norms_of_2x2_matrices_at_extreme_scales(scale):
+    M = scale * np.array([[1.0, 2.0], [3.0, 4.0j]])
+    ref = np.linalg.svd(M / scale, compute_uv=False)[0] * scale
+    assert abs(value_norm(M) - ref) <= 1e-14 * ref
+    assert value_norms(M[None], 2)[0] == value_norm(M)

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlattice import ztransform
+from zlattice import solver, ztransform
 from zlattice.errors import (
     DimensionMismatch,
+    EvaluatorFailure,
     InitialConditionViolated,
     SingularSymbol,
     ZeroCoordinate,
@@ -30,10 +31,13 @@ from zlattice.lattice import (
     SequenceTable,
     beta_shift,
     nonneg_orthant,
+    _sv_extremes,
     value_norm,
+    value_norms,
     value_shape,
 )
 from zlattice.solver import (
+    RCOND_MIN,
     MixedAxesSymbol,
     MixedAxesTerm,
     MultiTermSymbol,
@@ -43,6 +47,7 @@ from zlattice.solver import (
     VolterraTerm,
     WeylFractionalSymbol,
     WeylTerm,
+    _solve_stack,
     check_initial_conditions,
     green_function,
     homogeneous_mode_residual,
@@ -283,6 +288,159 @@ def test_singular_pencil_names_the_first_row_major_node():
         green_function(P, (1.0, 1.0), Box((0, 0), (3, 3)), grid=grid)
     assert exc.value.node == expect
     assert exc.value.node == (1.0 + 0j, -1.0 + 0j)
+
+
+# ---------------------------------------------------------------------------
+# closed-form 1 x 1 and 2 x 2 linear algebra against LAPACK
+# ---------------------------------------------------------------------------
+
+
+def _unitary(rng, m):
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return q
+
+
+@st.composite
+def small_stacks(draw):
+    """Stacks of 1 x 1 or 2 x 2 complex matrices: random, zero, rank-1 and
+    near-singular (rcond down to 1e-15), entries scaled by 1e-300 .. 1e300."""
+    m = draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("random", "zero", "rank1", "near")))
+        scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+        if kind == "random":
+            A = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        elif kind == "zero":
+            A = np.zeros((m, m), dtype=complex)
+        else:
+            rc = 0.0 if kind == "rank1" else 10.0 ** -draw(st.floats(0.0, 15.0))
+            A = _unitary(rng, m) @ np.diag([1.0, rc][:m]) @ _unitary(rng, m).conj().T
+        stack.append(scale * A)
+    return np.array(stack)
+
+
+def _pow2_scale(M):
+    """Exact power-of-two factor per matrix that brings its largest |entry|
+    into [0.5, 1), so that LAPACK references run away from over/underflow."""
+    return 2.0 ** -np.frexp(np.max(np.abs(M), axis=(-2, -1)))[1].astype(float)
+
+
+@given(small_stacks())
+@settings(max_examples=300, deadline=None)
+def test_closed_form_singular_values_match_svd(M):
+    p = _pow2_scale(M)
+    ref = np.linalg.svd(M * p[:, None, None], compute_uv=False)
+    smax, smin = _sv_extremes(M)
+    smax, smin = smax * p, smin * p
+    assert np.all(np.abs(smax - ref[:, 0]) <= 1e-13 * ref[:, 0])
+    assert np.all(np.abs(smin - ref[:, -1]) <= 1e-13 * ref[:, 0])
+    live = ref[:, 0] > 0
+    rcond = smin[live] / smax[live]
+    assert np.all(np.abs(rcond - ref[live, -1] / ref[live, 0]) <= 1e-13)
+    assert np.all(np.abs(value_norms(M, 2) * p - ref[:, 0]) <= 1e-13 * ref[:, 0])
+    for Mi, pi, ri in zip(M, p, ref[:, 0]):
+        assert abs(value_norm(Mi) * pi - ri) <= 1e-13 * ri
+
+
+@given(small_stacks(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_solve_is_backward_stable(M, in_range, seed):
+    # C = M X puts the right-hand side in M's dominant direction, where
+    # Cramer's rule leaves residuals of order eps / rcond; a free C is scaled
+    # by sigma_min so that ||M|| ||x|| stays in floating-point range
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
+    smax, smin = _sv_extremes(M)
+    C = M @ X if in_range else smin[:, None, None] * X
+    keep = (smax > 0) & (smin >= RCOND_MIN * smax)
+    x = _solve_stack(M, C)[keep]
+    p = _pow2_scale(M[keep])[:, None, None]
+    Ms, Cs = M[keep] * p, C[keep] * p
+    for Mi, Ci, xi in zip(Ms, Cs, x):
+        r = np.linalg.norm(Mi @ xi - Ci, 2)
+        assert r <= 1e-13 * np.linalg.norm(Mi, 2) * np.linalg.norm(xi, 2)
+    ref = np.linalg.solve(Ms, Cs)
+    rc = smin[keep] / smax[keep]
+    for xi, ri, ci in zip(x, ref, rc):
+        assert np.linalg.norm(xi - ri, 2) <= 1e-13 / ci * np.linalg.norm(ri, 2)
+
+
+def test_closed_form_solve_shares_one_right_hand_side():
+    rng = np.random.default_rng(3)
+    for m in (1, 2, 3):
+        M = rng.normal(size=(4, 5, m, m)) + 1j * rng.normal(size=(4, 5, m, m))
+        C = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        ref = np.linalg.solve(M, np.broadcast_to(C, M.shape))
+        np.testing.assert_allclose(_solve_stack(M, C), ref, rtol=1e-10, atol=1e-12)
+
+
+def test_closed_form_solve_near_the_bottom_of_the_normal_range():
+    # unscaled, the eliminated pivot det / p of this matrix (about 1e-311) is
+    # subnormal, and numpy's complex division overflows on it
+    U = _unitary(np.random.default_rng(11), 2)
+    M = 1e-300 * (U @ np.diag([1.0, 1e-11]) @ U.conj().T)
+    X = np.array([[1.0, -2.0j], [0.5, 1.0]])
+    x = _solve_stack(M[None], M @ X)[0]
+    assert np.linalg.norm(M @ x - M @ X, 2) <= 1e-13 * np.linalg.norm(M, 2) * np.linalg.norm(x, 2)
+    np.testing.assert_allclose(x, X, rtol=1e-3)
+
+
+def _inject(monkeypatch, bad):
+    """Make solver.symbol_eval return the given values at the given grid nodes."""
+    plain = solver.symbol_eval
+
+    def patched(S, z, with_err=False):
+        M, err = plain(S, z, with_err=True)
+        for t, v in bad.items():
+            M[t] = v
+        return (M, err) if with_err else M
+
+    monkeypatch.setattr(solver, "symbol_eval", patched)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+def test_non_finite_symbol_node_is_an_evaluator_failure(monkeypatch, m, value):
+    # an exactly singular node comes first in row-major order; the non-finite
+    # node still wins, and a 1 x 1 inf (C / inf = 0) is not passed on as 0
+    P = OperatorPencil(2, m, (((1, 0), 0.5 * np.eye(m)), ((0, 0), np.eye(m))), np.eye(m))
+    M_bad = np.eye(m, dtype=complex)
+    M_bad[0, 0] = value
+    _inject(monkeypatch, {(0, 1): np.zeros((m, m)), (2, 3): M_bad})
+    with pytest.raises(EvaluatorFailure) as exc:
+        green_function(P, (1.0, 1.0), Box((0, 0), (3, 3)), grid=(8, 8))
+    assert exc.value.node == (2, 3)
+    assert "non-finite symbol value" in str(exc.value)
+
+
+def test_non_finite_symbol_has_no_finite_rcond(monkeypatch):
+    # the same symbol without the injected node inverts cleanly
+    P = OperatorPencil(1, 2, (((1,), 0.5 * np.eye(2)), ((0,), np.eye(2))), np.eye(2))
+    assert green_function(P, (1.0,), Box((0,), (3,)), grid=(8,)).min_rcond > 0.3
+    _inject(monkeypatch, {(5,): np.full((2, 2), np.inf)})
+    with pytest.raises(EvaluatorFailure) as exc:
+        green_function(P, (1.0,), Box((0,), (3,)), grid=(8,))
+    assert exc.value.node == (5,)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_small_symbols_invert_without_lapack(monkeypatch, m):
+    # u(k+1) - J u(k) = f has Green kernel J^(k-1) for k >= 1; m <= 2 takes
+    # the closed forms for the rcond gate, the solve and the contour norms
+    J = np.array([[0.5, 0.3], [0.0, 0.5]])[:m, :m]
+    P = OperatorPencil(1, m, (((1,), np.eye(m)), ((0,), -J)), np.eye(m))
+    ref = [np.linalg.matrix_power(J, k - 1) if k >= 1 else np.zeros((m, m)) for k in range(-2, 21)]
+
+    def lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called for m <= 2")
+
+    monkeypatch.setattr(np.linalg, "svd", lapack)
+    monkeypatch.setattr(np.linalg, "solve", lapack)
+    res = green_function(P, (1.0,), Box((-2,), (20,)), grid=(64,))
+    np.testing.assert_allclose(res.table.values, np.array(ref), atol=1e-12)
+    assert 0 < res.min_rcond <= 1
 
 
 # ---------------------------------------------------------------------------
