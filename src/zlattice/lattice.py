@@ -301,7 +301,8 @@ def _sv_extremes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ma, mb, mc, md = np.abs(a), np.abs(b), np.abs(c), np.abs(d)
     s = np.maximum(np.maximum(ma, mb), np.maximum(mc, md))
     ok = np.isfinite(s) & (s > 0)
-    if not ok.all():  # zero and non-finite matrices are patched in below
+    patch = not ok.all()  # zero and non-finite matrices are patched in at the end
+    if patch:
         a, b, c, d, ma, mb, mc, md = (np.where(ok, v, 0.0) for v in (a, b, c, d, ma, mb, mc, md))
     e = np.frexp(np.where(ok, s, 1.0))[1]
     r = np.ldexp(1.0, -e)
@@ -313,7 +314,7 @@ def _sv_extremes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g2 = g * g
     smax = 0.5 * (np.sqrt((f + h) ** 2 + g2) + np.sqrt((f - h) ** 2 + g2))
     smax, smin = np.ldexp(smax, e), np.ldexp(det / smax, e)
-    if not ok.all():
+    if patch:
         smax = np.where(ok, smax, s)
         smin = np.where(ok, smin, np.where(s == 0, 0.0, np.nan))
     return smax, smin

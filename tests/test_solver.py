@@ -415,16 +415,6 @@ def test_non_finite_symbol_node_is_an_evaluator_failure(monkeypatch, m, value):
     assert "non-finite symbol value" in str(exc.value)
 
 
-def test_non_finite_symbol_has_no_finite_rcond(monkeypatch):
-    # the same symbol without the injected node inverts cleanly
-    P = OperatorPencil(1, 2, (((1,), 0.5 * np.eye(2)), ((0,), np.eye(2))), np.eye(2))
-    assert green_function(P, (1.0,), Box((0,), (3,)), grid=(8,)).min_rcond > 0.3
-    _inject(monkeypatch, {(5,): np.full((2, 2), np.inf)})
-    with pytest.raises(EvaluatorFailure) as exc:
-        green_function(P, (1.0,), Box((0,), (3,)), grid=(8,))
-    assert exc.value.node == (5,)
-
-
 @pytest.mark.parametrize("m", [1, 2])
 def test_small_symbols_invert_without_lapack(monkeypatch, m):
     # u(k+1) - J u(k) = f has Green kernel J^(k-1) for k >= 1; m <= 2 takes
