@@ -232,7 +232,7 @@ def cmd_transform(args) -> int:
     if args.radii:
         radii = args.radii
     elif F.sequence_envelope is not None:
-        radii = propose_radii(F.sequence_envelope)
+        radii = propose_radii(F.region)
     else:
         raise SchemaError("no --radii given and no envelope to propose from")
     grid = parse_ints(args.grid) if args.grid else None

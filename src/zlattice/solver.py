@@ -51,7 +51,6 @@ from .ztransform import (
     TransformEvaluator,
     _aliasing_bounds,
     _mesh,
-    domain_sides,
     eval_forward,
     invert_contour,
 )
@@ -360,8 +359,7 @@ def _build_kernel(
     table = SequenceTable(
         domain, window, res.table.values, "matrix", S.m, envelope=env
     )
-    sides = domain_sides(table)
-    aliasing = _aliasing_bounds(env, sides, tuple(radii), res.grid, window)
+    aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, state["contour_max"])
     # fold the symbol-evaluation error into the per-entry surrogate:
     # a perturbation dM of the contour samples moves each coefficient by at
     # most r^k * ||M^-1|| * ||dM|| * ||M^-1 C||-type terms; use the blunt

@@ -10,6 +10,9 @@ float64 rounding of the library's short sums and envelope sums: ROUND unit
 roundoffs per stored term, times the sum of the moduli of the terms.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from zlattice.convolution import conv_axes, conv_general
 from zlattice.errors import DivergentConvolution
+from zlattice.fixtures import first_order_pencil
 from zlattice.lattice import (
     Box,
     Envelope,
@@ -27,7 +31,8 @@ from zlattice.lattice import (
     axis_interval,
     nonneg_orthant,
 )
-from zlattice.ztransform import eval_forward
+from zlattice.solver import green_function
+from zlattice.ztransform import eval_forward, forward_evaluator, invert_contour
 
 SLACK = 1 + 1e-12
 ROUND = 4 * 2.0**-52
@@ -176,6 +181,89 @@ def test_conv_axes_ledger_covers_the_unstored_terms(data, shape):
     assert np.all(np.abs(ref - out.values) <= ledger * SLACK + slack(a, ref))
 
 
+def enveloped_evaluator(domain, env, box):
+    """The evaluator of M b(k) stored on the box (within the domain), with the
+    envelope and domain the aliasing bound reads."""
+    f = stored_on(FullLattice(domain.dim), env, box)
+    return replace(forward_evaluator(f), sequence_envelope=env, sequence_domain=domain), f
+
+
+def stored_values(f, window):
+    """f on the window: its stored values, 0 outside its stored box."""
+    out = np.zeros(window.shape, dtype=f.values.dtype)
+    lo = [max(a, b) for a, b in zip(f.support.lo, window.lo)]
+    hi = [min(a, b) for a, b in zip(f.support.hi, window.hi)]
+    if all(a <= b for a, b in zip(lo, hi)):
+        out[tuple(slice(a - w, b - w + 1) for a, b, w in zip(lo, hi, window.lo))] = f.values[
+            tuple(slice(a - s, b - s + 1) for a, b, s in zip(lo, hi, f.support.lo))
+        ]
+    return out
+
+
+@st.composite
+def inversion_cases(draw, n):
+    """(domain, envelope, stored box, radii, grid, window): an orthant of
+    either sign, shifted by either sign, the full lattice or a box; radii
+    inside the envelope's ring; per axis a grid down to span + 1 and a window
+    up to 3N from the domain's edge; the sequence stored 3N + 12 beyond it."""
+    kind = draw(st.sampled_from(("orthant", "shifted", "full", "box")))
+    if kind == "box":
+        lo = tuple(draw(st.integers(-6, 3)) for _ in range(n))
+        domain = Box(lo, tuple(a + draw(st.integers(0, 40)) for a in lo))
+    elif kind == "full":
+        domain = FullLattice(n)
+    else:
+        domain = Orthant(tuple(draw(st.sampled_from((1, -1))) for _ in range(n)))
+        if kind == "shifted":
+            domain = Shifted(domain, tuple(draw(st.integers(-6, 6)) for _ in range(n)))
+    rates = tuple(draw(st.sampled_from(RATES)) for _ in range(n))
+    radii, grid, w_lo, w_hi, s_lo, s_hi = [], [], [], [], [], []
+    for i, (r_neg, r_pos) in enumerate(rates):
+        radii.append(r_pos * (r_neg / r_pos) ** draw(st.sampled_from((0.1, 0.5, 0.9))))
+        span = draw(st.integers(0, 3))
+        N = draw(st.integers(span + 1, 12 if n == 1 else 8))
+        d_lo, d_hi = axis_interval(domain, i)
+        edge = d_lo if d_lo is not None else (d_hi if d_hi is not None else 0)
+        w_lo.append(edge + draw(st.integers(-3 * N, 3 * N)))
+        w_hi.append(w_lo[-1] + span)
+        reach = 3 * N + 12
+        s_lo.append(w_lo[-1] - reach if d_lo is None else max(d_lo, w_lo[-1] - reach))
+        s_hi.append(w_hi[-1] + reach if d_hi is None else min(d_hi, w_hi[-1] + reach))
+        grid.append(N)
+    env = Envelope(draw(st.sampled_from((0.5, 2.0))), rates)
+    box = Box(tuple(s_lo), tuple(s_hi))
+    return domain, env, box, tuple(radii), tuple(grid), Box(tuple(w_lo), tuple(w_hi))
+
+
+@given(st.data(), st.integers(1, 2))
+@settings(max_examples=150, deadline=None)
+def test_inversion_ledger_covers_the_wrap_around(data, n):
+    domain, env, box, radii, grid, window = data.draw(inversion_cases(n))
+    F, f = enveloped_evaluator(domain, env, box)
+    res = invert_contour(F, radii, window, grid=grid)
+    err = np.abs(res.table.values - stored_values(f, window))
+    # the samples' own rounding, mapped to the coefficients by the weights r^k
+    moduli = ref_forward(env, box, radii).real
+    ks = (np.arange(a, b + 1.0) for a, b in zip(window.lo, window.hi))
+    weights = math.prod(np.ix_(*(R**k for R, k in zip(radii, ks))))
+    assert np.all(err <= res.aliasing * SLACK + slack(f, moduli) * weights)
+
+
+@pytest.mark.parametrize("grid", [(1,), (2,), (3,), (16,), (17,), (64,), (97,), (3, 3), (16, 16), (17, 8)])
+@pytest.mark.parametrize("R", [0.8, 1.25])
+def test_rounding_allowance_covers_an_inversion_without_wrap_around(grid, R):
+    # coefficients R^k e^(i phase) on a box that one period of the grid holds:
+    # nothing wraps around, so the ledger is the rounding allowance alone
+    n = len(grid)
+    box = Box((0,) * n, tuple(N - 1 for N in grid))
+    phase = np.random.default_rng(sum(grid)).uniform(0.0, 2 * np.pi, box.shape)
+    vals = math.prod(np.ix_(*(R ** np.arange(N, dtype=float) for N in grid))) * np.exp(1j * phase)
+    f = SequenceTable(FullLattice(n), box, vals)
+    F = replace(forward_evaluator(f), sequence_envelope=Envelope(1.0, (R,) * n), sequence_domain=box)
+    res = invert_contour(F, (R,) * n, box, grid=grid)
+    assert np.all(np.abs(res.table.values - vals) <= res.aliasing)
+
+
 # ---------------------------------------------------------------------------
 # Reproductions of bounds that once under-reported
 # ---------------------------------------------------------------------------
@@ -252,3 +340,51 @@ def test_divergent_run_under_a_vanishing_scale_is_inf_not_nan():
     assert np.isinf(ledger[0])
     with pytest.raises(DivergentConvolution):
         conv_general(a, b, window)
+
+
+def test_ledger_covers_a_window_far_from_the_domain_start():
+    # 0.5^k on N0, window 100:104 on the default grid of 24: f(4..8), f(28..32),
+    # ... fold into it, and the aliases below the window dominate
+    f = SequenceTable(
+        nonneg_orthant(1), Box((0,), (120,)), 0.5 ** np.arange(121.0), envelope=Envelope(1.0, (0.5,))
+    )
+    res = invert_contour(forward_evaluator(f), (1.0,), Box((100,), (104,)))
+    assert res.grid == (24,)
+    err = np.abs(res.table.values - 0.5 ** np.arange(100, 105.0))
+    assert err[0] == pytest.approx(0.0625)
+    assert np.all(err <= res.aliasing)
+
+
+def test_aliasing_counts_wraps_below_zero_on_a_shifted_orthant():
+    # the domain starts at k = -40: f(-24) = 2^24 folds into k = 0
+    f = SequenceTable(
+        Shifted(nonneg_orthant(1), (-40,)), Box((-40,), (120,)), 0.5 ** np.arange(-40, 121.0),
+        envelope=Envelope(1.0, (0.5,)),
+    )
+    res = invert_contour(forward_evaluator(f), (1.0,), Box((0,), (4,)))
+    err = np.abs(res.table.values - 0.5 ** np.arange(5.0))
+    assert err.max() == pytest.approx(2.0**24)
+    assert np.all(err <= res.aliasing)
+
+
+def green_error(radius, window):
+    """|G - lam^(k-1)| for the scalar pencil z - 1/2, and its ledger."""
+    K = green_function(first_order_pencil(0.5), (radius,), window)
+    k = np.arange(window.lo[0], window.hi[0] + 1.0)
+    true = np.where(k >= 1, 0.5 ** (k - 1), 0.0)
+    return np.abs(K.table.values.reshape(-1) - true), K.aliasing.reshape(-1)
+
+
+def test_green_kernel_ledger_covers_a_window_away_from_the_origin():
+    # on 30:40 the kernel values near k = 1 (G(1) = 1) wrap into the window
+    err, ledger = green_error(1.0, Box((30,), (40,)))
+    assert err.max() == pytest.approx(1.0)
+    assert np.all(err <= ledger)
+
+
+def test_green_kernel_ledger_covers_the_rounding_under_an_exact_envelope():
+    # at radius 0.6 the fitted envelope is the exact one (rate 0.5, M = 2), so
+    # the wrap-around bound is tight and the rounding allowance carries the
+    # inverse FFT's rounding
+    err, ledger = green_error(0.6, Box((0,), (60,)))
+    assert np.all(err <= ledger)

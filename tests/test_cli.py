@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zlattice.cli import main, parse_complex, parse_point, parse_window
-from zlattice.lattice import Box, SequenceTable, load, nonneg_orthant, save
+from zlattice.lattice import Box, Envelope, Orthant, SequenceTable, load, nonneg_orthant, save
 
 
 def run(args):
@@ -83,6 +83,40 @@ def test_invert_report_has_ledger(tmp_path):
     assert code == 0
     doc = json.loads(rep.read_text())
     assert doc["aliasing_max"] is not None and doc["aliasing_max"] < 1e-8
+
+
+def test_invert_far_window_reports_the_wrap_around_in_its_ledger(tmp_path):
+    # 0.5^k on N0, window 100:104 on the default grid of 24: the value written
+    # at k = 100 is about f(4) = 0.0625, and the ledger says so
+    f = SequenceTable(
+        nonneg_orthant(1), Box((0,), (120,)), 0.5 ** np.arange(121.0), envelope=Envelope(1.0, (0.5,))
+    )
+    src, out, rep = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "r.json"
+    save(f, src)
+    code = run([
+        "transform", "invert", "--seq", str(src), "--radii", "1", "--window", "100:104",
+        "--out", str(out), "--report", str(rep),
+    ])
+    assert code == 0
+    assert abs(load(out).values[0] - 0.5**100) == pytest.approx(0.0625)
+    assert json.loads(rep.read_text())["aliasing_max"] >= 0.0625
+
+
+def test_invert_anticausal_table_proposes_radii_inside_its_region(tmp_path):
+    # 2^k on -N0 converges for |z| < 2: the proposed radius is 2 / 1.5
+    k = np.arange(-40, 1.0)
+    f = SequenceTable(Orthant((-1,)), Box((-40,), (0,)), 2.0**k, envelope=Envelope(1.0, (2.0,)))
+    src, out, rep = tmp_path / "f.json", tmp_path / "g.json", tmp_path / "r.json"
+    save(f, src)
+    code = run([
+        "transform", "invert", "--seq", str(src), "--window", "-5:0",
+        "--out", str(out), "--report", str(rep),
+    ])
+    assert code == 0
+    doc = json.loads(rep.read_text())
+    assert doc["radii"] == [2.0 / 1.5]
+    err = np.abs(load(out).values - 2.0 ** np.arange(-5, 1.0))
+    assert np.all(err <= doc["aliasing_max"]) and doc["aliasing_max"] < 1e-4
 
 
 def test_convolve_cli(tmp_path):

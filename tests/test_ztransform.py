@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from zlattice.lattice import (
     FullLattice,
     Orthant,
     SequenceTable,
+    Shifted,
+    axis_interval,
     nonneg_orthant,
     value_shape,
 )
@@ -34,7 +37,6 @@ from zlattice.ztransform import (
     _aliasing_bounds,
     convergence_region,
     derivative_series,
-    domain_sides,
     eval_forward,
     forward_evaluator,
     forward_tail_bound,
@@ -422,62 +424,90 @@ def test_inversion_deterministic():
     assert np.array_equal(a.table.values, b.table.values)
 
 
-def ref_aliasing_bounds(env, sides, radii, grid, window):
-    """Per-point wrap-around bound, as computed before the per-axis outer product."""
-    out = np.empty(window.shape)
-    for idx in np.ndindex(*window.shape):
-        k = tuple(a + i for a, i in zip(window.lo, idx))
-        total = 1.0
-        diag = 1.0
-        ok = True
-        for i, side in enumerate(sides):
-            r = env.rates[i]
-            rp = r[1] if isinstance(r, tuple) else r
-            rn = r[0] if isinstance(r, tuple) else r
-            N, R, ki = grid[i], radii[i], k[i]
-            base = rp ** max(ki, 0) if ki >= 0 else rn**ki
-            s = base
-            if side in ("+", "z"):
-                g = (rp / R) ** N
-                if g >= 1:
-                    ok = False
-                    break
-                s = base / (1.0 - g)
-            if side in ("-", "z"):
-                h = (R / rn) ** N
-                if h >= 1:
-                    ok = False
-                    break
-                s += base * h / (1.0 - h)
-            total *= s
-            diag *= base
-        out[idx] = env.M * max(total - diag, 0.0) if ok else np.inf
-    return out
+def ref_aliasing_bounds(env, domain, radii, grid, window):
+    """sum over m != 0 with k + m N in the domain of M prod_i b_i(k_i + m_i
+    N_i) R_i^(-m_i N_i), at every k of the window: per axis the terms are
+    enumerated in long double for |m_i| up to where they fall below 1e-19 of
+    the largest, and the axes combine over every nonempty set of axes with
+    m_i != 0, times the m_i = 0 terms of the others."""
+    alias, own = [], []  # per axis: sum over m != 0, and the m = 0 term
+    for i in range(window.dim):
+        r_neg, r_pos = env.rates[i] if isinstance(env.rates[i], tuple) else (env.rates[i],) * 2
+        lo, hi = axis_interval(domain, i)
+        N, R = grid[i], np.longdouble(radii[i])
+        gap = min(abs(math.log(r / radii[i])) for r in (r_neg, r_pos))  # per unit of j
+        reach = 2 + int(45 / (N * gap)) if gap > 0 else 2 + 100 // N
+        k = np.arange(window.lo[i], window.hi[i] + 1)[:, None]
+        m = np.arange(-reach, reach + 1)[None, :]
+        j = k + m * N
+        log_b = j * np.log(np.where(j >= 0, r_pos, r_neg).astype(np.longdouble))
+        terms = np.exp(log_b - (m * N) * np.log(R))
+        inside = (j >= (-np.inf if lo is None else lo)) & (j <= (np.inf if hi is None else hi))
+        terms = np.where(inside, terms, 0.0)
+        alias.append(terms[:, m[0] != 0].sum(axis=1))
+        own.append(terms[:, reach])
+    out = np.zeros(window.shape, dtype=np.longdouble)
+    for axes_set in itertools.product((False, True), repeat=window.dim):
+        if any(axes_set):
+            out = out + math.prod(np.ix_(*(a if s else d for a, d, s in zip(alias, own, axes_set))))
+    return env.M * out
 
 
-def aliasing_axes(n):
-    return st.lists(
-        st.tuples(
-            st.sampled_from((0.3, 0.8, 1.2, (1.5, 0.6), (0.9, 1.1))),  # rate
-            st.sampled_from("+-z"),  # side
-            st.sampled_from((0.7, 1.0, 1.4)),  # radius
-            st.integers(4, 20),  # grid
-            st.integers(-4, 4),  # window lo
-            st.integers(0, 4),  # window span
-        ),
-        min_size=n,
-        max_size=n,
-    )
+@st.composite
+def aliasing_cases(draw, n):
+    """(envelope, domain, radii, grid, window): per axis an orthant of either
+    sign, possibly shifted, the full lattice or a box; a radius inside the
+    envelope's ring, or one outside it that makes an unbounded side diverge;
+    a grid down to span + 1 and a window up to 3N from the domain's edge."""
+    kind = draw(st.sampled_from(("orthant", "shifted", "full", "box")))
+    if kind == "box":
+        lo = tuple(draw(st.integers(-6, 3)) for _ in range(n))
+        domain = Box(lo, tuple(a + draw(st.integers(0, 12)) for a in lo))
+    elif kind == "full":
+        domain = FullLattice(n)
+    else:
+        domain = Orthant(tuple(draw(st.sampled_from((1, -1))) for _ in range(n)))
+        if kind == "shifted":
+            domain = Shifted(domain, tuple(draw(st.integers(-6, 6)) for _ in range(n)))
+    rates, radii, grid, lo, hi = [], [], [], [], []
+    for i in range(n):
+        r = draw(st.sampled_from((0.3, 0.8, 1.2, (1.5, 0.6), (2.0, 0.5), (1.25, 0.9), (0.9, 1.1))))
+        r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
+        u = draw(st.sampled_from((-0.3, 0.05, 0.3, 0.6, 0.95, 1.3)))  # 0 < u < 1: in the ring
+        rates.append(r)
+        radii.append(r_pos * (r_neg / r_pos) ** u if r_neg != r_pos else r_pos * 1.25**u)
+        span = draw(st.integers(0, 4))
+        N = draw(st.integers(span + 1, 20))
+        d_lo, d_hi = axis_interval(domain, i)
+        edge = d_lo if d_lo is not None else (d_hi if d_hi is not None else 0)
+        lo.append(edge + draw(st.integers(-3 * N, 3 * N)))
+        hi.append(lo[-1] + span)
+        grid.append(N)
+    env = Envelope(draw(st.sampled_from((0.0, 0.5, 2.0))), tuple(rates))
+    return env, domain, tuple(radii), tuple(grid), Box(tuple(lo), tuple(hi))
 
 
-@given(st.integers(1, 3).flatmap(aliasing_axes), st.floats(0.0, 3.0))
-@settings(max_examples=100, deadline=None)
-def test_aliasing_bounds_match_per_point_reference(axes, M):
-    rates, sides, radii, grid, lo, span = zip(*axes)
-    env = Envelope(M, rates)
-    window = Box(lo, tuple(a + w for a, w in zip(lo, span)))
-    new = _aliasing_bounds(env, sides, radii, grid, window)
-    np.testing.assert_array_equal(new, ref_aliasing_bounds(env, sides, radii, grid, window))
+def alias_sum_diverges(env, domain, radii):
+    for i, R in enumerate(radii):
+        r_neg, r_pos = env.rates[i] if isinstance(env.rates[i], tuple) else (env.rates[i],) * 2
+        lo, hi = axis_interval(domain, i)
+        if (hi is None and R <= r_pos) or (lo is None and R >= r_neg):
+            return True
+    return False
+
+
+@given(st.integers(1, 3).flatmap(aliasing_cases))
+@settings(max_examples=150, deadline=None)
+def test_aliasing_bounds_match_per_point_reference(case):
+    env, domain, radii, grid, window = case
+    new = _aliasing_bounds(env, domain, radii, grid, window, 0.0)
+    assert new.shape == window.shape
+    if alias_sum_diverges(env, domain, radii):
+        assert np.all(new == np.inf)
+        return
+    ref = ref_aliasing_bounds(env, domain, radii, grid, window)
+    # the closed form of a run is the enumerated sum up to its rounding
+    assert np.all(np.abs(new - ref) <= 1e-12 * ref)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +536,15 @@ def ref_tail_bound(f, z):
     mods = [abs(zi) for zi in z]
     full = 1.0
     stored = 1.0
-    for i, side in enumerate(domain_sides(f)):
+    for i in range(f.dim):
         r = f.envelope.rates[i]
         lo, hi = f.support.lo[i], f.support.hi[i]
-        if side == "+":
+        d_lo, d_hi = axis_interval(f.domain, i)
+        if d_hi is None and d_lo is not None:
             q = (r[1] if isinstance(r, tuple) else r) / mods[i]
             full *= 1.0 / (1.0 - q)
             stored *= ref_geom_sum(q, max(lo, 0), hi)
-        elif side == "-":
+        elif d_lo is None and d_hi is not None:
             q = mods[i] / (r[0] if isinstance(r, tuple) else r)
             full *= 1.0 / (1.0 - q)
             stored *= ref_geom_sum(q, max(-hi, 0), -lo)
@@ -616,7 +647,6 @@ def mesh_tables(draw, n, kind, m, envelope=True, full_only=False):
 @st.composite
 def mesh_nodes(draw, f):
     """Per-axis node arrays inside the table's convergence region."""
-    sides = domain_sides(f)
     nodes = []
     for i in range(f.dim):
         size = draw(st.integers(1, 3))
@@ -625,9 +655,10 @@ def mesh_nodes(draw, f):
             mods = 0.5 + 1.5 * u
         else:
             r = f.envelope.rates[i]
-            if sides[i] == "+":
+            lo, hi = axis_interval(f.domain, i)
+            if hi is None and lo is not None:
                 mods = r * (1.2 + 0.8 * u)
-            elif sides[i] == "-":
+            elif lo is None and hi is not None:
                 mods = r * (0.5 + 0.3 * u)
             else:
                 mods = r[1] * 1.05 + (r[0] * 0.95 - r[1] * 1.05) * u
