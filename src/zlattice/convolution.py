@@ -10,8 +10,9 @@ geometric form and reported as a ledger.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import string
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,52 +147,50 @@ def result_domain(d_a: LatticeDomain, d_b: LatticeDomain) -> LatticeDomain:
         return FullLattice(d_b.dim)
 
 
+@functools.lru_cache(maxsize=None)
+def _subscripts(n: int, a_vdim: int, b_vdim: int) -> tuple[str, str]:
+    """``_correlate``'s einsum subscripts, and the same with a and b swapped."""
+    w, q, v = (string.ascii_letters[i:j] for i, j in ((0, n), (n, 2 * n), (2 * n, 2 * n + 3)))
+    if a_vdim == 2 and b_vdim >= 1:
+        a_v, b_v, out_v = v[:2], v[1 : b_vdim + 1], v[0] + v[2 : b_vdim + 1]
+    else:
+        out_v = v[: max(a_vdim, b_vdim)]
+        a_v, b_v = out_v[len(out_v) - a_vdim :], out_v[len(out_v) - b_vdim :]
+    return f"{b_v}{w}{q},{q}{a_v}->{w}{out_v}", f"{a_v}{w}{q},{q}{b_v}->{w}{out_v}"
+
+
 def _correlate(a, a_lo, b, b_lo, window: Box, a_vdim: int = 0, b_vdim: int = 0):
     """out[k] = sum_s a[s] (x) b[k - s] for every k of the window.
 
     ``a`` and ``b`` are dense arrays over boxes starting at ``a_lo``/``b_lo``:
-    lattice axes first, then ``a_vdim``/``b_vdim`` value axes.  The entry
-    product (x) is matrix @ (vector or matrix) and elementwise otherwise, with
-    value axes right-aligned (a vector times a matrix scales its columns).
-    Points outside either box contribute nothing.  One numpy product runs per
-    point of the smaller box, against the overlapping slice of the other, so
-    each k sums its terms in that box's row-major order.
+    lattice axes first, then ``a_vdim``/``b_vdim`` value axes.  (x) is matrix
+    @ (vector or matrix), else elementwise with value axes right-aligned (a
+    vector times a matrix scales its columns).  Points outside either box add
+    nothing.  The factor with the larger box is copied, zero-padded to (window
+    + smaller box - 1) points per axis, value axes first.  One ``np.einsum``
+    contracts a values x window x box strided view of the copy with the flipped
+    smaller factor: O(window + box) memory, no BLAS, einsum's summation order.
     """
-    n = window.dim
-    if a_vdim == 2 and b_vdim >= 1:
-        op = np.matmul
-        if b_vdim == 1:
-            b = b[..., None]
-    else:
-        op = np.multiply
-        d = max(a_vdim, b_vdim)
-        a = a.reshape(a.shape[:n] + (1,) * (d - a_vdim) + a.shape[n:])
-        b = b.reshape(b.shape[:n] + (1,) * (d - b_vdim) + b.shape[n:])
-    vshape = op(a[(0,) * n], b[(0,) * n]).shape
-    out = np.zeros(window.shape + vshape, dtype=np.result_type(a, b))
+    n, W = window.dim, window.shape
+    dtype = np.promote_types(a.dtype, b.dtype)
     swap = math.prod(b.shape[:n]) < math.prod(a.shape[:n])
-    it, it_lo, other, other_lo = (b, b_lo, a, a_lo) if swap else (a, a_lo, b, b_lo)
-    # per axis, the iterated indices p with a non-empty overlap, and the slices
-    # of the window and of the other box they pair with (k = p + q)
-    per_axis = []
-    for i in range(n):
-        w_lo, o_lo = window.lo[i], other_lo[i]
-        opts = []
-        for p in range(it.shape[i]):
-            pk = it_lo[i] + p
-            k_lo = max(w_lo, o_lo + pk)
-            k_hi = min(window.hi[i], o_lo + other.shape[i] - 1 + pk)
-            if k_lo <= k_hi:
-                q = k_lo - pk - o_lo
-                opts.append((p, slice(k_lo - w_lo, k_hi - w_lo + 1), slice(q, q + k_hi - k_lo + 1)))
-        per_axis.append(opts)
-    for combo in itertools.product(*per_axis):
-        p = tuple(c[0] for c in combo)
-        piece = other[tuple(c[2] for c in combo)]
-        out[tuple(c[1] for c in combo)] += op(piece, it[p]) if swap else op(it[p], piece)
-    if a_vdim == 2 and b_vdim == 1:
-        out = out[..., 0]
-    return out
+    subscripts = _subscripts(n, a_vdim, b_vdim)[swap]
+    a, a_lo, b, b_lo = (b, b_lo, a, a_lo) if swap else (a, a_lo, b, b_lo)
+    P = a.shape[:n]
+    G = tuple(w + p - 1 for w, p in zip(W, P))
+    # padded[g] = b[g + c] per axis, so that padded[w + q] pairs window index w
+    # with point P - 1 - q of a's box; zero where g + c leaves b's box
+    padded = np.zeros(b.shape[n:] + G, dtype)
+    dst, src = [], []
+    for i, g in enumerate(G):
+        c = window.lo[i] - a_lo[i] - P[i] + 1 - b_lo[i]
+        lo, hi = max(0, -c), max(0, -c, min(g, b.shape[i] - c))
+        dst.append(slice(lo, hi))
+        src.append(slice(lo + c, hi + c))
+    padded[(Ellipsis, *dst)] = b[tuple(src)].transpose((*range(n, b.ndim), *range(n)))
+    strides = padded.strides
+    view = np.ndarray(padded.shape[:-n] + W + P, dtype, padded, 0, strides[:-n] + strides[-n:] * 2)
+    return np.einsum(subscripts, view, a[(slice(None, None, -1),) * n], order="C")
 
 
 def _check_tail(out, ledger, window: Box, tol: float, value_ndim: int) -> None:

@@ -9,6 +9,7 @@ unstored tail:  ||f(k)|| <= M * prod_i rate_i^{k_i}.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -271,8 +272,9 @@ def value_norms(values: np.ndarray, value_ndim: int) -> np.ndarray:
     """``value_norm`` of every entry; the last ``value_ndim`` axes hold a value."""
     if value_ndim == 0:
         return np.abs(values)
-    if value_ndim == 1:
-        return np.linalg.norm(values, axis=-1)
+    if value_ndim == 1:  # hypot over the components: no square over- or underflows
+        mod = np.abs(values)
+        return functools.reduce(np.hypot, (mod[..., j] for j in range(mod.shape[-1])))
     return _sv_extremes(values)[0]
 
 

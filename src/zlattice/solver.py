@@ -454,10 +454,15 @@ def solve(
         kr.table, f, out_window, enforce=False, return_ledger=True
     )
     err = conv_ledger if conv_ledger is not None else np.zeros(out_window.shape)
-    # propagate kernel aliasing through the convolution with |f|
-    err = err.astype(float) + _correlate(
-        kr.aliasing, kernel_window.lo, f.norms(), f.support.lo, out_window
-    )
+    # propagate kernel aliasing through the convolution with |f|; an infinite
+    # bound makes every entry infinite that it reaches through nonzero data
+    # (the correlation would pair it with zeros into nan)
+    fn, inf = f.norms(), np.isinf(kr.aliasing)
+    k_lo, f_lo = kernel_window.lo, f.support.lo
+    prop = _correlate(np.where(inf, 0.0, kr.aliasing), k_lo, fn, f_lo, out_window)
+    if inf.any():
+        prop[_correlate(inf * 1.0, k_lo, (fn > 0) * 1.0, f_lo, out_window) > 0] = math.inf
+    err = err.astype(float) + prop
     ledger = operator_amplification(S) * float(np.max(err)) + 1e-12
     if f.value_kind == "scalar":  # m = 1: the 1 x 1 kernel acts as a scalar
         u = SequenceTable(u.domain, u.support, u.values.reshape(u.support.shape))

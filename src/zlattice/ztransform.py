@@ -234,28 +234,35 @@ def _envelope_sum(r_neg, r_pos, lo, hi, log_scale=0.0):
 def forward_tail_bound(f: SequenceTable, z):
     """Bound on the modulus of the transform tail beyond the stored window.
 
-    Per axis, the envelope terms b(k) |z|^-k summed over the domain's
-    admissible interval and over its stored part; the bound is M times the
-    difference of their products over axes.  On an open mesh this is an
-    outer product with one entry per node, at a point a float.  Raises if the
-    point or a mesh node lies outside the convergence region.
+    Per axis, the envelope terms b(k) |z|^-k summed over the stored part S_i
+    of the domain's admissible interval and over its unstored rest T_i.  The
+    bound is M times sum_i S_1...S_{i-1} T_i F_{i+1}...F_n with F = S + T:
+    the unstored terms summed directly, never a difference of full and stored
+    sums, which cancels once the tail is below rounding of the full sum.  On
+    an open mesh this is an outer product with one entry per node, at a point
+    a float.  Raises if the point or a mesh node lies outside the convergence
+    region.
     """
     if f.envelope is None:
         return 0.0
     z = _mesh(z)
     if not convergence_region(f).contains(z):
         raise PointOutsideRegion(f"{z} outside convergence region")
-    full = stored = 1.0
+    tail, stored = 0.0, 1.0
     for i, zi in enumerate(z):
         r = f.envelope.rates[i]
         r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
         lo, hi = axis_interval(f.domain, i)
-        s_lo = f.support.lo[i] if lo is None else max(lo, f.support.lo[i])
-        s_hi = f.support.hi[i] if hi is None else min(hi, f.support.hi[i])
-        mod = np.abs(zi)
-        full = full * _envelope_sum(r_neg / mod, r_pos / mod, lo, hi)
-        stored = stored * _envelope_sum(r_neg / mod, r_pos / mod, s_lo, s_hi)
-    out = f.envelope.M * np.maximum(full - stored, 0.0)
+        lo = -math.inf if lo is None else lo
+        hi = math.inf if hi is None else hi
+        s_lo, s_hi = max(lo, f.support.lo[i]), min(hi, f.support.hi[i])
+        # rows: the stored interval, then the unstored ones below and above it
+        ends = np.array([[s_lo, lo, max(lo, s_hi + 1)], [s_hi, min(hi, s_lo - 1), hi]])
+        ends = ends.reshape((2, 3) + (1,) * np.ndim(zi))
+        s_i, t_below, t_above = _envelope_sum(r_neg / np.abs(zi), r_pos / np.abs(zi), *ends)
+        t_i = t_below + t_above
+        tail, stored = tail * (s_i + t_i) + stored * t_i, stored * s_i
+    out = f.envelope.M * tail
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,3 +328,19 @@ def test_value_norms_of_2x2_matrices_at_extreme_scales(scale):
     ref = np.linalg.svd(M / scale, compute_uv=False)[0] * scale
     assert abs(value_norm(M) - ref) <= 1e-14 * ref
     assert value_norms(M[None], 2)[0] == value_norm(M)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1.0, 1e160, 1e300])
+def test_value_norms_of_vectors_at_extreme_scales(scale):
+    v = scale * np.array([1.0, 2.0j, -3.0 + 1.0j])
+    ref = np.linalg.norm(v / scale) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(value_norm(v) - ref) <= 1e-14 * ref
+        assert value_norms(v[None], 1)[0] == value_norm(v)
+
+
+def test_value_norms_of_non_finite_vectors():
+    v = np.array([[np.inf, 1.0], [complex(1.0, -np.inf), np.nan], [np.nan, np.nan]])
+    norms = value_norms(v, 1)
+    assert np.all(np.isposinf(norms[:2])) and np.isnan(norms[2])

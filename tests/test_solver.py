@@ -586,6 +586,19 @@ def test_solve_zero_data():
     assert np.max(np.abs(sol.u.values)) < 1e-14
 
 
+def test_infinite_aliasing_reaches_the_ledger_as_inf_not_nan():
+    # on the full lattice the fitted envelope grows towards -inf, so every
+    # aliasing bound diverges; f's support is longer than the kernel window
+    P = OperatorPencil(1, 1, (((1,), 2.5 * np.eye(1)), ((0,), -np.eye(1))), np.eye(1))
+    f = SequenceTable(FullLattice(1), Box((0,), (20,)), 0.5 ** np.arange(21.0))
+    sol = solve(P, f, (1.0,), Box((-3,), (5,)), Box((-10,), (40,)))
+    assert np.isinf(sol.kernel.aliasing).all()
+    ks = np.arange(-10, 41)
+    # infinite exactly where a kernel point meets f's support, finite elsewhere
+    assert np.array_equal(np.isinf(sol.error), (ks >= -3) & (ks <= 25))
+    assert not np.isnan(sol.error).any() and sol.ledger == math.inf
+
+
 def test_solve_scaling_pencil_residual():
     P = scaling_pencil()
     f = gaussian_table(2, 10)

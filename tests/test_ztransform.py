@@ -194,6 +194,20 @@ def test_tail_bound_dominates_actual_tail():
     assert 0 < actual <= bound + 1e-15
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("K", [55, 60, 80])
+def test_tail_bound_holds_below_rounding_of_the_full_sum(n, K):
+    # 0.5^|k| stored on 0:K per axis: the tail is far below rounding of the
+    # full sum 2^n, so a bound formed as full - stored reads exactly 0
+    f = SequenceTable.from_function(
+        nonneg_orthant(n), Box((0,) * n, (K,) * n), lambda k: 0.5 ** sum(k),
+        envelope=Envelope(1.0, (0.5,) * n),
+    )
+    actual = 2.0 ** -K if n == 1 else 2.0 ** (2 - K) - 2.0 ** (-2 * K)
+    _, tail = eval_forward(f, (1.0,) * n, with_tail=True)
+    assert actual <= tail <= 2 * actual
+
+
 def test_two_sided_tail_bound_covers_terms_between_support_and_zero():
     # support -3..-2 on a two-sided axis: the unstored k = -1 term belongs to
     # the tail
