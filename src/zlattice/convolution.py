@@ -88,13 +88,15 @@ def _tail_ledger(
     of the window ``ranges`` (one range per axis of ``b_axes``; a ``None`` in
     ``a_axes`` passes b's axis through, as a convolution with the unit kernel).
 
-    Per axis: full admissible envelope sum minus the part over the stored
-    box.  Both use the same envelope factors, so the difference bounds every
-    term the windowed product did not add.  Both sums are products over axes,
-    so the ledger is an outer product of one 1-D array per axis, each computed
-    for the whole index array at once; an axis whose full sum diverges or
+    Per axis: the envelope summed over the stored box within the admissible
+    l-interval (S_i) and over the unstored rest below and above it (T_i).
+    The ledger is Ma Mb sum_i S_1...S_{i-1} T_i F_{i+1}...F_n with F = S + T:
+    the unstored terms summed directly, never a difference of full and
+    stored sums, which cancels once the tail is below rounding of the full
+    sum.  It is built as outer products of one 1-D array per axis, each
+    computed for the whole index array at once; an axis whose sum diverges or
     leaves the float range makes the entry infinite, unless another axis
-    admits no l at all, which makes the product, and the entry, exactly 0.
+    admits no l at all, which makes the entry exactly 0.
     """
     Ma, pa = _profiles(a, a_axes)
     Mb, pb = _profiles(b, b_axes)
@@ -102,35 +104,38 @@ def _tail_ledger(
     if Ma == 0.0 or Mb == 0.0:
         return np.zeros(shape)
     inf = math.inf
-    full = np.ones(())
+    tail = np.zeros(())
     stored = np.ones(())
     divergent = np.zeros((), dtype=bool)
     empty = np.zeros((), dtype=bool)
     for p, q, ks in zip(pa, pb, ranges):
         k = np.arange(ks.start, ks.stop, dtype=float)
-        # row 0: the admissible l-interval (l in dom_b, k - l in dom_a);
-        # row 1: the stored box (l in supp(b), k - l in supp(a)) within it
+        # the admissible l-interval (l in dom_b, k - l in dom_a) and the
+        # stored box (l in supp(b), k - l in supp(a)) within it
         lo = np.maximum(-inf if q.lo is None else q.lo, -inf if p.hi is None else k - p.hi)
         hi = np.minimum(inf if q.hi is None else q.hi, inf if p.lo is None else k - p.lo)
         lo_s = np.maximum(np.maximum(q.s_lo, k - p.s_hi), lo)
         hi_s = np.minimum(np.minimum(q.s_hi, k - p.s_lo), hi)
-        lo, hi = np.stack(np.broadcast_arrays(lo, lo_s)), np.stack(np.broadcast_arrays(hi, hi_s))
-        # sum over l in [lo, hi] of b_a(k - l) b_b(l), split at l = k:
+        # rows: the stored interval, then the unstored ones below and above it
+        ends_lo = np.stack(np.broadcast_arrays(lo_s, lo, np.maximum(lo_s, hi_s + 1.0)))
+        ends_hi = np.stack(np.broadcast_arrays(hi_s, np.minimum(hi, lo_s - 1.0), hi))
+        # sum over l of b_a(k - l) b_b(l), split at l = k:
         # b_a(k - l) = ra^k ra^-l with ra = r_pos for l <= k, r_neg for l > k
-        f_i, s_i = sum(
+        s_i, t_below, t_above = sum(
             _envelope_sum(q.r_neg / ra, q.r_pos / ra, l_lo, l_hi, k * math.log(ra))
             for ra, l_lo, l_hi in (
-                (p.r_pos, lo, np.minimum(hi, k)),
-                (p.r_neg, np.maximum(lo, k + 1.0), hi),
+                (p.r_pos, ends_lo, np.minimum(ends_hi, k)),
+                (p.r_neg, np.maximum(ends_lo, k + 1.0), ends_hi),
             )
         )
-        inf_i = ~np.isfinite(f_i)
-        f_i[inf_i] = 0.0
-        full = np.multiply.outer(full, f_i)
-        stored = np.multiply.outer(stored, np.minimum(s_i, f_i))
+        t_i = t_below + t_above
+        inf_i = ~np.isfinite(s_i + t_i)
+        s_i[inf_i] = t_i[inf_i] = 0.0
+        tail = np.multiply.outer(tail, s_i + t_i) + np.multiply.outer(stored, t_i)
+        stored = np.multiply.outer(stored, s_i)
         divergent = np.logical_or.outer(divergent, inf_i)
-        empty = np.logical_or.outer(empty, lo[0] > hi[0])
-    return np.where(divergent & ~empty, math.inf, Ma * Mb * np.maximum(full - stored, 0.0))
+        empty = np.logical_or.outer(empty, np.broadcast_to(lo > hi, k.shape))
+    return np.where(divergent & ~empty, math.inf, Ma * Mb * tail)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +220,8 @@ def conv_general(
 
     Computed over the stored supports on the given output window; when an
     envelope is present the per-entry tail bound is checked against ``tol``
-    (relative, with an absolute floor) unless ``enforce`` is False.
+    (relative, with an absolute floor) unless ``enforce`` is False; it is
+    computed only when checked or returned.
     """
     if a.dim != b.dim or window.dim != a.dim:
         raise DimensionMismatch("convolution dimension mismatch")
@@ -229,7 +235,7 @@ def conv_general(
         a.values, a.support.lo, b.values, b.support.lo, window, len(a.vshape), len(b.vshape)
     )
     ledger = None
-    if a.envelope is not None or b.envelope is not None:
+    if (enforce or return_ledger) and (a.envelope is not None or b.envelope is not None):
         axes = tuple(range(a.dim))
         ranges = [range(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
         ledger = _tail_ledger(a, b, axes, axes, ranges)
@@ -274,7 +280,7 @@ def conv_axes(
         a.values.reshape(emb_shape), emb_lo, b.values, b.support.lo, window, 0, len(b.vshape)
     )
     ledger = None
-    if a.envelope is not None or b.envelope is not None:
+    if (enforce or return_ledger) and (a.envelope is not None or b.envelope is not None):
         ranges = [range(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
         a_axes = [ax0.index(j) if j in ax0 else None for j in range(b.dim)]
         ledger = _tail_ledger(a, b, a_axes, tuple(range(b.dim)), ranges)

@@ -65,13 +65,14 @@ RCOND_MIN = 1e-12
 
 @dataclass
 class Term:
-    """One kernel summand A (Delta^{order} (a * u))(k + shift) of an equation.
+    """One summand A (Delta^{order} (a * u))(k + shift) of an equation.
 
     The kernel acts on the 1-based axis subset ``axes`` (None: all axes); its
-    symbol contribution is z^shift (z - 1)^order F_a(z_axes) A.
+    symbol contribution is z^shift (z - 1)^order F_a(z_axes) A.  Without a
+    kernel the summand is A u(k + shift), a pencil term z^shift A.
     """
 
-    kernel: SequenceTable
+    kernel: SequenceTable | None
     A: np.ndarray
     shift: tuple[int, ...]
     axes: tuple[int, ...] | None = None
@@ -125,10 +126,14 @@ class Symbol:
         self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
 
     def max_shift(self) -> int:
-        return max(
-            [max(abs(c) for c in j) for j, _ in self.pencil]
-            + [max(abs(c) for c in t.shift) + t.order for t in self.terms]
-        )
+        return max(max(abs(c) for c in t.shift) + t.order for t in _summands(self))
+
+
+def _summands(S: Symbol) -> tuple[Term, ...]:
+    """Every summand of the operator L: the pencil pairs (j, A_j) as kernel-less
+    terms A_j u(k + j), then the kernel terms.  The symbol, the substitution
+    ``_apply`` and the amplification bound all read this one list."""
+    return tuple(Term(None, A, j) for j, A in S.pencil) + S.terms
 
 
 def OperatorPencil(n: int, m: int, terms, C) -> Symbol:
@@ -198,11 +203,6 @@ def _prefactor(z, t: Term):
     )
 
 
-def pencil_eval(P: Symbol, z) -> np.ndarray:
-    """P(z) = sum_j z^j A_j of a pencil (the whole symbol M(z) in general)."""
-    return symbol_eval(P, z)
-
-
 def symbol_eval(S: Symbol, z, with_err: bool = False):
     """Evaluate the symbol matrix at a point or on an open mesh (see
     ``TransformEvaluator``): the values have the mesh shape, then (m, m).
@@ -213,13 +213,14 @@ def symbol_eval(S: Symbol, z, with_err: bool = False):
         raise DimensionMismatch("point dimension mismatch")
     grid = np.broadcast_shapes(*(np.shape(zi) for zi in z))
     out = np.zeros(grid + (S.m, S.m), dtype=complex)
-    for j, A in S.pencil:
-        out += np.multiply.outer(_zpow(z, j), A)
     err = np.zeros(grid)
-    for t in S.terms:
+    for t in _summands(S):
+        w = _prefactor(z, t)
+        if t.kernel is None:
+            out += np.multiply.outer(w, t.A)
+            continue
         zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
         fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
-        w = _prefactor(z, t)
         if t.kernel.value_kind == "matrix":  # A (a * u) has the symbol A F_a
             out += np.expand_dims(w, (-2, -1)) * (t.A @ fa)
         else:  # kernel value axes right-aligned against (m, m)
@@ -229,14 +230,17 @@ def symbol_eval(S: Symbol, z, with_err: bool = False):
     return (out, err[()]) if with_err else out
 
 
+pencil_eval = symbol_eval
+
+
 def operator_amplification(S: Symbol) -> float:
     """Bound on how the equation operator scales a solution perturbation."""
-    amp = 0.0
-    for _, A in S.pencil:
-        amp += value_norm(A)
-    for t in S.terms:
-        amp += value_norm(t.A) * (2.0**t.order) * float(np.sum(t.kernel.norms()))
-    return amp
+    return sum(
+        value_norm(t.A)
+        * 2.0**t.order
+        * (1.0 if t.kernel is None else float(np.sum(t.kernel.norms())))
+        for t in _summands(S)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +347,7 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     return Envelope(M, tuple(rates))
 
 
-def _build_kernel(
+def green_function(
     S: Symbol,
     radii: Sequence[float],
     window: Box,
@@ -351,6 +355,8 @@ def _build_kernel(
     domain: LatticeDomain | None = None,
     rcond_min: float = RCOND_MIN,
 ) -> KernelResult:
+    """Green (resolvent) kernel G(k) of any symbol: polycircle quadrature of
+    z^{k-1} M(z)^{-1} C, with a fitted envelope and per-entry ledgers."""
     ev, state = _inverse_evaluator(S, rcond_min)
     if domain is None:
         domain = nonneg_orthant(S.n) if all(c >= 0 for c in window.lo) else FullLattice(S.n)
@@ -375,28 +381,7 @@ def _build_kernel(
     )
 
 
-def green_function(
-    P: Symbol,
-    radii: Sequence[float],
-    window: Box,
-    grid=None,
-    domain: LatticeDomain | None = None,
-    rcond_min: float = RCOND_MIN,
-) -> KernelResult:
-    """Green kernel G(k): polycircle quadrature of z^{k-1} P(z)^{-1} C."""
-    return _build_kernel(P, radii, window, grid, domain, rcond_min)
-
-
-def resolvent_kernel(
-    S: Symbol,
-    radii: Sequence[float],
-    window: Box,
-    grid=None,
-    domain: LatticeDomain | None = None,
-    rcond_min: float = RCOND_MIN,
-) -> KernelResult:
-    """Resolvent kernel of a Volterra/Weyl/mixed-axes symbol."""
-    return _build_kernel(S, radii, window, grid, domain, rcond_min)
+resolvent_kernel = green_function
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +434,7 @@ def solve(
     f = promote_data(f, S.m)
     if orthant_variant and not S.terms:
         check_initial_conditions(S, f)
-    kr = _build_kernel(S, radii, kernel_window, grid, dprime, rcond_min)
+    kr = green_function(S, radii, kernel_window, grid, dprime, rcond_min)
     u, conv_ledger = conv_general(
         kr.table, f, out_window, enforce=False, return_ledger=True
     )
@@ -469,30 +454,38 @@ def solve(
     return SolveResult(u, err, ledger, kr)
 
 
+def _apply(S: Symbol, u: SequenceTable, window: Box) -> np.ndarray:
+    """(L u)(k) at every k of the window: each summand of ``_summands``
+    substituted directly, A (Delta^o (a * u))(k + s)."""
+    n = window.dim
+    acc = np.zeros(window.shape, dtype=complex)
+    for t in _summands(S):
+        g = u
+        if t.kernel is not None:
+            lo = tuple(a + s for a, s in zip(window.lo, t.shift))
+            hi = tuple(b + s for b, s in zip(window.hi, t.shift))
+            ext = Box(lo, tuple(h + t.order for h in hi))
+            if t.axes is None:
+                g = conv_general(t.kernel, u, ext, enforce=False)
+            else:
+                g = conv_axes(t.kernel, u, t.axes, ext, enforce=False)
+            if t.order:
+                g = forward_difference(g, t.order, Box(lo, hi))
+        acc = _add_values(acc, _shifted_apply(t.A, g, t.shift, window), n)
+    return acc
+
+
 def residual(S: Symbol, u: SequenceTable, f: SequenceTable, check_window: Box) -> dict:
-    """Max over the window of || LHS(k) - C f(k) || by direct substitution."""
+    """Max over the window of || (L u)(k) - C f(k) || by direct substitution."""
     f = promote_data(f, S.m)
     n = check_window.dim
     pad = S.max_shift()
     for c, a, b, d in zip(check_window.lo, u.support.lo, u.support.hi, check_window.hi):
         if u.envelope is not None and (c - pad < a or d + pad > b):
             raise InsufficientWindow("u window too small for residual shifts")
-    parts = [(A, u, j) for j, A in S.pencil]
-    for t in S.terms:
-        lo = tuple(a + s for a, s in zip(check_window.lo, t.shift))
-        hi = tuple(b + s for b, s in zip(check_window.hi, t.shift))
-        ext = Box(lo, tuple(h + t.order for h in hi))
-        if t.axes is None:
-            g = conv_general(t.kernel, u, ext, enforce=False)
-        else:
-            g = conv_axes(t.kernel, u, t.axes, ext, enforce=False)
-        if t.order:
-            g = forward_difference(g, t.order, Box(lo, hi))
-        parts.append((t.A, g, t.shift))
-    acc = np.zeros(check_window.shape, dtype=complex)
-    for A, g, shift in parts:
-        acc = _add_values(acc, _shifted_apply(A, g, shift, check_window), n)
-    diff = _add_values(acc, -_shifted_apply(S.C, f, (0,) * n, check_window), n)
+    diff = _add_values(
+        _apply(S, u, check_window), -_shifted_apply(S.C, f, (0,) * n, check_window), n
+    )
     worst = float(np.max(value_norms(diff, diff.ndim - n)))
     return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
 

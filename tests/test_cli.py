@@ -353,6 +353,46 @@ def _weyl_doc(order):
     }
 
 
+def _solvable_docs():
+    """One document per non-pencil problem kind, with its radii and windows."""
+    volterra = {
+        "kind": "volterra_zn", "n": 1, "m": 1, "B": [[[1, 0]]],
+        "terms": [{"kernel": {"cesaro": {"alpha": 0.5, "len": 32}}, "shift": [0],
+                   "A": [[[0.3, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+    # the alpha = 0 Cesaro kernel is the delta: u(k) + 0.3 (c^0.5 *_2 u)(k) = delta(k)
+    mixed = {
+        "kind": "mixed_axes", "n": 2, "m": 1,
+        "terms": [{"kernel": {"cesaro": {"alpha": 0.0, "len": 0}}, "axes": [1], "A": [[[1, 0]]]},
+                  {"kernel": {"cesaro": {"alpha": 0.5, "len": 16}}, "axes": [2],
+                   "A": [[[0.3, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+    return {
+        "volterra_zn": (volterra, "1.3", "0:40", "0:20"),
+        "weyl_1d": (_weyl_doc(1), "1.3", "0:40", "0:20"),
+        "mixed_axes": (mixed, "1.2,1.2", "0:24,0:24", "0:8,0:8"),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_solvable_docs()))
+def test_solve_cli_solves_every_problem_kind(tmp_path, kind):
+    doc, radii, kernel_window, check_window = _solvable_docs()[kind]
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    rep = tmp_path / "r.json"
+    code = run([
+        "solve", "--problem", str(p), "--radii", radii, "--kernel-window", kernel_window,
+        "--check-window", check_window, "--out", str(tmp_path / "u.json"), "--report", str(rep),
+    ])
+    assert code == 0
+    report = json.loads(rep.read_text())
+    assert report["residual"] <= report["error_ledger"]
+
+
 def _malformed_docs():
     dup = _pencil_doc()
     dup["terms"][1]["j"] = [1]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zlattice import convolution
 from zlattice.convolution import (
     DEFAULT_TOL,
     TOL_FLOOR,
@@ -252,6 +253,48 @@ def test_empty_axis_makes_a_divergent_tail_exactly_zero():
     # where k2 >= 0 is admitted the divergent axis still makes the entry inf
     _, ledger = conv_axes(cesaro(1.0, 5), b, (1,), Box((0, -1), (2, 0)), enforce=False, return_ledger=True)
     assert np.array_equal(ledger[:, 0], np.zeros(3)) and np.all(np.isinf(ledger[:, 1]))
+
+
+def test_tail_ledger_holds_below_rounding_of_the_full_sum():
+    # the unstored terms are ~1e-36 against a full sum of order 1: a ledger
+    # formed as full - stored cancels them to exactly 0.  The envelope is
+    # exact here, so the ledger equals the tail up to the rounding of its
+    # log-space geometric sums (an ulp below it at k = 0)
+    a = SequenceTable.from_function(
+        FullLattice(1), Box((-60,), (60,)), lambda k: 0.5 ** abs(k[0]),
+        envelope=Envelope(1.0, ((2.0, 0.5),)),
+    )
+    b = SequenceTable.from_function(
+        nonneg_orthant(1), Box((0,), (60,)), lambda k: 0.5 ** k[0], envelope=Envelope(1.0, (0.5,))
+    )
+    _, ledger = conv_general(a, b, Box((0,), (3,)), enforce=False, return_ledger=True)
+    true_tail = np.array([
+        math.fsum(0.5 ** abs(k - l) * 0.5**l for l in range(400) if l > 60 or abs(k - l) > 60)
+        for k in range(4)
+    ])
+    assert np.allclose(true_tail, [2.51e-37, 5.02e-37, 1.00e-36, 2.01e-36], rtol=1e-2)
+    assert np.all(ledger >= (1 - 1e-12) * true_tail) and np.all(ledger <= 2 * true_tail)
+
+
+def test_unread_tail_ledger_is_not_computed(monkeypatch):
+    calls = []
+    real = convolution._tail_ledger
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(convolution, "_tail_ledger", spy)
+    a, b = cesaro(0.5, 16), cesaro(0.7, 16)
+    b2 = SequenceTable(nonneg_orthant(2), Box((0, 0), (3, 3)), np.ones((4, 4)))
+    window = Box((0,), (16,))
+    conv_general(a, b, window, enforce=False)
+    conv_axes(a, b2, (1,), Box((0, 0), (3, 3)), enforce=False)
+    assert calls == []
+    conv_general(a, b, window, enforce=False, return_ledger=True)
+    conv_axes(a, b2, (1,), Box((0, 0), (3, 3)), enforce=False, return_ledger=True)
+    conv_general(a, b, window, tol=1.0)
+    assert len(calls) == 3
 
 
 def test_weyl_tail_within_tolerance_passes():
@@ -531,7 +574,7 @@ def ref_tail_bound(a, b, k, a_axes, b_axes):
     Mb, pb = ref_profiles(b, b_axes)
     if Ma == 0.0 or Mb == 0.0:
         return 0.0
-    full = 1.0
+    tail = 0.0
     stored = 1.0
     divergent = empty = False
     for i, (ai, bi) in enumerate(zip(a_axes, b_axes)):
@@ -547,10 +590,6 @@ def ref_tail_bound(a, b, k, a_axes, b_axes):
         # an axis that admits no l makes the product exactly 0, even where
         # another axis diverges
         empty = empty or (lo_d is not None and hi_d is not None and lo_d > hi_d)
-        s_full = _pair_sum(pa[i], pb[i], ki, lo_d, hi_d)
-        if np.isinf(s_full):
-            divergent = True
-            continue
         a_lo, a_hi = (0, 0) if ai is None else (a.support.lo[ai], a.support.hi[ai])
         lo_s = max(b.support.lo[bi], ki - a_hi)
         hi_s = min(b.support.hi[bi], ki - a_lo)
@@ -558,14 +597,22 @@ def ref_tail_bound(a, b, k, a_axes, b_axes):
             lo_s = max(lo_s, lo_d)
         if hi_d is not None:
             hi_s = min(hi_s, hi_d)
+        # the unstored terms summed directly, below and above the stored box
         s_stored = _pair_sum(pa[i], pb[i], ki, lo_s, hi_s) if lo_s <= hi_s else 0.0
-        full *= s_full
-        stored *= min(s_stored, s_full)
+        below_hi = lo_s - 1 if hi_d is None else min(hi_d, lo_s - 1)
+        s_unstored = _pair_sum(pa[i], pb[i], ki, lo_d, below_hi) + _pair_sum(
+            pa[i], pb[i], ki, max(lo_s, hi_s + 1), hi_d
+        )
+        if np.isinf(s_unstored):
+            divergent = True
+            continue
+        tail = tail * (s_stored + s_unstored) + stored * s_unstored
+        stored *= s_stored
     if empty:
         return 0.0
     if divergent:
         return np.inf
-    return Ma * Mb * max(full - stored, 0.0)
+    return Ma * Mb * tail
 
 
 def ref_check(acc, t, k, tol):

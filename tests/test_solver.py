@@ -778,6 +778,60 @@ def test_residual_matches_per_point_substitution():
     assert residual(S, u1, f1, w1)["max_residual"] == pytest.approx(expect, rel=1e-12)
 
 
+KINDS = ("scalar", "vector", "matrix")
+
+
+@st.composite
+def operators(draw, n, m):
+    """A symbol on Z^n whose kernels are finitely supported: pencil shifts on
+    both sides of 0; scalar, vector and matrix kernels on all axes; orders
+    0-2 in 1-D; scalar kernels on axis subsets in 2-D."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def cplx(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    shifts = st.tuples(*[st.integers(-2, 2)] * n)
+    js = draw(st.lists(shifts, max_size=3, unique=True))
+    terms = []
+    for _ in range(draw(st.integers(0 if js else 1, 3))):
+        axes = None if n == 1 else draw(st.sampled_from((None, (1,), (2,), (1, 2))))
+        kind = "scalar" if axes is not None else draw(st.sampled_from(KINDS))
+        l = n if axes is None else len(axes)
+        lo = tuple(draw(st.integers(-2, 1)) for _ in range(l))
+        box = Box(lo, tuple(a + draw(st.integers(0, 3)) for a in lo))
+        kernel = SequenceTable(FullLattice(l), box, cplx(box.shape + value_shape(kind, m)), kind, m)
+        order = draw(st.integers(0, 2)) if n == 1 else 0
+        terms.append(Term(kernel, cplx((m, m)), draw(shifts), axes, order))
+    return Symbol(n, m, tuple((j, cplx((m, m))) for j in js), tuple(terms), np.eye(m))
+
+
+@given(st.data(), st.integers(1, 2), st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+def test_operator_transforms_to_its_symbol(data, n, m):
+    # Z[L u](z) = M(z) Z[u](z) for finitely supported u on Z^n: the summands
+    # that _apply substitutes are the ones symbol_eval transforms
+    S = data.draw(operators(n, m))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo = tuple(data.draw(st.integers(-3, 3)) for _ in range(n))
+    box = Box(lo, tuple(a + data.draw(st.integers(0, 5 if n == 1 else 3)) for a in lo))
+    vals = rng.normal(size=box.shape + (m,)) + 1j * rng.normal(size=box.shape + (m,))
+    u = SequenceTable(FullLattice(n), box, vals, "vector", m)
+    # shifts, kernel supports and differences move the support by at most 6
+    W = Box(tuple(a - 8 for a in box.lo), tuple(b + 8 for b in box.hi))
+    Lu = SequenceTable(FullLattice(n), W, solver._apply(S, u, W), "vector", m)
+    nodes = []
+    for _ in range(n):
+        size = data.draw(st.integers(1, 3))
+        t = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=2 * size, max_size=2 * size)))
+        nodes.append((0.8 + 0.45 * t[:size]) * np.exp(2j * np.pi * t[size:]))
+    z = np.ix_(*nodes)
+    M, U = symbol_eval(S, z), eval_forward(u, z)
+    MU = np.einsum("...ij,...j->...i", M, U)
+    scale = np.max(np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(U, axis=-1))
+    assert np.max(np.abs(eval_forward(Lu, z) - MU)) <= 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # uniqueness
 # ---------------------------------------------------------------------------
