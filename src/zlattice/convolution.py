@@ -93,10 +93,12 @@ def _tail_ledger(
     The ledger is Ma Mb sum_i S_1...S_{i-1} T_i F_{i+1}...F_n with F = S + T:
     the unstored terms summed directly, never a difference of full and
     stored sums, which cancels once the tail is below rounding of the full
-    sum.  It is built as outer products of one 1-D array per axis, each
-    computed for the whole index array at once; an axis whose sum diverges or
-    leaves the float range makes the entry infinite, unless another axis
-    admits no l at all, which makes the entry exactly 0.
+    sum.  It is built as outer products of one 1-D array per axis.  The axes
+    are laid side by side, so the intervals of all axes are one array each
+    and the envelope sums of all axes and of both halves of the summation line
+    are one ``_envelope_sum`` call.  An axis whose sum diverges or leaves the
+    float range makes the entry infinite, unless another axis admits no l at
+    all, which makes the entry exactly 0.
     """
     Ma, pa = _profiles(a, a_axes)
     Mb, pb = _profiles(b, b_axes)
@@ -104,37 +106,47 @@ def _tail_ledger(
     if Ma == 0.0 or Mb == 0.0:
         return np.zeros(shape)
     inf = math.inf
+    k = np.concatenate([np.arange(ks.start, ks.stop, dtype=float) for ks in ranges])
+    # each profile value repeated over its axis; an open end is an infinite one
+    p_lo, p_hi, ps_lo, ps_hi, p_neg, p_pos, log_neg, log_pos = np.repeat([[
+        -inf if p.lo is None else p.lo, inf if p.hi is None else p.hi, p.s_lo, p.s_hi,
+        p.r_neg, p.r_pos, math.log(p.r_neg), math.log(p.r_pos),
+    ] for p in pa], shape, axis=0).T
+    q_lo, q_hi, qs_lo, qs_hi, q_neg, q_pos = np.repeat([[
+        -inf if q.lo is None else q.lo, inf if q.hi is None else q.hi, q.s_lo, q.s_hi,
+        q.r_neg, q.r_pos,
+    ] for q in pb], shape, axis=0).T
+    # the admissible l-interval (l in dom_b, k - l in dom_a) and the stored
+    # box (l in supp(b), k - l in supp(a)) within it
+    lo, hi = np.maximum(q_lo, k - p_hi), np.minimum(q_hi, k - p_lo)
+    lo_s = np.maximum(np.maximum(qs_lo, k - ps_hi), lo)
+    hi_s = np.minimum(np.minimum(qs_hi, k - ps_lo), hi)
+    # rows: the stored interval, then the unstored ones below and above it
+    ends_lo = np.stack([lo_s, lo, np.maximum(lo_s, hi_s + 1.0)])
+    ends_hi = np.stack([hi_s, np.minimum(hi, lo_s - 1.0), hi])
+    # sum over l of b_a(k - l) b_b(l), split at l = k:
+    # b_a(k - l) = ra^k ra^-l with ra = r_pos for l <= k, r_neg for l > k
+    ra = np.stack([p_pos, p_neg])[:, None]  # (half, 1, k)
+    sums = _envelope_sum(
+        q_neg / ra, q_pos / ra,
+        np.stack([ends_lo, np.maximum(ends_lo, k + 1.0)]),
+        np.stack([np.minimum(ends_hi, k), ends_hi]),
+        k * np.stack([log_pos, log_neg])[:, None],
+    )
+    cut = np.cumsum(shape)[:-1]
     tail = np.zeros(())
     stored = np.ones(())
     divergent = np.zeros((), dtype=bool)
     empty = np.zeros((), dtype=bool)
-    for p, q, ks in zip(pa, pb, ranges):
-        k = np.arange(ks.start, ks.stop, dtype=float)
-        # the admissible l-interval (l in dom_b, k - l in dom_a) and the
-        # stored box (l in supp(b), k - l in supp(a)) within it
-        lo = np.maximum(-inf if q.lo is None else q.lo, -inf if p.hi is None else k - p.hi)
-        hi = np.minimum(inf if q.hi is None else q.hi, inf if p.lo is None else k - p.lo)
-        lo_s = np.maximum(np.maximum(q.s_lo, k - p.s_hi), lo)
-        hi_s = np.minimum(np.minimum(q.s_hi, k - p.s_lo), hi)
-        # rows: the stored interval, then the unstored ones below and above it
-        ends_lo = np.stack(np.broadcast_arrays(lo_s, lo, np.maximum(lo_s, hi_s + 1.0)))
-        ends_hi = np.stack(np.broadcast_arrays(hi_s, np.minimum(hi, lo_s - 1.0), hi))
-        # sum over l of b_a(k - l) b_b(l), split at l = k:
-        # b_a(k - l) = ra^k ra^-l with ra = r_pos for l <= k, r_neg for l > k
-        s_i, t_below, t_above = sum(
-            _envelope_sum(q.r_neg / ra, q.r_pos / ra, l_lo, l_hi, k * math.log(ra))
-            for ra, l_lo, l_hi in (
-                (p.r_pos, ends_lo, np.minimum(ends_hi, k)),
-                (p.r_neg, np.maximum(ends_lo, k + 1.0), ends_hi),
-            )
-        )
+    per_axis = zip(np.split(sums[0] + sums[1], cut, axis=-1), np.split(lo > hi, cut))
+    for (s_i, t_below, t_above), e in per_axis:
         t_i = t_below + t_above
         inf_i = ~np.isfinite(s_i + t_i)
         s_i[inf_i] = t_i[inf_i] = 0.0
         tail = np.multiply.outer(tail, s_i + t_i) + np.multiply.outer(stored, t_i)
         stored = np.multiply.outer(stored, s_i)
         divergent = np.logical_or.outer(divergent, inf_i)
-        empty = np.logical_or.outer(empty, np.broadcast_to(lo > hi, k.shape))
+        empty = np.logical_or.outer(empty, e)
     return np.where(divergent & ~empty, math.inf, Ma * Mb * tail)
 
 
@@ -171,31 +183,39 @@ def _correlate(a, a_lo, b, b_lo, window: Box, a_vdim: int = 0, b_vdim: int = 0):
     lattice axes first, then ``a_vdim``/``b_vdim`` value axes.  (x) is matrix
     @ (vector or matrix), else elementwise with value axes right-aligned (a
     vector times a matrix scales its columns).  Points outside either box add
-    nothing.  The factor with the larger box is copied, zero-padded to (window
-    + smaller box - 1) points per axis, value axes first.  One ``np.einsum``
-    contracts a values x window x box strided view of the copy with the flipped
-    smaller factor: O(window + box) memory, no BLAS, einsum's summation order.
+    nothing, so the smaller box is first clipped per axis to the points that
+    meet the larger one from some k of the window.  The factor with the larger
+    box is copied, zero-padded to (window + smaller box - 1) points per axis,
+    value axes first.  One ``np.einsum`` contracts a values x window x box
+    strided view of the copy with the flipped smaller factor: O(window + box)
+    memory, no BLAS, einsum's summation order.
     """
     n, W = window.dim, window.shape
     dtype = np.promote_types(a.dtype, b.dtype)
     swap = math.prod(b.shape[:n]) < math.prod(a.shape[:n])
     subscripts = _subscripts(n, a_vdim, b_vdim)[swap]
     a, a_lo, b, b_lo = (b, b_lo, a, a_lo) if swap else (a, a_lo, b, b_lo)
-    P = a.shape[:n]
-    G = tuple(w + p - 1 for w, p in zip(W, P))
-    # padded[g] = b[g + c] per axis, so that padded[w + q] pairs window index w
-    # with point P - 1 - q of a's box; zero where g + c leaves b's box
-    padded = np.zeros(b.shape[n:] + G, dtype)
-    dst, src = [], []
-    for i, g in enumerate(G):
-        c = window.lo[i] - a_lo[i] - P[i] + 1 - b_lo[i]
-        lo, hi = max(0, -c), max(0, -c, min(g, b.shape[i] - c))
+    # per axis, a's points s0 <= s < s1 within [w_lo - b_hi, w_hi - b_lo], the
+    # only ones that meet b's box; padded[g] = b[g + c], so that padded[w + q]
+    # pairs window index w with point s1 - 1 - q of a; zero where g + c leaves
+    # b's box
+    cut, G, dst, src = [], [], [], []
+    for w0, w1, a0, b0, A, Bl in zip(window.lo, window.hi, a_lo, b_lo, a.shape, b.shape):
+        s0 = min(max(w0 - b0 - Bl + 1 - a0, 0), A)
+        s1 = max(min(w1 - b0 - a0 + 1, A), s0)
+        c, g = w0 - a0 - s1 + 1 - b0, w1 - w0 + s1 - s0
+        lo, hi = max(0, -c), max(0, -c, min(g, Bl - c))
+        cut.append(slice(s0, s1))
+        G.append(g)
         dst.append(slice(lo, hi))
         src.append(slice(lo + c, hi + c))
+    a = a[tuple(cut)][(slice(None, None, -1),) * n]
+    padded = np.zeros(b.shape[n:] + tuple(G), dtype)
     padded[(Ellipsis, *dst)] = b[tuple(src)].transpose((*range(n, b.ndim), *range(n)))
     strides = padded.strides
-    view = np.ndarray(padded.shape[:-n] + W + P, dtype, padded, 0, strides[:-n] + strides[-n:] * 2)
-    return np.einsum(subscripts, view, a[(slice(None, None, -1),) * n], order="C")
+    shape = padded.shape[:-n] + W + a.shape[:n]
+    view = np.ndarray(shape, dtype, padded, 0, strides[:-n] + strides[-n:] * 2)
+    return np.einsum(subscripts, view, a, order="C")
 
 
 def _check_tail(out, ledger, window: Box, tol: float, value_ndim: int) -> None:

@@ -521,6 +521,25 @@ def beta_shift(f: SequenceTable, beta) -> SequenceTable:
     )
 
 
+def permute_axes(f: SequenceTable, order) -> SequenceTable:
+    """g(k) = f(k') where k'_order[i] = k_i: the table with its axis order[i]
+    as axis i, value axes kept last; domain, support and envelope permute too."""
+    pick = lambda t: tuple(t[i] for i in order)  # noqa: E731
+
+    def move(d):
+        if isinstance(d, Orthant):
+            return Orthant(pick(d.signs))
+        if isinstance(d, Box):
+            return Box(pick(d.lo), pick(d.hi))
+        if isinstance(d, Shifted):
+            return Shifted(move(d.base), pick(d.offset))
+        return FiniteSet(tuple(pick(q) for q in d.points)) if isinstance(d, FiniteSet) else d
+
+    values = f.values.transpose(*order, *range(f.dim, f.values.ndim))
+    env = f.envelope if f.envelope is None else Envelope(f.envelope.M, pick(f.envelope.rates))
+    return SequenceTable(move(f.domain), move(f.support), values, f.value_kind, f.m, env)
+
+
 def _shift_envelope(env: Envelope, beta: MultiIndex) -> Envelope:
     # ||f(k+beta)|| <= M * prod b_i(k_i + beta_i) <= (M * prod max b_i(b)) * prod b_i(k_i)
     # only exact for one-sided rates; for pair rates keep the looser of the two.

@@ -1,22 +1,41 @@
-"""Operator pencils, Volterra symbols, and contour-inversion solvers over C^m.
+"""Operator pencils, Volterra symbols, and Green-kernel solvers over C^m.
 
 A constant-coefficient partial difference equation sum_j A_j u(k+j) = C f(k)
 has the matrix symbol P(z) = sum_j z^j A_j; its Green kernel is the inverse
 transform of P(z)^{-1} C and convolving it with the data yields a solution.
 Volterra and Weyl-fractional problems carry structured symbols built from
-kernel transforms.  Kernel construction inverts the symbol on a whole
-polycircle node grid at once, behind a 2-norm reciprocal-condition gate.  For
-m <= 2 the gate and the solve are closed forms over the whole node stack,
-with no per-node LAPACK call: sigma_max and sigma_min of a 2 x 2 matrix from
-one column-pivoted QR step (its column norms, column inner product and
-determinant), and the solve as 2 x 2 Gaussian elimination with partial
-pivoting written elementwise (a division for m = 1); larger m uses the
-stacked numpy.linalg svd and solve.  Truncation and aliasing surrogates are
-collected into an error ledger that is reported, never silently asserted.
+kernel transforms.  ``green_function`` builds a kernel on one of two paths.
+
+Power series, when ``grid`` is None, the window has lo >= 0, the domain is
+N0^n and every kernel vanishes off N0^n: with j* the largest shift + order,
+z^{-j*} M(z) = sum_k B_k z^{-k} over N0^n (pencil pairs give their A_j,
+kernel terms their tables, (z - 1)^o written out).  If theta(R) =
+sum_{j != 0} ||B_0^{-1} B_j|| R^{-j}, plus the envelope of the unstored kernel
+coefficients, is < 1 (Frobenius norms), M is invertible on and outside the
+polycircle and the kernel is the exact recursion H(k) = -B_0^{-1} sum_{0 != j
+<= k} B_j H(k - j), G(k) = H(k - j*) C, provided the certified reciprocal
+condition (1 - theta) / ((1 + theta) ||B_0|| ||B_0^{-1}||) passes ``rcond_min``.
+Its per-entry ledger bounds the distance to the exact kernel by
+||H||_1 ||r||_1 / (1 - ||r||_1) on each box 0..k, r = B H - I, with the
+rounding of every step (Higham's gamma_n) and the envelope of any kernel
+coefficients the stored tables lack; ``min_rcond`` and ``contour_max`` are
+certified bounds, and the envelope is ||B_0^{-1}|| ||C|| R^{k - j*} / (1 - theta).
+
+Contour, for every other symbol or window, and whenever ``grid`` is given:
+the quadrature samples M(z)^{-1} C on a whole polycircle node grid at once,
+behind a 2-norm reciprocal-condition gate.  For m <= 2 the gate and the solve
+are closed forms over the whole node stack, with no per-node LAPACK call:
+sigma_max and sigma_min of a 2 x 2 matrix from one column-pivoted QR step
+(its column norms, column inner product and determinant), and the solve as
+2 x 2 Gaussian elimination with partial pivoting written elementwise (a
+division for m = 1); larger m uses the stacked numpy.linalg svd and solve.
+Its aliasing bound reads a fitted decay envelope, and the symbol's truncated
+transform tails are folded in.  Ledgers are reported, never silently asserted.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -29,6 +48,8 @@ from .errors import (
     EvaluatorFailure,
     InitialConditionViolated,
     InsufficientWindow,
+    NoEnvelope,
+    PointOutsideRegion,
     SingularSymbol,
     ZeroCoordinate,
 )
@@ -40,7 +61,9 @@ from .lattice import (
     LatticeDomain,
     SequenceTable,
     _sv_extremes,
+    axis_interval,
     nonneg_orthant,
+    permute_axes,
     value_norm,
     value_norms,
 )
@@ -52,6 +75,7 @@ from .ztransform import (
     _aliasing_bounds,
     _mesh,
     eval_forward,
+    forward_tail_bound,
     invert_contour,
 )
 
@@ -69,7 +93,9 @@ class Term:
 
     The kernel acts on the 1-based axis subset ``axes`` (None: all axes); its
     symbol contribution is z^shift (z - 1)^order F_a(z_axes) A.  Without a
-    kernel the summand is A u(k + shift), a pencil term z^shift A.
+    kernel the summand is A u(k + shift), a pencil term z^shift A.  Axes
+    listed out of order are sorted, and the kernel's axes permuted to match,
+    so every reader of the term sees one order.
     """
 
     kernel: SequenceTable | None
@@ -83,9 +109,13 @@ class Term:
         self.A = np.asarray(self.A, dtype=complex)
         self.order = int(self.order)
         if self.axes is not None:
-            self.axes = tuple(int(j) for j in self.axes)
-            if self.kernel.dim != len(self.axes):
+            axes = tuple(int(j) for j in self.axes)
+            if self.kernel.dim != len(axes):
                 raise DimensionMismatch("mixed-axes kernel dimension != axis count")
+            self.axes = tuple(sorted(axes))
+            if self.axes != axes:
+                order = sorted(range(len(axes)), key=axes.__getitem__)
+                self.kernel = permute_axes(self.kernel, order)
 
 
 @dataclass
@@ -221,13 +251,18 @@ def symbol_eval(S: Symbol, z, with_err: bool = False):
             continue
         zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
         fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
-        if t.kernel.value_kind == "matrix":  # A (a * u) has the symbol A F_a
-            out += np.expand_dims(w, (-2, -1)) * (t.A @ fa)
-        else:  # kernel value axes right-aligned against (m, m)
-            fa = np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape))))
-            out += np.expand_dims(w, (-2, -1)) * fa * t.A
+        out += np.expand_dims(w, (-2, -1)) * _times_A(t, fa)
         err += np.abs(w) * tail * value_norm(t.A)
     return (out, err[()]) if with_err else out
+
+
+def _times_A(t: Term, fa):
+    """The (m, m) factor of a kernel term for each kernel value or transform
+    value in ``fa``: A F_a for a matrix kernel, since A (a * u) has the symbol
+    A F_a; else F_a A with the kernel's value axes right-aligned."""
+    if t.kernel.value_kind == "matrix":
+        return t.A @ fa
+    return np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape)))) * t.A
 
 
 pencil_eval = symbol_eval
@@ -250,11 +285,11 @@ def operator_amplification(S: Symbol) -> float:
 
 @dataclass
 class KernelResult:
-    table: SequenceTable  # carries the fitted decay envelope
-    aliasing: np.ndarray  # per-entry wrap-around surrogate bound
-    min_rcond: float
-    contour_max: float  # max ||M(z)^{-1} C|| over contour nodes
-    symbol_err: float  # max kernel-transform tail radius over nodes
+    table: SequenceTable  # carries the decay envelope (fitted on the contour path)
+    aliasing: np.ndarray  # per-entry ledger: wrap-around surrogate, or series error bound
+    min_rcond: float  # over the contour nodes, or the series path's certified bound
+    contour_max: float  # max ||M(z)^{-1} C|| over contour nodes, or its certified bound
+    symbol_err: float  # max kernel-transform tail radius over nodes; 0 on the series path
 
 
 @np.errstate(divide="ignore", invalid="ignore")
@@ -347,6 +382,117 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     return Envelope(M, tuple(rates))
 
 
+def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
+    """The Green kernel by power-series inversion on N0^n, or None where the
+    certificate fails (see the module docstring).  Norms are Frobenius norms."""
+    n, m, R, ts, o = S.n, S.m, np.asarray(radii, dtype=float), _summands(S), (0,) * S.n
+
+    def fro(X):  # Frobenius norms of a stack of m x m matrices
+        return value_norms(np.reshape(X, (-1, m * m)), 1)
+
+    def left(A, X):  # A X for a stack X of m x m matrices, as one product
+        AX = np.dot(A, np.moveaxis(X, -2, 0).reshape(m, -1))
+        return np.moveaxis(AX.reshape((m,) + X.shape[:-2] + (m,)), 0, -2)
+
+    jstar = tuple(max(t.shift[i] + t.order for t in ts) for i in range(n))
+    K = np.maximum(window.hi, jstar)  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
+    blocks, enveloped = [], []  # (first index, coefficients of B); (term, its axes, offset)
+    for t in ts:
+        a, ax, lo, ext = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], [0] * n, [1] * n
+        d0 = [j - c - t.order for j, c in zip(jstar, t.shift)]
+        if a is not None:
+            lows = [axis_interval(a.domain, i)[0] for i in range(a.dim)] if a.envelope else ()
+            if any(c is None or c < 0 for c in (*lows, *a.support.lo)):
+                return None  # not causal
+            for q, i in enumerate(ax):
+                lo[i], ext[i] = a.support.lo[q], a.support.shape[q]
+            enveloped += [(t, ax, np.array(d0))] if a.envelope else []
+        X = (t.A if a is None else _times_A(t, a.values)).reshape(tuple(ext) + (m, m))
+        for i in range(t.order + 1):  # z^s (z - 1)^o, the binomial sum written out
+            start = [d + c + i for d, c in zip(d0, lo)]
+            blocks.append((start, (-1) ** i * math.comb(t.order, i) * X))
+    tops = ([p + e for p, e in zip(q, X.shape)] for q, X in blocks)
+    B = np.zeros(tuple(map(max, zip(K + 1 - jstar, *tops))) + (m, m), dtype=complex)
+    for q, X in blocks:
+        B[tuple(slice(p, p + e) for p, e in zip(q, X.shape))] += X
+    try:
+        with np.errstate(all="ignore"):  # a non-finite B gives theta nan
+            Binv = np.linalg.inv(B[o])
+            Bn = left(-Binv, B)
+            w = math.prod(np.ix_(*(r ** -np.arange(q) for r, q in zip(R, B.shape))))
+            theta = float(np.sum(fro(Bn)[1:] * w.reshape(-1)[1:]))
+    except np.linalg.LinAlgError:  # a singular B_0
+        return None
+    if not theta < 1:
+        return None
+    n0, ni, nc = fro([B[o], Binv, S.C])
+    tail = miss = 0.0  # unstored kernel coefficients: their share of theta and of B on 0..K - j*
+    for t, ax, d0 in enveloped:
+        a, top, nA = t.kernel, K - jstar - d0, fro(t.A)[0]  # B_{d0 + l} for l <= top
+        try:  # ||A a(l)|| <= ||A|| ||a(l)||_2 for every value kind of a
+            tail += nA * forward_tail_bound(a, R[ax]) * np.prod(R**-d0) * (1 + 1 / R[0]) ** t.order
+        except (PointOutsideRegion, NoEnvelope):
+            return None
+        if any(p > 0 or q < top[i] for p, q, i in zip(a.support.lo, a.support.hi, ax)):
+            env = (a.envelope.axis_factor(q, np.arange(top[i] + 1)) for q, i in enumerate(ax))
+            w = functools.reduce(np.multiply.outer, env, a.envelope.M * np.all(top >= 0))
+            w[tuple(slice(p, q + 1) for p, q in zip(a.support.lo, a.support.hi))] = 0
+            miss += 2**t.order * nA * w.sum()
+    theta += float(ni * tail)
+    rc = (1 - theta) / (1 + theta) / float(n0 * ni) if theta < 1 else -1.0
+    if not rc >= rcond_min:
+        return None
+    # Hs from B Hs = delta_{j*}: in 1-D one contiguous product per coefficient;
+    # in n-D a whole level v.k at a time, each point gathering Hs(k - j) over
+    # the nonzero B_j, for the unit or all-ones v with v.j >= 1 for those j and
+    # the fewest levels; points are stored by level, then a zero row
+    box, P = tuple(K + 1), math.prod(K + 1)
+    Bb, Bnb = (x[tuple(map(slice, K + 1 - jstar))] for x in (B, Bn))
+    live = np.any(Bb != 0, axis=(-2, -1))
+    if n == 1:
+        j0, flat = jstar[0], np.zeros((P + 1, m, m), dtype=complex)  # Hs(i) at flat[P - i]
+        flat[P - j0] = Binv
+        cat = Bnb[1:].transpose(1, 0, 2).reshape(m, m * len(Bnb) - m)
+        for k in range(j0 + 1, P):
+            past = flat[P + 1 - k : P + 1 - j0].reshape(-1, m)  # Hs(k - 1) .. Hs(j0)
+            np.dot(cat[:, : (k - j0) * m], past, out=flat[P - k])
+        Hs = flat[P:0:-1]
+    else:
+        J = np.argwhere(live)[1:]
+        v = min((v for v in (*np.eye(n, dtype=int), np.ones(n, int)) if np.all(J @ v >= 1)),
+                key=lambda v: v @ K)
+        pts = np.indices(box).reshape(n, -1)
+        order = np.argsort(v @ pts, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(P)
+        src = pts[:, order, None] - J.T[:, None, :]
+        gather = np.where((src >= 0).all(0), rank[np.ravel_multi_index(np.maximum(src, 0), box)], P)
+        cat = Bnb[tuple(J.T)].transpose(1, 0, 2).reshape(m, len(J) * m)
+        flat = np.zeros((P + 1, m, m), dtype=complex)
+        flat[rank[np.ravel_multi_index(jstar, box)]] = Binv
+        ends = np.cumsum(np.bincount(v @ pts))[v @ jstar :]
+        for i0, i1 in zip(ends[:-1], ends[1:]):  # the points of one level
+            gathered = flat[gather[i0:i1]].reshape(i1 - i0, len(J) * m, m)
+            flat[i0:i1] = np.dot(cat, gathered).transpose(1, 0, 2)
+        Hs = flat[rank].reshape(box + (m, m))
+    # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on each box 0..k, for
+    # r = B Hs - delta_{j*}: B_0 Binv - I at j*, elsewhere sum_j F_j Hs(k - j)
+    # with F = B_0 Bn + B, plus B_0 times the rounding of the step
+    F = left(B[o], Bnb) + Bb
+    nr = fro(B[o] @ Binv - np.eye(m))[0]
+    nf, nbn, nb = (float(np.sum(fro(x)[1:])) for x in (F, Bnb, Bb))
+    g = 4.0 * (int(live.sum()) * m + 4) * np.finfo(float).eps  # gamma, with room for complex
+    hn = fro(Hs).reshape(box)
+    h = functools.reduce(np.cumsum, range(n), hn)
+    rho = nr + g * n0 * ni + (nf + g * (n0 * nbn + nb) + miss) * h
+    led = np.where(rho < 1, h * rho / np.where(rho < 1, 1 - rho, 1.0), math.inf) + g * hn
+    bound = float(ni * nc * np.prod(R ** -np.array(jstar))) / (1 - theta)
+    at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
+    G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
+    table = SequenceTable(domain, window, G, "matrix", m, Envelope(bound, tuple(R)))
+    return KernelResult(table, nc * led[at], rc, bound, 0.0)
+
+
 def green_function(
     S: Symbol,
     radii: Sequence[float],
@@ -355,11 +501,18 @@ def green_function(
     domain: LatticeDomain | None = None,
     rcond_min: float = RCOND_MIN,
 ) -> KernelResult:
-    """Green (resolvent) kernel G(k) of any symbol: polycircle quadrature of
-    z^{k-1} M(z)^{-1} C, with a fitted envelope and per-entry ledgers."""
-    ev, state = _inverse_evaluator(S, rcond_min)
+    """Green (resolvent) kernel G(k) of any symbol, with per-entry ledgers: by
+    power-series inversion where the module docstring's certificate holds,
+    else by polycircle quadrature of z^{k-1} M(z)^{-1} C with a fitted
+    envelope."""
+    causal_window = all(c >= 0 for c in window.lo)
     if domain is None:
-        domain = nonneg_orthant(S.n) if all(c >= 0 for c in window.lo) else FullLattice(S.n)
+        domain = nonneg_orthant(S.n) if causal_window else FullLattice(S.n)
+    if grid is None and causal_window and domain == nonneg_orthant(S.n):
+        kr = _series_kernel(S, radii, window, domain, rcond_min)
+        if kr is not None:
+            return kr
+    ev, state = _inverse_evaluator(S, rcond_min)
     res: InversionResult = invert_contour(ev, radii, window, grid=grid, domain=domain)
     env = _fit_envelope(res.table, radii)
     table = SequenceTable(

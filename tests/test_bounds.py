@@ -367,9 +367,9 @@ def test_aliasing_counts_wraps_below_zero_on_a_shifted_orthant():
     assert np.all(err <= res.aliasing)
 
 
-def green_error(radius, window):
+def green_error(radius, window, grid=None):
     """|G - lam^(k-1)| for the scalar pencil z - 1/2, and its ledger."""
-    K = green_function(first_order_pencil(0.5), (radius,), window)
+    K = green_function(first_order_pencil(0.5), (radius,), window, grid=grid)
     k = np.arange(window.lo[0], window.hi[0] + 1.0)
     true = np.where(k >= 1, 0.5 ** (k - 1), 0.0)
     return np.abs(K.table.values.reshape(-1) - true), K.aliasing.reshape(-1)
@@ -377,7 +377,8 @@ def green_error(radius, window):
 
 def test_green_kernel_ledger_covers_a_window_away_from_the_origin():
     # on 30:40 the kernel values near k = 1 (G(1) = 1) wrap into the window
-    err, ledger = green_error(1.0, Box((30,), (40,)))
+    # of the contour's default grid of 36 nodes
+    err, ledger = green_error(1.0, Box((30,), (40,)), grid=(36,))
     assert err.max() == pytest.approx(1.0)
     assert np.all(err <= ledger)
 
@@ -385,6 +386,20 @@ def test_green_kernel_ledger_covers_a_window_away_from_the_origin():
 def test_green_kernel_ledger_covers_the_rounding_under_an_exact_envelope():
     # at radius 0.6 the fitted envelope is the exact one (rate 0.5, M = 2), so
     # the wrap-around bound is tight and the rounding allowance carries the
-    # inverse FFT's rounding
-    err, ledger = green_error(0.6, Box((0,), (60,)))
+    # inverse FFT's rounding (the contour's default grid of 136 nodes)
+    err, ledger = green_error(0.6, Box((0,), (60,)), grid=(136,))
     assert np.all(err <= ledger)
+
+
+@pytest.mark.parametrize(
+    "radius, window",
+    [
+        (1.0, Box((30,), (40,))),  # the contour's window away from the origin
+        (0.6, Box((0,), (60,))),  # the contour's exact envelope
+        (0.52, Box((0,), (30,))),  # the contour clips its fitted rate to 0.494 < 0.5
+    ],
+)
+def test_series_green_kernel_ledger_bounds_the_error(radius, window):
+    # theta = 0.5 / radius < 1: the certified orthant kernel is a power series
+    err, ledger = green_error(radius, window)
+    assert np.all(err <= ledger) and np.all(ledger <= 1e-10)

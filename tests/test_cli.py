@@ -393,6 +393,28 @@ def test_solve_cli_solves_every_problem_kind(tmp_path, kind):
     assert report["residual"] <= report["error_ledger"]
 
 
+def test_solve_cli_takes_a_kernel_with_axes_listed_out_of_order(tmp_path, capsys):
+    from zlattice.lattice import emit
+
+    k1, k2 = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
+    kernel = SequenceTable(nonneg_orthant(2), Box((0, 0), (2, 3)), 0.5 ** (k1 + 2 * k2))
+    doc = {
+        "kind": "mixed_axes", "n": 2, "m": 1,
+        "terms": [{"kernel": {"cesaro": {"alpha": 0.0, "len": 0}}, "axes": [1], "A": [[[1, 0]]]},
+                  {"kernel": emit(kernel), "axes": [2, 1], "A": [[[0.3, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    code = run([
+        "solve", "--problem", str(p), "--radii", "1.2,1.2", "--kernel-window", "0:16,0:16",
+        "--check-window", "0:6,0:6", "--out", str(tmp_path / "u.json"),
+    ])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _malformed_docs():
     dup = _pencil_doc()
     dup["terms"][1]["j"] = [1]

@@ -290,6 +290,25 @@ def test_singular_pencil_names_the_first_row_major_node():
     assert exc.value.node == (1.0 + 0j, -1.0 + 0j)
 
 
+def test_residual_with_axes_listed_out_of_order_matches_the_transposed_kernel():
+    # a 2-D kernel on axes (2, 1) is the transposed kernel on axes (1, 2)
+    rng = np.random.default_rng(8)
+    vals = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    a = SequenceTable(nonneg_orthant(2), Box((0, 0), (2, 3)), vals)
+    at = SequenceTable(nonneg_orthant(2), Box((0, 0), (3, 2)), vals.T)
+    delta = cesaro(0.0, 0)
+    A = np.array([[0.3, 0.1], [0.0, 0.2]])
+    S21, S12 = (
+        MixedAxesSymbol(2, 2, (MixedAxesTerm(delta, (1,), np.eye(2)), MixedAxesTerm(k, ax, A)), np.eye(2))
+        for k, ax in ((a, (2, 1)), (at, (1, 2)))
+    )
+    u = SequenceTable(FullLattice(2), Box((-2, -1), (6, 7)), rng.normal(size=(9, 9, 2)), "vector", 2)
+    f = SequenceTable(nonneg_orthant(2), Box((0, 0), (3, 3)), rng.normal(size=(4, 4, 2)), "vector", 2)
+    w = Box((0, 0), (4, 5))
+    assert S21.terms[1].axes == (1, 2)
+    assert residual(S21, u, f, w) == residual(S12, u, f, w)
+
+
 # ---------------------------------------------------------------------------
 # closed-form 1 x 1 and 2 x 2 linear algebra against LAPACK
 # ---------------------------------------------------------------------------
@@ -671,7 +690,8 @@ def test_weyl_solve_residual_within_ledger():
 
 
 def test_long_kernel_weyl_solve_takes_the_fft_path(monkeypatch):
-    # 640 kernel terms on the 656 contour nodes of the window 0:320: the
+    # 640 kernel terms on the 656 contour nodes of the window 0:320 (the
+    # default grid, passed explicitly so that the quadrature runs): the
     # kernel transform is one folded FFT; forcing every axis onto the direct
     # power matrix must give the same u
     S = weyl_fractional_problem(0.5, kernel_len=640)
@@ -679,11 +699,11 @@ def test_long_kernel_weyl_solve_takes_the_fft_path(monkeypatch):
     ffts = []
     fft = np.fft.fft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **kw: ffts.append(1) or fft(*a, **kw))
-    sol = solve(S, f, (1.3,), Box((0,), (320,)), Box((0,), (48,)))
+    sol = solve(S, f, (1.3,), Box((0,), (320,)), Box((0,), (48,)), grid=(656,))
     assert ffts
     monkeypatch.setattr(ztransform, "_FFT_CROSSOVER", math.inf)
     ffts.clear()
-    direct = solve(S, f, (1.3,), Box((0,), (320,)), Box((0,), (48,)))
+    direct = solve(S, f, (1.3,), Box((0,), (320,)), Box((0,), (48,)), grid=(656,))
     assert not ffts
     scale = np.max(np.abs(direct.u.values))
     assert np.max(np.abs(sol.u.values - direct.u.values)) <= 1e-10 * scale
