@@ -45,7 +45,7 @@ EXIT_IO = 4
 # the exit code of each error class; the first matching row wins
 _ERROR_EXITS = (
     (SingularSymbol, EXIT_SINGULAR),
-    ((SchemaError, OSError, json.JSONDecodeError), EXIT_IO),
+    ((SchemaError, OSError, ValueError), EXIT_IO),  # ValueError: malformed JSON, a NUL in a path
     ((DimensionMismatch, PointOutsideRegion), EXIT_USAGE),
     (ZLatticeError, EXIT_TOLERANCE),
 )
@@ -107,13 +107,13 @@ def parse_window(text: str) -> Box:
     return Box(tuple(lo), tuple(hi))
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, least: int = 1) -> int:
     try:
         v = int(text)
     except ValueError:
-        v = 0
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        v = least - 1
+    if v < least:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {least}, got {text!r}")
     return v
 
 
@@ -287,6 +287,8 @@ def cmd_fractional(args) -> int:
     # weyl
     f = load(args.seq)
     m = args.m if args.m is not None else math.ceil(args.alpha)
+    if not args.alpha <= m <= 1029:  # the kernel is c^(m - alpha); C(m, m / 2) < 2^1024
+        raise DimensionMismatch(f"difference order {m} outside alpha..1029 for alpha {args.alpha}")
     kernel = cesaro(m - args.alpha, args.kernel_len)
     out = weyl_am(kernel, m, f, args.window, enforce=not args.no_enforce)
     save(out, args.out)
@@ -453,15 +455,15 @@ def build_parser() -> _Parser:
     fs = fr.add_subparsers(dest="action", required=True)
     fc = fs.add_parser("cesaro")
     fc.add_argument("--alpha", type=_nonnegative_float, required=True)
-    fc.add_argument("--len", type=_positive_int, default=64)
+    fc.add_argument("--len", type=_integer, default=64)
     fc.add_argument("--out", required=True)
     fc.add_argument("--report")
     fw = fs.add_parser("weyl")
-    fw.add_argument("--alpha", type=float, required=True)
-    fw.add_argument("--m", type=int)
+    fw.add_argument("--alpha", type=_nonnegative_float, required=True)
+    fw.add_argument("--m", type=lambda t: _integer(t, 0))
     fw.add_argument("--seq", required=True)
     fw.add_argument("--window", type=_window, required=True)
-    fw.add_argument("--kernel-len", type=int, default=256, dest="kernel_len")
+    fw.add_argument("--kernel-len", type=lambda t: _integer(t, 0), default=256, dest="kernel_len")
     fw.add_argument("--no-enforce", action="store_true")
     fw.add_argument("--out", required=True)
     fw.add_argument("--report")
@@ -482,7 +484,7 @@ def build_parser() -> _Parser:
     u = sub.add_parser("probe-uniqueness")
     u.add_argument("--problem", required=True)
     u.add_argument("--radii", type=_radii, required=True)
-    u.add_argument("--samples", type=int, default=32)
+    u.add_argument("--samples", type=lambda t: _integer(t, 0), default=32)
     u.add_argument("--seed", type=int, default=0)
     u.add_argument("--threshold", type=float, default=1e-10)
     u.add_argument("--report")
@@ -509,7 +511,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ZLatticeError, OSError, json.JSONDecodeError) as e:
+    except (ZLatticeError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))
 

@@ -5,12 +5,14 @@ bilateral and general domain-pair products; ``conv_axes`` convolves along a
 chosen subset of axes only.  Output windows are always caller-supplied:
 infinite result domains are never materialized.  When a factor carries a decay
 envelope, truncation of the unstored tail is bounded entrywise in closed
-geometric form and reported as a ledger.
+geometric form and reported as a ledger, its runs summed by one call of the
+rounded-up ``ztransform._log_run``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -29,7 +31,7 @@ from .lattice import (
     value_norm,
     value_norms,
 )
-from .ztransform import _envelope_sum, eval_forward
+from .ztransform import _exp, _log_run, eval_forward
 
 DEFAULT_TOL = 1e-12
 TOL_FLOOR = 1e-14
@@ -42,10 +44,10 @@ TOL_FLOOR = 1e-14
 
 @dataclass
 class _AxisProfile:
-    lo: int | None  # admissible interval along the axis
-    hi: int | None
-    s_lo: int  # stored interval
-    s_hi: int
+    lo: float  # admissible interval along the axis, infinite where open
+    hi: float
+    s_lo: float  # stored interval, within the admissible one
+    s_hi: float
     r_neg: float  # envelope factor r_neg^k for k < 0
     r_pos: float  # envelope factor r_pos^k for k >= 0
 
@@ -69,11 +71,12 @@ def _profiles(f: SequenceTable, axes: Sequence[int | None]) -> tuple[float, list
             continue
         lo, hi = axis_interval(f.domain, ax)
         s_lo, s_hi = f.support.lo[ax], f.support.hi[ax]
+        lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
         r = env.rates[ax] if env is not None else 1.0
         if env is None:
-            lo = s_lo if lo is None else max(lo, s_lo)
-            hi = s_hi if hi is None else min(hi, s_hi)
-        profs.append(_AxisProfile(lo, hi, s_lo, s_hi, *(r if isinstance(r, tuple) else (r, r))))
+            lo, hi = max(lo, s_lo), min(hi, s_hi)
+        rates = r if isinstance(r, tuple) else (r, r)
+        profs.append(_AxisProfile(lo, hi, max(lo, s_lo), min(hi, s_hi), *rates))
     return M, profs
 
 
@@ -88,66 +91,67 @@ def _tail_ledger(
     of the window ``ranges`` (one range per axis of ``b_axes``; a ``None`` in
     ``a_axes`` passes b's axis through, as a convolution with the unit kernel).
 
-    Per axis: the envelope summed over the stored box within the admissible
-    l-interval (S_i) and over the unstored rest below and above it (T_i).
+    Per axis (``ends``): the envelope summed over the stored box (l in
+    supp(b), k - l in supp(a)) within the admissible l-interval (l in dom_b,
+    k - l in dom_a) (S_i) and over the unstored rows below and above it (T_i).
     The ledger is Ma Mb sum_i S_1...S_{i-1} T_i F_{i+1}...F_n with F = S + T:
     the unstored terms summed directly, never a difference of full and
     stored sums, which cancels once the tail is below rounding of the full
-    sum.  It is built as outer products of one 1-D array per axis.  The axes
-    are laid side by side, so the intervals of all axes are one array each
-    and the envelope sums of all axes and of both halves of the summation line
-    are one ``_envelope_sum`` call.  An axis whose sum diverges or leaves the
-    float range makes the entry infinite, unless another axis admits no l at
-    all, which makes the entry exactly 0.
+    sum.  A row that the profiles' scalars show empty at every k is skipped,
+    and with none unstored left the ledger is 0.  The rest are split at l = k
+    and l = 0 where the profiles admit both sides, into geometric runs over
+    the window: one ``_log_run`` call for all axes.  An axis whose sum
+    diverges or leaves the float range makes the entry infinite, unless
+    another axis admits no l at all, which makes the entry exactly 0.
     """
     Ma, pa = _profiles(a, a_axes)
     Mb, pb = _profiles(b, b_axes)
-    shape = tuple(len(ks) for ks in ranges)
-    if Ma == 0.0 or Mb == 0.0:
+    shape, live = tuple(len(ks) for ks in ranges), []
+
+    def ends(p, q, k, M=np.maximum, m=np.minimum):  # lo, hi, lo_s, hi_s at k
+        return M(k - p.hi, q.lo), m(k - p.lo, q.hi), M(k - p.s_hi, q.s_lo), m(k - p.s_lo, q.s_hi)
+    for p, q, ks in zip(pa, pb, ranges):
+        # lo_s - lo and hi - hi_s are monotone in k: a row empty at both ends is empty
+        e = [ends(p, q, float(k), max, min) for k in (ks[0], ks[-1])]
+        live.append((max(x[2] - x[0] for x in e) >= 1, max(x[1] - x[3] for x in e) >= 1))
+    if Ma == 0.0 or Mb == 0.0 or not any(below or above for below, above in live):
         return np.zeros(shape)
-    inf = math.inf
-    k = np.concatenate([np.arange(ks.start, ks.stop, dtype=float) for ks in ranges])
-    # each profile value repeated over its axis; an open end is an infinite one
-    p_lo, p_hi, ps_lo, ps_hi, p_neg, p_pos, log_neg, log_pos = np.repeat([[
-        -inf if p.lo is None else p.lo, inf if p.hi is None else p.hi, p.s_lo, p.s_hi,
-        p.r_neg, p.r_pos, math.log(p.r_neg), math.log(p.r_pos),
-    ] for p in pa], shape, axis=0).T
-    q_lo, q_hi, qs_lo, qs_hi, q_neg, q_pos = np.repeat([[
-        -inf if q.lo is None else q.lo, inf if q.hi is None else q.hi, q.s_lo, q.s_hi,
-        q.r_neg, q.r_pos,
-    ] for q in pb], shape, axis=0).T
-    # the admissible l-interval (l in dom_b, k - l in dom_a) and the stored
-    # box (l in supp(b), k - l in supp(a)) within it
-    lo, hi = np.maximum(q_lo, k - p_hi), np.minimum(q_hi, k - p_lo)
-    lo_s = np.maximum(np.maximum(qs_lo, k - ps_hi), lo)
-    hi_s = np.minimum(np.minimum(qs_hi, k - ps_lo), hi)
-    # rows: the stored interval, then the unstored ones below and above it
-    ends_lo = np.stack([lo_s, lo, np.maximum(lo_s, hi_s + 1.0)])
-    ends_hi = np.stack([hi_s, np.minimum(hi, lo_s - 1.0), hi])
-    # sum over l of b_a(k - l) b_b(l), split at l = k:
-    # b_a(k - l) = ra^k ra^-l with ra = r_pos for l <= k, r_neg for l > k
-    ra = np.stack([p_pos, p_neg])[:, None]  # (half, 1, k)
-    sums = _envelope_sum(
-        q_neg / ra, q_pos / ra,
-        np.stack([ends_lo, np.maximum(ends_lo, k + 1.0)]),
-        np.stack([np.minimum(ends_hi, k), ends_hi]),
-        k * np.stack([log_pos, log_neg])[:, None],
-    )
-    cut = np.cumsum(shape)[:-1]
-    tail = np.zeros(())
-    stored = np.ones(())
-    divergent = np.zeros((), dtype=bool)
-    empty = np.zeros((), dtype=bool)
-    per_axis = zip(np.split(sums[0] + sums[1], cut, axis=-1), np.split(lo > hi, cut))
-    for (s_i, t_below, t_above), e in per_axis:
-        t_i = t_below + t_above
-        inf_i = ~np.isfinite(s_i + t_i)
-        s_i[inf_i] = t_i[inf_i] = 0.0
-        tail = np.multiply.outer(tail, s_i + t_i) + np.multiply.outer(stored, t_i)
-        stored = np.multiply.outer(stored, s_i)
-        divergent = np.logical_or.outer(divergent, inf_i)
-        empty = np.logical_or.outer(empty, e)
-    return np.where(divergent & ~empty, math.inf, Ma * Mb * tail)
+    W, n, inf = max(shape), len(shape), math.inf
+    runs, axes = [], []  # per run: its ends, log ratio, log scale, k and sums slot
+    for i, (p, q, ks, (below, above)) in enumerate(zip(pa, pb, ranges, live)):
+        k = np.arange(ks.start, ks.start + W, dtype=float)  # the window's k, padded to W
+        lo, hi, lo_s, hi_s = ends(p, q, k)
+        axes.append((lo, hi))
+        rows = [(lo_s, hi_s)] + ([(lo, np.minimum(hi, lo_s - 1.0))] if below else [])
+        rows += [(np.maximum(lo_s, hi_s + 1.0), hi)] if above else []
+        # b_a(k - l) b_b(l) = ra^k (rb / ra)^l: ra = r_pos for l <= k and r_neg
+        # for l > k, rb = r_neg for l < 0 and r_pos for l >= 0
+        halves = [(p.r_pos, -inf, k)] * (p.hi >= 0) + [(p.r_neg, k + 1.0, inf)] * (p.lo < 0)
+        sides = [(q.r_neg, -inf, -1.0)] * (q.lo < 0) + [(q.r_pos, 0.0, inf)] * (q.hi >= 0)
+        for row, (r0, r1) in enumerate(rows):
+            at = (n + i if row else i) * W  # the row sums into T_i, else S_i
+            for (ra, h0, h1), (rb, c0, c1) in itertools.product(halves, sides):
+                e0, e1 = r0, r1
+                for x0, x1 in ((h0, h1),) * (len(halves) > 1) + ((c0, c1),) * (len(sides) > 1):
+                    e0, e1 = np.maximum(e0, x0), np.minimum(e1, x1)
+                runs.append((e0, e1, math.log(rb / ra), math.log(ra), k, at))
+    e0, e1, lg, sl, k, at = zip(*runs)
+    lg, sl, at = (np.array(x)[:, None] for x in (lg, sl, at))
+    runs = _exp(_log_run(np.array(e0), np.array(e1), lg, sl * np.array(k)))
+    sums = np.bincount((at + np.arange(W)).ravel(), runs.ravel(), 2 * n * W).reshape(2 * n, W)
+    divergent = np.isinf(sums)  # S per axis, then T per axis
+    if some := divergent.any():
+        sums[divergent] = 0.0
+    for i, K in enumerate(shape):
+        s_i, t_i = sums[i, :K], sums[n + i, :K]
+        tail = t_i if i == 0 else tail[..., None] * (s_i + t_i) + stored[..., None] * t_i
+        stored = s_i if i == 0 else stored[..., None] * s_i
+    tail = Ma * Mb * tail
+    if some:
+        any_of = functools.partial(functools.reduce, np.logical_or.outer)
+        div = any_of(divergent[i, :K] | divergent[n + i, :K] for i, K in enumerate(shape))
+        tail[div & ~any_of(lo[:K] > hi[:K] for (lo, hi), K in zip(axes, shape))] = inf
+    return tail
 
 
 # ---------------------------------------------------------------------------

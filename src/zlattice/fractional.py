@@ -25,8 +25,8 @@ CESARO_ENVELOPE_EPS = 0.05  # envelope rate 1 + eps; any eps > 0 is valid
 
 def cesaro_values(alpha: float, K: int) -> np.ndarray:
     """c^alpha(0..K) by the recurrence c(k) = c(k-1) * (k - 1 + alpha) / k."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if alpha < 0 or K < 0:
+        raise ValueError(f"need alpha >= 0 and K >= 0, got {alpha}, {K}")
     out = np.empty(K + 1)
     out[0] = 1.0
     if alpha == 0.0:

@@ -215,7 +215,7 @@ class Envelope:
         rates = []
         for r in self.rates:
             if isinstance(r, (tuple, list)):
-                lo, hi = float(r[0]), float(r[1])
+                lo, hi = (float(x) for x in r)  # a pair, else ValueError
                 if lo <= 0 or hi <= 0:
                     raise ValueError("envelope rates must be positive")
                 rates.append((lo, hi))
@@ -620,7 +620,7 @@ def ingest(doc: dict) -> SequenceTable:
         return _ingest(doc)
     except KeyError as e:
         raise SchemaError(f"missing field {e}") from e
-    except (TypeError, ValueError, DimensionMismatch) as e:
+    except (TypeError, ValueError, ArithmeticError, DimensionMismatch) as e:
         raise SchemaError(f"bad sequence document: {e}") from e
 
 

@@ -80,7 +80,7 @@ def problem_from_doc(doc) -> tuple[Symbol, SequenceTable]:
         return _dispatch(kind, n, m, C, terms, doc)
     except KeyError as e:
         raise SchemaError(f"missing field {e}") from e
-    except (TypeError, ValueError, DimensionMismatch) as e:
+    except (TypeError, ValueError, ArithmeticError, DimensionMismatch) as e:
         raise SchemaError(f"bad problem document: {e}") from e
 
 

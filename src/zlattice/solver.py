@@ -110,8 +110,8 @@ class Term:
         self.order = int(self.order)
         if self.axes is not None:
             axes = tuple(int(j) for j in self.axes)
-            if self.kernel.dim != len(axes):
-                raise DimensionMismatch("mixed-axes kernel dimension != axis count")
+            if self.kernel.dim != len(axes) or len(set(axes)) != len(axes) or min(axes) < 1:
+                raise DimensionMismatch(f"a {self.kernel.dim}-D kernel on axes {axes}")
             self.axes = tuple(sorted(axes))
             if self.axes != axes:
                 order = sorted(range(len(axes)), key=axes.__getitem__)
@@ -148,8 +148,8 @@ class Symbol:
         if not pencil and not self.terms:
             raise ValueError("symbol needs at least one pencil or kernel term")
         for t in self.terms:
-            if len(t.shift) != self.n:
-                raise DimensionMismatch("term shift dimension mismatch")
+            if len(t.shift) != self.n or max(t.axes or (1,)) > self.n:
+                raise DimensionMismatch("term shift or axes dimension mismatch")
             if t.order and self.n != 1:
                 raise DimensionMismatch("difference terms are one-dimensional")
         self.pencil = tuple(pencil)
@@ -261,8 +261,14 @@ def _times_A(t: Term, fa):
     value in ``fa``: A F_a for a matrix kernel, since A (a * u) has the symbol
     A F_a; else F_a A with the kernel's value axes right-aligned."""
     if t.kernel.value_kind == "matrix":
-        return t.A @ fa
+        return _left(t.A, fa)
     return np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape)))) * t.A
+
+
+def _left(A, X):
+    """A X for a stack X of m x m matrices, as one product on the reshaped stack."""
+    AX = np.dot(A, np.moveaxis(X, -2, 0).reshape(len(A), -1))
+    return np.moveaxis(AX.reshape((len(A),) + X.shape[:-2] + X.shape[-1:]), 0, -2)
 
 
 pencil_eval = symbol_eval
@@ -390,10 +396,6 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     def fro(X):  # Frobenius norms of a stack of m x m matrices
         return value_norms(np.reshape(X, (-1, m * m)), 1)
 
-    def left(A, X):  # A X for a stack X of m x m matrices, as one product
-        AX = np.dot(A, np.moveaxis(X, -2, 0).reshape(m, -1))
-        return np.moveaxis(AX.reshape((m,) + X.shape[:-2] + (m,)), 0, -2)
-
     jstar = tuple(max(t.shift[i] + t.order for t in ts) for i in range(n))
     K = np.maximum(window.hi, jstar)  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
     blocks, enveloped = [], []  # (first index, coefficients of B); (term, its axes, offset)
@@ -418,9 +420,12 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     try:
         with np.errstate(all="ignore"):  # a non-finite B gives theta nan
             Binv = np.linalg.inv(B[o])
-            Bn = left(-Binv, B)
-            w = math.prod(np.ix_(*(r ** -np.arange(q) for r, q in zip(R, B.shape))))
-            theta = float(np.sum(fro(Bn)[1:] * w.reshape(-1)[1:]))
+            X = B[o[1:]][1 : n + 2]  # theta sums nonnegative terms: these first few may refuse
+            theta = float(np.sum(fro(Binv @ X) * R[-1] ** -np.arange(1.0, len(X) + 1)))
+            if theta < 1:
+                Bn = _left(-Binv, B)
+                w = math.prod(np.ix_(*(r ** -np.arange(q) for r, q in zip(R, B.shape))))
+                theta = float(np.sum(fro(Bn)[1:] * w.reshape(-1)[1:]))
     except np.linalg.LinAlgError:  # a singular B_0
         return None
     if not theta < 1:
@@ -478,7 +483,7 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on each box 0..k, for
     # r = B Hs - delta_{j*}: B_0 Binv - I at j*, elsewhere sum_j F_j Hs(k - j)
     # with F = B_0 Bn + B, plus B_0 times the rounding of the step
-    F = left(B[o], Bnb) + Bb
+    F = _left(B[o], Bnb) + Bb
     nr = fro(B[o] @ Binv - np.eye(m))[0]
     nf, nbn, nb = (float(np.sum(fro(x)[1:])) for x in (F, Bnb, Bb))
     g = 4.0 * (int(live.sum()) * m + 4) * np.finfo(float).eps  # gamma, with room for complex
@@ -490,7 +495,7 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
     table = SequenceTable(domain, window, G, "matrix", m, Envelope(bound, tuple(R)))
-    return KernelResult(table, nc * led[at], rc, bound, 0.0)
+    return KernelResult(table, nc * led[at] if nc else np.zeros(window.shape), rc, bound, 0.0)
 
 
 def green_function(

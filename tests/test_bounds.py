@@ -13,6 +13,7 @@ roundoffs per stored term, times the sum of the moduli of the terms.
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,7 @@ from zlattice.lattice import (
     nonneg_orthant,
 )
 from zlattice.solver import green_function
-from zlattice.ztransform import eval_forward, forward_evaluator, invert_contour
+from zlattice.ztransform import _log_run, eval_forward, forward_evaluator, invert_contour
 
 SLACK = 1 + 1e-12
 ROUND = 4 * 2.0**-52
@@ -403,3 +404,63 @@ def test_series_green_kernel_ledger_bounds_the_error(radius, window):
     # theta = 0.5 / radius < 1: the certified orthant kernel is a power series
     err, ledger = green_error(radius, window)
     assert np.all(err <= ledger) and np.all(ledger <= 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The geometric-run primitive
+# ---------------------------------------------------------------------------
+
+
+def exact_log_run(a, b, log_g, log_scale):
+    """log sum_{m=a}^{b} e^(log_scale + m log_g) of the float arguments, from
+    the closed form in 60-digit mpmath: -inf when empty, inf when divergent."""
+    with mp.workdps(60):
+        g, s = mp.mpf(log_g), mp.mpf(log_scale)
+        if a > b:
+            return -mp.inf
+        if (b == math.inf and g >= 0) or (a == -math.inf and g <= 0):
+            return mp.inf
+        if g == 0:
+            return s + mp.log(b - a + 1)
+        n, u = b - a + 1, mp.expm1(-abs(g))
+        return s + (b if g > 0 else a) * g + mp.log(-1 / u if n == math.inf else mp.expm1(-n * abs(g)) / u)
+
+
+@st.composite
+def geometric_runs(draw):
+    """(a, b, log_g, log_scale): ratios far from 1, near it and exactly 1 (a
+    normal log_g or 0, as ``_log_run`` requires); log scales near the float
+    range; empty, short, long, infinite and divergent runs, each with its
+    largest term at an end between -40 and 40."""
+    tiny = st.floats(1e-16, 1e-6).map(lambda x: x * (-1) ** int(1e20 * x))
+    log_g = draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_subnormal=False), tiny))
+    log_scale = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(600.0, 700.0), st.floats(-740.0, -600.0)))
+    kind = draw(st.sampled_from(("empty", "short", "long", "infinite", "divergent")))
+    top = draw(st.integers(-40, 40))
+    if kind == "empty":
+        return top, top - draw(st.integers(1, 5)), log_g, log_scale
+    if kind == "divergent":
+        ends = (top, math.inf) if log_g > 0 or (log_g == 0 and top % 2) else (-math.inf, top)
+        return (*ends, log_g, log_scale)
+    n = {"short": draw(st.integers(1, 40)), "long": draw(st.integers(41, 10**6)), "infinite": math.inf}[kind]
+    return (*((top - n + 1, top) if log_g > 0 else (top, top + n - 1)), log_g, log_scale)
+
+
+def assert_bounds_the_run(bound, a, b, log_g, log_scale):
+    exact = exact_log_run(a, b, log_g, log_scale)
+    if mp.isinf(exact):
+        assert bound == float(exact)
+    elif b - a < 40 and abs(log_scale) <= 5:  # the explicit terms in floats, summed exactly
+        true = math.fsum(math.exp(log_scale + m * log_g) for m in range(a, b + 1))
+        assert true <= math.exp(bound) <= (1 + 1e-12) * true
+    else:
+        assert exact <= bound <= exact + math.log1p(1e-12)
+
+
+@given(st.lists(geometric_runs(), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_log_run_bounds_the_exact_sum(cases):
+    batch = _log_run(*(np.array(x, dtype=float) for x in zip(*cases)))
+    for case, elementwise in zip(cases, batch):
+        for bound in (_log_run(*case), float(elementwise)):  # Python numbers, then arrays
+            assert_bounds_the_run(bound, *case)

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zlattice.cli import main, parse_complex, parse_point, parse_window
 from zlattice.lattice import Box, Envelope, Orthant, SequenceTable, load, nonneg_orthant, save
@@ -393,20 +401,24 @@ def test_solve_cli_solves_every_problem_kind(tmp_path, kind):
     assert report["residual"] <= report["error_ledger"]
 
 
-def test_solve_cli_takes_a_kernel_with_axes_listed_out_of_order(tmp_path, capsys):
+def _axes_out_of_order_doc():
+    """A mixed_axes problem whose 2-D kernel lists its axes as [2, 1]."""
     from zlattice.lattice import emit
 
     k1, k2 = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
     kernel = SequenceTable(nonneg_orthant(2), Box((0, 0), (2, 3)), 0.5 ** (k1 + 2 * k2))
-    doc = {
+    return {
         "kind": "mixed_axes", "n": 2, "m": 1,
         "terms": [{"kernel": {"cesaro": {"alpha": 0.0, "len": 0}}, "axes": [1], "A": [[[1, 0]]]},
                   {"kernel": emit(kernel), "axes": [2, 1], "A": [[[0.3, 0]]]}],
         "C": [[[1, 0]]],
         "data": {"generator": "delta"},
     }
+
+
+def test_solve_cli_takes_a_kernel_with_axes_listed_out_of_order(tmp_path, capsys):
     p = tmp_path / "p.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(_axes_out_of_order_doc()))
     code = run([
         "solve", "--problem", str(p), "--radii", "1.2,1.2", "--kernel-window", "0:16,0:16",
         "--check-window", "0:6,0:6", "--out", str(tmp_path / "u.json"),
@@ -537,3 +549,131 @@ def test_singular_symbol_message_prints_plain_complex_numbers(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "at node ((1+0j),)" in err and "np." not in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: mutated documents and arguments exit with a documented code
+# ---------------------------------------------------------------------------
+
+DOC, OUT = "<doc>", "<out>"
+
+
+def _fuzz_seeds():
+    """(arguments, document) pairs that run and exit 0 as they are."""
+    from zlattice.fixtures import geometric_table
+    from zlattice.lattice import emit
+
+    seq = emit(geometric_table(0.5, 8))
+    k = np.add.outer(np.arange(4), np.arange(4))
+    seq2 = emit(SequenceTable(nonneg_orthant(2), Box((0, 0), (3, 3)), 0.5**k,
+                              envelope=Envelope(1.0, (0.5, 0.5))))
+    solve = ["solve", "--problem", DOC, "--radii"]
+    return [
+        (["transform", "eval", "--seq", DOC, "--at", "2+0i"], seq),
+        (["transform", "invert", "--seq", DOC, "--radii", "1,1", "--window", "0:3,0:3", "--out", OUT], seq2),
+        (["convolve", "--a", DOC, "--b", DOC, "--window", "0:6", "--out", OUT], seq),
+        (["fractional", "weyl", "--alpha", "0.5", "--seq", DOC, "--window", "0:6", "--kernel-len", "16",
+          "--out", OUT], seq),
+        ([*solve, "1.0", "--kernel-window", "0:16", "--check-window", "1:8", "--out", OUT], _pencil_doc()),
+        ([*solve, "1.3", "--kernel-window", "0:24", "--check-window", "0:10", "--out", OUT], _weyl_doc(1)),
+        ([*solve, "1.2,1.2", "--kernel-window", "0:12,0:12", "--check-window", "0:4,0:4", "--out", OUT],
+         _axes_out_of_order_doc()),
+        (["probe-uniqueness", "--problem", DOC, "--radii", "1.0", "--samples", "4"], _pencil_doc()),
+    ]
+
+
+# small values only, so that no mutation asks for a large table; no "/" in an
+# argument, so that an output path stays in the test's directory
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.text(max_size=3), st.just([]), st.just({}),
+    st.sampled_from([0.0, -1.0, 0.5, 2.5, 1e308, -1e-300, math.nan, math.inf]),
+)
+_ARGUMENTS = st.one_of(st.text(max_size=4).filter(lambda t: "/" not in t), st.sampled_from([
+    "0", "-1", "3", "0.5", "nan", "inf", "1e-300", "1e308", "0:3", "3:0", "-2:2", "0:2,0:2", "1,1",
+    "2+0i", "0+0i", "1+1i,2", "--out", "--radii",
+]))
+
+
+def _mutate(draw, doc):
+    """The document with one node replaced, deleted or wrapped in a list."""
+    nodes = [(None, None)]  # (container, key) of every node; the root first
+    stack = [doc]
+    while stack:
+        c = stack.pop()
+        for key in (range(len(c)) if isinstance(c, list) else c if isinstance(c, dict) else ()):
+            nodes.append((c, key))
+            stack.append(c[key])
+    c, key = draw(st.sampled_from(nodes))
+    op = draw(st.sampled_from(("replace", "delete", "wrap")))
+    if c is None:
+        return draw(_LEAVES) if op == "replace" else [doc]
+    if op == "delete":
+        del c[key]
+    else:
+        c[key] = draw(_LEAVES) if op == "replace" else [c[key]]
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_documents_and_arguments_exit_with_a_documented_code(data):
+    argv, doc = data.draw(st.sampled_from(_fuzz_seeds()))
+    doc, argv = json.loads(json.dumps(doc)), list(argv)
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data.draw, doc)
+    for _ in range(data.draw(st.sampled_from((0, 0, 0, 1, 2)))):  # mostly the seed's arguments
+        argv[data.draw(st.integers(0, len(argv) - 1))] = data.draw(_ARGUMENTS)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        with open(path, "w") as fh:
+            fh.write(json.dumps(doc))
+        argv = [path if a == DOC else os.path.join(d, "out.json") if a == OUT else a for a in argv]
+        codes, cwd = [], os.getcwd()
+        os.chdir(d)  # a mutated argument may name a relative output path
+        try:
+            for _ in range(2):  # the same input twice
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    with warnings.catch_warnings():  # extreme values may overflow: a warning
+                        warnings.simplefilter("ignore", RuntimeWarning)
+                        codes.append(main(argv))
+                assert "Traceback" not in err.getvalue()
+        finally:
+            os.chdir(cwd)
+    assert codes[0] == codes[1] and 0 <= codes[0] <= 4
+
+
+def _edit(doc, path, value):
+    """The document with the node at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("seed, path, value, argument, code", [
+    (0, ("support_lo",), [math.inf], None, 4),  # int(inf) overflows
+    (0, ("envelope", "rates"), [[0.5]], None, 4),  # a rate pair of one
+    (6, ("n",), False, None, 4),  # a zero-dimensional symbol
+    (6, ("terms", 0, "kernel", "cesaro", "len"), -1, None, 4),  # a Cesaro kernel of no terms
+    (6, ("terms", 1, "axes"), [2, 2], None, 4),  # an axis listed twice
+    (5, ("C",), [[[0, 0]]], None, 0),  # C = 0: the kernel and its ledger are 0
+    (0, ("n",), 1, (3, "a\x00b"), 4),  # a NUL byte in a path
+    (3, ("n",), 1, (3, "nan"), 1),  # --alpha nan
+    (3, ("n",), 1, (3, "1e308"), 1),  # a difference order past the float range of C(m, j)
+    (3, ("n",), 1, (9, "-1"), 1),  # --kernel-len -1
+], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
+        "NUL in a path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1"])
+def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
+                                                          argument, code):
+    argv, doc = _fuzz_seeds()[seed]
+    argv = list(argv)
+    if argument is not None:
+        argv[argument[0]] = argument[1]
+    (tmp_path / "doc.json").write_text(json.dumps(_edit(doc, path, value)))
+    argv = [str(tmp_path / "doc.json") if a == DOC else str(tmp_path / "o.json") if a == OUT else a
+            for a in argv]
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from zlattice import solver
-from zlattice.errors import SingularSymbol
+from zlattice.errors import EvaluatorFailure, SingularSymbol
 from zlattice.fixtures import first_order_pencil, scaling_pencil, weyl_fractional_problem
 from zlattice.fractional import cesaro_values
 from zlattice.lattice import Box, Envelope, SequenceTable, nonneg_orthant
@@ -223,3 +223,12 @@ def test_contour_runs_for_uncertified_symbols_and_explicit_grids(monkeypatch):
     with pytest.raises(SingularSymbol):  # theta = 1 exactly: the contour meets the pole
         green_function(first_order_pencil(1.0), (1.0,), Box((0,), (8,)))
     assert len(calls) == 5
+    # a singular B_0 (z diag(1, 0) - I / 2 is invertible off |z| = 1/2), and a
+    # non-finite B, which the contour then reports at its first node
+    P = OperatorPencil(1, 2, (((1,), np.diag([1.0, 0.0])), ((0,), -0.5 * np.eye(2))), np.eye(2))
+    green_function(P, (1.0,), Box((0,), (8,)))
+    assert len(calls) == 6
+    with pytest.raises(EvaluatorFailure):
+        green_function(OperatorPencil(1, 1, (((1,), [[1.0]]), ((0,), [[np.nan]])), [[1.0]]),
+                       (1.0,), Box((0,), (8,)))
+    assert len(calls) == 7

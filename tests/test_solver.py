@@ -128,6 +128,14 @@ def test_matrix_kernel_symbol_is_A_times_kernel_transform():
     sol = solve(S, f, (1.0,), Box((0,), (8,)), Box((0,), (10,)))
     rep = residual(S, sol.u, f, Box((0,), (5,)))
     assert rep["max_residual"] <= sol.ledger
+    # on an open mesh: A F_a(z) at every node, as the per-node matrix product
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=(3, 3, 2, 2))
+    kernel = SequenceTable(FullLattice(2), Box((-1, 0), (1, 2)), vals, "matrix", 2)
+    S = Symbol(2, 2, (), (Term(kernel, A, (0, 0)),), np.eye(2))
+    nodes = [np.array([1.3, 1.5j, -0.8 + 0.4j]), np.array([0.7j, 1.2])]
+    ref = [[A @ eval_forward(kernel, (a, b)) for b in nodes[1]] for a in nodes[0]]
+    np.testing.assert_allclose(symbol_eval(S, np.ix_(*nodes)), np.array(ref), rtol=1e-12)
 
 
 def test_weyl_symbol_delta_is_difference():
