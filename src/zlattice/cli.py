@@ -24,7 +24,7 @@ from . import fixtures, problems
 from .errors import DimensionMismatch, PointOutsideRegion, SchemaError, SingularSymbol
 from .errors import ZLatticeError
 from .fractional import cesaro, weyl_am
-from .lattice import Box, load, save
+from .lattice import Box, load, open_path, read_json, save
 from .solver import residual, solve, uniqueness_probe
 from .ztransform import (
     Outside,
@@ -45,7 +45,7 @@ EXIT_IO = 4
 # the exit code of each error class; the first matching row wins
 _ERROR_EXITS = (
     (SingularSymbol, EXIT_SINGULAR),
-    ((SchemaError, OSError, ValueError), EXIT_IO),  # ValueError: malformed JSON, a NUL in a path
+    ((SchemaError, OSError), EXIT_IO),
     ((DimensionMismatch, PointOutsideRegion), EXIT_USAGE),
     (ZLatticeError, EXIT_TOLERANCE),
 )
@@ -151,15 +151,13 @@ def fmt_complex(v: complex) -> str:
 
 
 def _digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    with open_path(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _write_report(path, payload):
     if path:
-        with open(path, "w") as fh:
+        with open_path(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True, default=str)
             fh.write("\n")
 
@@ -202,14 +200,8 @@ def cmd_transform(args) -> int:
         val, tail = eval_forward(f, z, with_tail=True)
         flat = np.atleast_1d(np.asarray(val)).reshape(-1)
         print(",".join(fmt_complex(v) for v in flat))
-        _write_report(
-            args.report,
-            {
-                "command": "transform eval",
-                "inputs": {args.seq: _digest(args.seq)},
-                "tail_bound": tail,
-            },
-        )
+        _write_report(args.report, {"command": "transform eval", "tail_bound": tail,
+                                    "inputs": {args.seq: _digest(args.seq)}})
         return EXIT_OK
 
     # invert
@@ -218,8 +210,7 @@ def cmd_transform(args) -> int:
         F = forward_evaluator(f)
         source = args.seq
     elif args.rational:
-        with open(args.rational) as fh:
-            F = _rational_evaluator(json.load(fh))
+        F = _rational_evaluator(read_json(args.rational))
         source = args.rational
     elif args.fixture == "probability":
         F = fixtures.probability_evaluator()
@@ -254,8 +245,7 @@ def cmd_transform(args) -> int:
 def cmd_convolve(args) -> int:
     from .convolution import conv_axes, conv_general
 
-    a = load(args.a)
-    b = load(args.b)
+    a, b = load(args.a), load(args.b)
     if args.mode == "axes":
         if not args.axes:
             raise SchemaError("axes mode needs --axes")
@@ -300,9 +290,7 @@ def cmd_fractional(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    with open(args.problem) as fh:
-        doc = json.load(fh)
-    prob, f = problems.problem_from_doc(doc)
+    prob, f = problems.problem_from_doc(read_json(args.problem))
     radii = args.radii
     kernel_window = args.kernel_window
     check_window = args.check_window
@@ -334,9 +322,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    with open(args.problem) as fh:
-        doc = json.load(fh)
-    prob, _ = problems.problem_from_doc(doc)
+    prob, _ = problems.problem_from_doc(read_json(args.problem))
     radii = args.radii
     rng = np.random.default_rng(args.seed)
     samples = []
@@ -511,7 +497,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ZLatticeError, OSError, ValueError) as e:
+    except (ZLatticeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for cls, code in _ERROR_EXITS if isinstance(e, cls))
 

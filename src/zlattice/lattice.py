@@ -651,16 +651,28 @@ def _ingest(doc: dict) -> SequenceTable:
     return SequenceTable(domain, support, flat, value_kind, m, env)
 
 
+def open_path(path, mode="r"):
+    """open(); a path that no file can have (a NUL byte in it) raises OSError."""
+    try:
+        return open(path, mode)
+    except ValueError as e:
+        raise OSError(f"{e}: {path!r}") from e
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; SchemaError if there is none."""
+    with open_path(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as e:  # not JSON, or not in a Unicode encoding
+            raise SchemaError(f"invalid JSON: {e}") from e
+
+
 def save(f: SequenceTable, path) -> None:
-    with open(path, "w") as fh:
+    with open_path(path, "w") as fh:
         json.dump(emit(f), fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load(path) -> SequenceTable:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e}") from e
-    return ingest(doc)
+    return ingest(read_json(path))

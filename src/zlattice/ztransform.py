@@ -6,12 +6,12 @@ sequences; for those the evaluation can report a closed-form geometric bound on
 the unstored tail.  Inversion samples polycircles uniformly per axis, which is
 the trapezoid rule for the polycircle integral and is realized here as an
 inverse DFT with per-axis radius weights.  Every tail and aliasing bound sums
-geometric runs with one primitive, ``_log_run``: the log of a run as its
-largest term times (1 - u^n) / (1 - u), formed with expm1, raised by 2 eps per
-unit of the moduli of the logs it adds plus 32 eps.  Its operations err by at
-most (3 |top| + 2 |scale| + 2 lf + 7) eps / 2, lf the log of the factor
-(Higham, "Accuracy and Stability of Numerical Algorithms", sec. 2.2 and 3.1);
-the rest covers the exponential and the sums of runs that the bounds form.
+geometric runs with ``_log_run``: a run's log as its largest term times
+(1 - u^n) / (1 - u), by expm1, raised by 2 eps per unit of the moduli of the
+logs it adds plus 32 eps.  Its operations err by at most (3 |top| + 2 |scale|
++ 2 lf + 7) eps / 2, lf the log of the factor (Higham, "Accuracy and Stability
+of Numerical Algorithms", 2.2, 3.1); the rest covers the exp and the sums of
+runs.  It bounds the run of its float arguments, not a caller's log_g rounding.
 """
 
 from __future__ import annotations

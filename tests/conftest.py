@@ -1,11 +1,11 @@
 """Shared test configuration.
 
-The ``ci`` hypothesis profile, which the CI workflow selects with
-``--hypothesis-profile=ci``, prints the blob that reproduces a failing example
-(``@reproduce_failure``) and sets no deadline, since shared runners vary in
-speed.
+Every run, local or CI, uses one hypothesis profile: it prints the blob that
+reproduces a failing example (``@reproduce_failure``) and sets no deadline,
+since machines vary in speed.
 """
 
 from hypothesis import settings
 
-settings.register_profile("ci", print_blob=True, deadline=None)
+settings.register_profile("zlattice", print_blob=True, deadline=None)
+settings.load_profile("zlattice")

@@ -661,11 +661,13 @@ def _edit(doc, path, value):
     (6, ("terms", 1, "axes"), [2, 2], None, 4),  # an axis listed twice
     (5, ("C",), [[[0, 0]]], None, 0),  # C = 0: the kernel and its ledger are 0
     (0, ("n",), 1, (3, "a\x00b"), 4),  # a NUL byte in a path
+    (2, ("n",), 1, (8, "o\x00"), 4),  # ... in an output path
+    (4, ("n",), 1, (2, "p\x00"), 4),  # ... in a problem path
     (3, ("n",), 1, (3, "nan"), 1),  # --alpha nan
     (3, ("n",), 1, (3, "1e308"), 1),  # a difference order past the float range of C(m, j)
     (3, ("n",), 1, (9, "-1"), 1),  # --kernel-len -1
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
-        "NUL in a path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1"])
+        "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]
@@ -677,3 +679,26 @@ def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, see
             for a in argv]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_file_not_in_a_unicode_encoding_exits_4(tmp_path, capsys):
+    p = tmp_path / "p.json"
+    p.write_bytes(b'{"n": "\xff"}')
+    code = run(["solve", "--problem", str(p), "--radii", "1.0", "--kernel-window", "0:8",
+                "--check-window", "1:4", "--out", str(tmp_path / "u.json")])
+    assert code == 4 and "Traceback" not in capsys.readouterr().err
+
+
+def test_a_value_error_of_the_program_is_not_an_input_error(tmp_path, monkeypatch):
+    """Only the file boundary turns a ValueError into exit 4; a fault elsewhere keeps its
+    traceback, so that the fuzz test above can see it."""
+    from zlattice import cli
+    from zlattice.fixtures import geometric_table
+
+    def fault(*args, **kwargs):
+        raise ValueError("a fault of the program")
+
+    save(geometric_table(0.5, 8), tmp_path / "f.json")
+    monkeypatch.setattr(cli, "eval_forward", fault)
+    with pytest.raises(ValueError, match="a fault of the program"):
+        main(["transform", "eval", "--seq", str(tmp_path / "f.json"), "--at", "2+0i"])
