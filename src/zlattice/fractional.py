@@ -17,24 +17,18 @@ import numpy as np
 
 from .convolution import conv_general
 from .errors import DimensionMismatch, InsufficientWindow
-from .lattice import Box, Envelope, SequenceTable, domain_mask, nonneg_orthant, value_norm
+from .lattice import Box, Envelope, SequenceTable, nonneg_orthant, value_norm
 from .ztransform import eval_forward
 
 CESARO_ENVELOPE_EPS = 0.05  # envelope rate 1 + eps; any eps > 0 is valid
 
 
 def cesaro_values(alpha: float, K: int) -> np.ndarray:
-    """c^alpha(0..K) by the recurrence c(k) = c(k-1) * (k - 1 + alpha) / k."""
+    """c^alpha(0..K) as the running product of (k - 1 + alpha) / k, within gamma_{2k}."""
     if alpha < 0 or K < 0:
         raise ValueError(f"need alpha >= 0 and K >= 0, got {alpha}, {K}")
-    out = np.empty(K + 1)
-    out[0] = 1.0
-    if alpha == 0.0:
-        out[1:] = 0.0
-        return out
-    for k in range(1, K + 1):
-        out[k] = out[k - 1] * (k - 1 + alpha) / k
-    return out
+    k = np.arange(1.0, K + 1)
+    return np.cumprod(np.concatenate(([1.0], (k - 1 + alpha) / k)))
 
 
 def cesaro(alpha: float, K: int) -> SequenceTable:
@@ -44,16 +38,14 @@ def cesaro(alpha: float, K: int) -> SequenceTable:
     dominates eventually; the constant is the exact maximum of
     c^alpha(k) / (1+eps)^k, scanned past the window up to the turning point.
     """
-    vals = cesaro_values(alpha, K)
     rate = 1.0 + CESARO_ENVELOPE_EPS
     # ratio c(k)/rate^k peaks near k* = (alpha - 1)/log(rate); scan that far
-    k_star = max(K, int((max(alpha, 1.0)) / math.log(rate)) + 2)
-    scan = cesaro_values(alpha, k_star)
-    M = float(np.max(scan / rate ** np.arange(k_star + 1))) if alpha > 0 else 1.0
+    scan = cesaro_values(alpha, max(K, int((max(alpha, 1.0)) / math.log(rate)) + 2))
+    M = float(np.max(scan / rate ** np.arange(len(scan)))) if alpha > 0 else 1.0
     return SequenceTable(
         nonneg_orthant(1),
         Box((0,), (K,)),
-        vals.astype(complex),
+        scan[: K + 1].astype(complex),
         envelope=Envelope(M, (rate,)),
     )
 
@@ -97,8 +89,7 @@ def forward_difference(f: SequenceTable, m: int, window) -> SequenceTable:
     acc = np.zeros(window.shape + f.vshape, dtype=complex)
     for j in range(m + 1):
         acc = acc + (-1) ** (m - j) * math.comb(m, j) * padded[j : j + window.shape[0]]
-    mask = domain_mask(f.domain, window).reshape(window.shape + (1,) * len(f.vshape))
-    return SequenceTable(f.domain, window, np.where(mask, acc, 0), f.value_kind, f.m)
+    return SequenceTable(f.domain, window, acc, f.value_kind, f.m)
 
 
 def weyl_derivative(

@@ -340,6 +340,21 @@ def axis_interval(domain: LatticeDomain, axis: int):
     raise TypeError(f"unknown domain {domain!r}")
 
 
+def _base(d):
+    """The domain with its shifts removed."""
+    while isinstance(d, Shifted):
+        d = d.base
+    return d
+
+
+def _box_inside(domain: LatticeDomain, box: Box) -> bool:
+    """True when the box lies in a domain that is a product of per-axis
+    intervals; a FiniteSet base is never assumed to cover it."""
+    ends = zip(box.lo, box.hi, (axis_interval(domain, i) for i in range(box.dim)))
+    return not isinstance(_base(domain), FiniteSet) and all(
+        (lo is None or lo <= a) and (hi is None or b <= hi) for a, b, (lo, hi) in ends)
+
+
 def domain_mask(domain: LatticeDomain, support: Box) -> np.ndarray:
     """Boolean array over the support box: True at the points of the domain."""
     base, lo = domain, np.array(support.lo)
@@ -390,10 +405,11 @@ class SequenceTable:
             raise DimensionMismatch("envelope dimension mismatch")
         shape = support.shape + value_shape(value_kind, m)
         vals = np.ascontiguousarray(np.asarray(values, dtype=complex).reshape(shape))
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("non-finite entries in sequence table")
-        # Zero out entries outside the domain (finite-support semantics).
-        if not isinstance(domain, FullLattice):
+        # Zero out entries outside the domain (finite-support semantics); a box
+        # inside a product-of-intervals domain has none
+        if not isinstance(domain, FullLattice) and not _box_inside(domain, support):
             outside = ~domain_mask(domain, support)
             if outside.any():
                 vals = vals.copy()

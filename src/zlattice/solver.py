@@ -267,8 +267,8 @@ def _times_A(t: Term, fa):
 
 def _left(A, X):
     """A X for a stack X of m x m matrices, as one product on the reshaped stack."""
-    AX = np.dot(A, np.moveaxis(X, -2, 0).reshape(len(A), -1))
-    return np.moveaxis(AX.reshape((len(A),) + X.shape[:-2] + X.shape[-1:]), 0, -2)
+    AX = np.dot(A, X.transpose(X.ndim - 2, *range(X.ndim - 2), -1).reshape(len(A), -1))
+    return AX.reshape(len(A), *X.shape[:-2], X.shape[-1]).transpose(*range(1, X.ndim - 1), 0, -1)
 
 
 pencil_eval = symbol_eval
@@ -388,6 +388,7 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     return Envelope(M, tuple(rates))
 
 
+@np.errstate(all="ignore")  # non-finite B, theta or ledger terms refuse or read inf, as bounds
 def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     """The Green kernel by power-series inversion on N0^n, or None where the
     certificate fails (see the module docstring).  Norms are Frobenius norms."""
@@ -397,7 +398,8 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
         return value_norms(np.reshape(X, (-1, m * m)), 1)
 
     jstar = tuple(max(t.shift[i] + t.order for t in ts) for i in range(n))
-    K = np.maximum(window.hi, jstar)  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
+    K = tuple(map(max, window.hi, jstar))  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
+    kb = tuple(k + 1 - j for k, j in zip(K, jstar))
     blocks, enveloped = [], []  # (first index, coefficients of B); (term, its axes, offset)
     for t in ts:
         a, ax, lo, ext = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], [0] * n, [1] * n
@@ -414,26 +416,25 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
             start = [d + c + i for d, c in zip(d0, lo)]
             blocks.append((start, (-1) ** i * math.comb(t.order, i) * X))
     tops = ([p + e for p, e in zip(q, X.shape)] for q, X in blocks)
-    B = np.zeros(tuple(map(max, zip(K + 1 - jstar, *tops))) + (m, m), dtype=complex)
+    B = np.zeros(tuple(map(max, zip(kb, *tops))) + (m, m), dtype=complex)
     for q, X in blocks:
         B[tuple(slice(p, p + e) for p, e in zip(q, X.shape))] += X
-    try:
-        with np.errstate(all="ignore"):  # a non-finite B gives theta nan
-            Binv = np.linalg.inv(B[o])
-            X = B[o[1:]][1 : n + 2]  # theta sums nonnegative terms: these first few may refuse
-            theta = float(np.sum(fro(Binv @ X) * R[-1] ** -np.arange(1.0, len(X) + 1)))
-            if theta < 1:
-                Bn = _left(-Binv, B)
-                w = math.prod(np.ix_(*(r ** -np.arange(q) for r, q in zip(R, B.shape))))
-                theta = float(np.sum(fro(Bn)[1:] * w.reshape(-1)[1:]))
+    try:  # a non-finite B gives theta nan
+        Binv = np.linalg.inv(B[o])
+        X = B[o[1:]][1 : n + 2]  # theta sums nonnegative terms: these first few may refuse
+        theta = float(np.sum(fro(Binv @ X) * R[-1] ** -np.arange(1.0, len(X) + 1)))
+        if theta < 1:
+            Bn = _left(-Binv, B)
+            w = functools.reduce(np.multiply.outer, (r**-np.arange(q) for r, q in zip(R, B.shape)))
+            theta = float(np.sum(fro(Bn)[1:] * w.reshape(-1)[1:]))
     except np.linalg.LinAlgError:  # a singular B_0
         return None
     if not theta < 1:
         return None
-    n0, ni, nc = fro([B[o], Binv, S.C])
+    n0, ni, nc, nr = fro([B[o], Binv, S.C, B[o] @ Binv - np.eye(m)])
     tail = miss = 0.0  # unstored kernel coefficients: their share of theta and of B on 0..K - j*
     for t, ax, d0 in enveloped:
-        a, top, nA = t.kernel, K - jstar - d0, fro(t.A)[0]  # B_{d0 + l} for l <= top
+        a, top, nA = t.kernel, np.subtract(kb, d0 + 1), fro(t.A)[0]  # B_{d0 + l} for l <= top
         try:  # ||A a(l)|| <= ||A|| ||a(l)||_2 for every value kind of a
             tail += nA * forward_tail_bound(a, R[ax]) * np.prod(R**-d0) * (1 + 1 / R[0]) ** t.order
         except (PointOutsideRegion, NoEnvelope):
@@ -451,21 +452,20 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     # in n-D a whole level v.k at a time, each point gathering Hs(k - j) over
     # the nonzero B_j, for the unit or all-ones v with v.j >= 1 for those j and
     # the fewest levels; points are stored by level, then a zero row
-    box, P = tuple(K + 1), math.prod(K + 1)
-    Bb, Bnb = (x[tuple(map(slice, K + 1 - jstar))] for x in (B, Bn))
+    box, P, at = tuple(k + 1 for k in K), math.prod(k + 1 for k in K), tuple(map(slice, kb))
+    Bb, Bnb = B[at], Bn[at]
     live = np.any(Bb != 0, axis=(-2, -1))
+    live[o] = False  # the j != 0 with B_j != 0; F, Bn and B vanish elsewhere
     if n == 1:
         j0, flat = jstar[0], np.zeros((P + 1, m, m), dtype=complex)  # Hs(i) at flat[P - i]
-        flat[P - j0] = Binv
+        flat[P - j0], rows, end = Binv, flat.reshape(-1, m), (P + 1 - j0) * m
         cat = Bnb[1:].transpose(1, 0, 2).reshape(m, m * len(Bnb) - m)
-        for k in range(j0 + 1, P):
-            past = flat[P + 1 - k : P + 1 - j0].reshape(-1, m)  # Hs(k - 1) .. Hs(j0)
-            np.dot(cat[:, : (k - j0) * m], past, out=flat[P - k])
+        for k in range(j0 + 1, P):  # Hs(k - 1) .. Hs(j0), stacked, into Hs(k)
+            np.dot(cat[:, : (k - j0) * m], rows[(P + 1 - k) * m : end], out=flat[P - k])
         Hs = flat[P:0:-1]
     else:
-        J = np.argwhere(live)[1:]
-        v = min((v for v in (*np.eye(n, dtype=int), np.ones(n, int)) if np.all(J @ v >= 1)),
-                key=lambda v: v @ K)
+        J = np.argwhere(live)
+        v = min((*np.eye(n, dtype=int)[(J >= 1).all(0)], np.ones(n, int)), key=lambda v: v @ K)
         pts = np.indices(box).reshape(n, -1)
         order = np.argsort(v @ pts, kind="stable")
         rank = np.empty_like(order)
@@ -483,15 +483,14 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on each box 0..k, for
     # r = B Hs - delta_{j*}: B_0 Binv - I at j*, elsewhere sum_j F_j Hs(k - j)
     # with F = B_0 Bn + B, plus B_0 times the rounding of the step
-    F = _left(B[o], Bnb) + Bb
-    nr = fro(B[o] @ Binv - np.eye(m))[0]
-    nf, nbn, nb = (float(np.sum(fro(x)[1:])) for x in (F, Bnb, Bb))
-    g = 4.0 * (int(live.sum()) * m + 4) * np.finfo(float).eps  # gamma, with room for complex
+    Bj, Bnj = Bb[live], Bnb[live]
+    nf, nbn, nb = np.sum(fro(np.stack((_left(B[o], Bnj) + Bj, Bnj, Bj))).reshape(3, -1), axis=1)
+    g = 4.0 * ((len(Bj) + 1) * m + 4) * np.finfo(float).eps  # gamma, with room for complex
     hn = fro(Hs).reshape(box)
     h = functools.reduce(np.cumsum, range(n), hn)
     rho = nr + g * n0 * ni + (nf + g * (n0 * nbn + nb) + miss) * h
-    led = np.where(rho < 1, h * rho / np.where(rho < 1, 1 - rho, 1.0), math.inf) + g * hn
-    bound = float(ni * nc * np.prod(R ** -np.array(jstar))) / (1 - theta)
+    led = np.divide(h * rho, 1 - rho, out=np.full(box, math.inf), where=rho < 1) + g * hn
+    bound = float(ni * nc * math.prod(R ** -np.array(jstar))) / (1 - theta)
     at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
     table = SequenceTable(domain, window, G, "matrix", m, Envelope(bound, tuple(R)))
@@ -687,11 +686,13 @@ def pencil_roots_1d(P: Symbol) -> np.ndarray:
     return np.roots(coeffs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def homogeneous_mode_residual(P: Symbol, lams, window: Box) -> float:
     """Max |sum_j a_j lam^{k+j}| over the window for a scalar pencil root.
 
     Zero (to rounding) certifies that adding the geometric mode
     prod lam_i^{k_i} to any solution leaves the equation residual unchanged.
+    A mode past the float range reads inf.
     """
     ks = np.ix_(*(np.arange(a, b + 1) for a, b in zip(window.lo, window.hi)))
     acc = np.zeros(window.shape, dtype=complex)
@@ -700,7 +701,7 @@ def homogeneous_mode_residual(P: Symbol, lams, window: Box) -> float:
         for li, ki, ji in zip(lams, ks, j):
             term = term * complex(li) ** (ki + ji)
         acc = acc + term
-    return float(np.max(np.abs(acc)))
+    return float(np.max(np.where(np.isnan(acc), math.inf, np.abs(acc))))
 
 
 def uniqueness_probe(

@@ -42,6 +42,7 @@ from .lattice import (
     Orthant,
     SequenceTable,
     Shifted,
+    _base,
     axis_interval,
     domain_mask,
     nonneg_orthant,
@@ -105,7 +106,7 @@ class PolyAnnulus:
         """Whether the point, or every node of an open mesh, lies in the region."""
         if len(z) != self.dim:
             raise DimensionMismatch("region/point dimension mismatch")
-        return all(bool(np.all(c.holds(np.abs(zi)))) for c, zi in zip(self.axes, z))
+        return all(c.holds(np.abs(zi)).all() for c, zi in zip(self.axes, z))
 
 
 @dataclass(frozen=True)
@@ -182,13 +183,6 @@ def _check_powers(f: SequenceTable, z) -> None:
             raise ZeroCoordinate(f"z[{i}] = 0 with positive indices on axis {i}")
 
 
-def _base(d):
-    """The domain with its shifts removed."""
-    while isinstance(d, Shifted):
-        d = d.base
-    return d
-
-
 def convergence_region(f: SequenceTable) -> PolyAnnulus:
     """Region implied by the envelope on a product (orthant / full) domain."""
     if f.envelope is None:
@@ -213,6 +207,7 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
 
 
 _RUN_SLOPE, _RUN_FLOOR = 2.0 * np.finfo(float).eps, 32.0 * np.finfo(float).eps  # see above
+_ONE_MODULUS = 4.0 * np.finfo(float).eps  # spread of log |z| over rounded nodes of one circle
 
 
 def _log_run(a, b, log_g, log_scale=0.0):
@@ -252,7 +247,9 @@ def forward_tail_bound(f: SequenceTable, z):
     sum_i S_1...S_{i-1} T_i F_{i+1}...F_n with F = S + T, never a difference
     of full and stored sums, which cancels below rounding of the full sum.  On
     an open mesh an outer product with one entry per node, at a point a
-    float.  Raises if the point or a node is outside the convergence region.
+    float.  An axis whose node moduli agree to rounding (a contour circle)
+    sums each run once, at the node where it is largest.  Raises if the point
+    or a node is outside the convergence region.
     """
     if f.envelope is None:
         return 0.0
@@ -267,14 +264,18 @@ def forward_tail_bound(f: SequenceTable, z):
         lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
         s_lo, s_hi = max(lo, f.support.lo[i]), min(hi, f.support.hi[i])
         log_z = math.log(abs(zi)) if isinstance(zi, complex) else np.log(np.abs(zi))
+        ends = (log_z, log_z)  # the log |z| each side of k = 0 reads
+        if isinstance(log_z, np.ndarray) and log_z.size and np.ptp(log_z) <= _ONE_MODULUS:
+            ends = (float(np.max(log_z)), float(np.min(log_z)))  # k < 0 runs grow with |z|
         st = [0.0, 0.0]  # S_i over the stored interval, T_i over the unstored ones around it
         for row, (a, b) in enumerate(((s_lo, s_hi), (lo, min(hi, s_lo - 1)), (max(lo, s_hi + 1), hi))):
-            for rate, a, b in zip(rates, (a, max(a, 0)), (min(b, -1), b)):  # each side of k = 0
-                if a <= b:
-                    st[row > 0] = st[row > 0] + _exp(_log_run(a, b, math.log(rate) - log_z))
+            for rate, a, b, lz in zip(rates, (a, max(a, 0)), (min(b, -1), b), ends):
+                if a <= b:  # each side of k = 0
+                    st[row > 0] = st[row > 0] + _exp(_log_run(a, b, math.log(rate) - lz))
         tail, stored = tail * (st[0] + st[1]) + stored * st[1], stored * st[0]
-    out = f.envelope.M * tail
-    return float(out) if np.ndim(out) == 0 else out
+    if all(isinstance(zi, complex) for zi in z):
+        return float(f.envelope.M * tail)
+    return np.full(np.broadcast_shapes(*(np.shape(zi) for zi in z)), f.envelope.M * tail)
 
 
 # An axis of L stored terms on N circle nodes is contracted by FFT when

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -634,9 +633,7 @@ def test_mutated_documents_and_arguments_exit_with_a_documented_code(data):
             for _ in range(2):  # the same input twice
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    with warnings.catch_warnings():  # extreme values may overflow: a warning
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        codes.append(main(argv))
+                    codes.append(main(argv))
                 assert "Traceback" not in err.getvalue()
         finally:
             os.chdir(cwd)
@@ -666,8 +663,11 @@ def _edit(doc, path, value):
     (3, ("n",), 1, (3, "nan"), 1),  # --alpha nan
     (3, ("n",), 1, (3, "1e308"), 1),  # a difference order past the float range of C(m, j)
     (3, ("n",), 1, (9, "-1"), 1),  # --kernel-len -1
+    (5, ("terms", 0, "A"), [[[1e308, 0]]], None, 0),  # the series ledger overflows: inf
+    (7, ("terms", 0, "A"), [[[-1e-300, 0]]], None, 0),  # a root of 5e299: its mode overflows
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
-        "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1"])
+        "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
+        "weyl A 1e308", "probe root 5e299"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

@@ -46,11 +46,13 @@ def test_cesaro_alpha_zero_is_delta():
 
 
 def test_cesaro_against_gamma_oracle():
-    # c^alpha(k) = Gamma(k+alpha) / (Gamma(alpha) k!)
+    # c^alpha(k) = Gamma(k+alpha) / (Gamma(alpha) k!); the running product of
+    # 2k roundings errs by at most gamma_{2k}, 5.7e-14 at k = 256.  The Weyl
+    # kernels use alpha = ceil(a) - a, so small and fractional alpha too
     mpmath.mp.dps = 40
-    for alpha in (0.5, 1.3, 2.7):
-        vals = cesaro_values(alpha, 50)
-        for k in (0, 1, 4, 17, 50):
+    for alpha in (1e-3, 0.5, 0.6, 0.7, 1.3, 2.7):
+        vals = cesaro_values(alpha, 256)
+        for k in (0, 1, 4, 17, 50, 128, 255, 256):
             ref = mpmath.gamma(k + alpha) / (mpmath.gamma(alpha) * mpmath.factorial(k))
             assert vals[k] == pytest.approx(float(ref), rel=1e-13)
 

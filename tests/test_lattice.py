@@ -194,12 +194,28 @@ def test_beta_shift_matches_per_point_reference(case):
 # ---------------------------------------------------------------------------
 
 
-def test_values_outside_domain_forced_zero():
-    f = SequenceTable(
-        nonneg_orthant(1), Box((-2,), (2,)), np.ones(5)
-    )
-    assert f.at((-1,)) == 0.0
-    assert f.at((1,)) == 1.0
+@pytest.mark.parametrize("domain, support", [
+    (nonneg_orthant(1), Box((-2,), (2,))),
+    (Orthant((-1,)), Box((-2,), (2,))),
+    (Box((-1, 0), (1, 2)), Box((-2, -1), (2, 3))),
+    (Shifted(nonneg_orthant(1), (2,)), Box((-1,), (4,))),
+    (FiniteSet(((0,), (2,), (5,))), Box((0,), (5,))),  # inside the points' bounding box
+    (Shifted(FiniteSet(((0, 0), (1, 2), (2, 2))), (1, -1)), Box((1, -1), (3, 1))),
+    (nonneg_orthant(2), Box((0, -2), (3, 2))),
+    (Shifted(Orthant((1, -1)), (1, 1)), Box((1, -1), (3, 1))),
+], ids=["orthant sign +1", "orthant sign -1", "box", "shifted orthant", "finite set", "shifted finite set",
+        "2-D leaving along one axis", "2-D inside the domain"])
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_values_outside_domain_forced_zero(domain, support, kind):
+    """The constructor keeps a stored value exactly where its index lies in the
+    domain, whether or not it builds a mask for the box."""
+    m = None if kind == "scalar" else 2
+    rng = np.random.default_rng(7)
+    vals = rng.normal(size=support.shape + value_shape(kind, m)) + 1j
+    f = SequenceTable(domain, support, vals, kind, m)
+    for k in support.points():
+        stored = vals[tuple(c - a for c, a in zip(k, support.lo))]
+        assert np.array_equal(f.at(k), stored if k in domain else 0 * stored)
 
 
 def test_envelope_check():

@@ -224,6 +224,22 @@ def test_two_sided_tail_bound_covers_terms_between_support_and_zero():
     assert actual <= forward_tail_bound(f, z) + 1e-15
 
 
+@pytest.mark.parametrize("domain, rates, radii", [
+    (FullLattice(2), ((1.6, 0.7), (1.3, 0.9)), (1.1, 1.0)),
+    (nonneg_orthant(2), (0.95, 0.5), (1.0, 1.3)),
+    (Orthant((1, -1)), (0.6, 1.05), (1.0, 1.0)),
+], ids=["two-sided", "orthant", "mixed signs"])
+def test_forward_tail_bound_on_contour_circles_covers_every_node(domain, rates, radii):
+    """Circle nodes differ in modulus by rounding; the bound summed once per
+    run at the node where that run is largest holds at every node."""
+    f = SequenceTable(domain, Box((-2, -3), (2, 3)), np.ones((5, 7)), envelope=Envelope(1.0, rates))
+    nodes = [ztransform._circle(r, N) for r, N in zip(radii, (36, 40))]
+    tail = forward_tail_bound(f, np.ix_(*nodes))
+    points = np.array([[forward_tail_bound(f, (a, b)) for b in nodes[1]] for a in nodes[0]])
+    assert tail.shape == (36, 40)
+    assert np.all(tail >= points) and np.all(tail <= points * (1 + 1e-12))
+
+
 def test_eval_outside_region_rejected():
     f = SequenceTable.from_function(
         nonneg_orthant(1), Box((0,), (3,)), lambda k: 0.5 ** k[0],
