@@ -2,7 +2,8 @@
 
 One windowed kernel ``conv_general`` covers the causal (Faltung), Weyl,
 bilateral and general domain-pair products; ``conv_axes`` convolves along a
-chosen subset of axes only.  Output windows are always caller-supplied:
+chosen subset of axes only, the kernel embedded with length-1 pass-through
+axes, through the same body.  Output windows are always caller-supplied:
 infinite result domains are never materialized.  When a factor carries a decay
 envelope, truncation of the unstored tail is bounded entrywise in closed
 geometric form and reported as a ledger, its runs summed by one call of the
@@ -28,6 +29,7 @@ from .lattice import (
     SequenceTable,
     axis_interval,
     minkowski_sum,
+    sort_axes,
     value_norm,
     value_norms,
 )
@@ -249,24 +251,8 @@ def conv_general(
     """
     if a.dim != b.dim or window.dim != a.dim:
         raise DimensionMismatch("convolution dimension mismatch")
-    out_kind = b.value_kind if a.value_kind == "scalar" else (
-        b.value_kind if b.value_kind != "scalar" else a.value_kind
-    )
-    out_m = b.m if b.m is not None else a.m
-    # stored entries outside a table's domain are zero, so the stored boxes
-    # are the whole summation range
-    out = _correlate(
-        a.values, a.support.lo, b.values, b.support.lo, window, len(a.vshape), len(b.vshape)
-    )
-    ledger = None
-    if (enforce or return_ledger) and (a.envelope is not None or b.envelope is not None):
-        axes = tuple(range(a.dim))
-        ranges = [range(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
-        ledger = _tail_ledger(a, b, axes, axes, ranges)
-        if enforce:
-            _check_tail(out, ledger, window, tol, out.ndim - a.dim)
-    table = SequenceTable(result_domain(a.domain, b.domain), window, out, out_kind, out_m)
-    return (table, ledger) if return_ledger else table
+    domain = result_domain(a.domain, b.domain)
+    return _product(a, b, range(a.dim), window, domain, tol, enforce, return_ledger)
 
 
 def conv_axes(
@@ -280,37 +266,41 @@ def conv_axes(
 ):
     """Convolve along the 1-based axis subset only, passing the rest through.
 
-    a is l-dimensional (l = len(axes)); the empty subset returns b unchanged.
+    a is l-dimensional (l = len(axes)) of any value kind; axes listed out of
+    order are sorted and a's axes permuted to match; the empty subset returns
+    b unchanged.  The result lies on the full lattice.
     """
-    axes = tuple(int(j) for j in axes)
     if len(axes) == 0:
         return (b, np.zeros(b.support.shape)) if return_ledger else b
-    if list(axes) != sorted(set(axes)) or axes[0] < 1 or axes[-1] > b.dim:
-        raise ValueError(f"axes must be strictly increasing in 1..{b.dim}")
-    if a.dim != len(axes):
-        raise DimensionMismatch("kernel dimension must equal number of axes")
-    if a.value_kind != "scalar":
-        raise ValueError("axes-mode kernel must be scalar")
+    a, axes = sort_axes(a, axes, b.dim)
     if window.dim != b.dim:
         raise DimensionMismatch("window dimension mismatch")
-    ax0 = tuple(j - 1 for j in axes)
-    # embed the kernel in n dimensions with length-1 pass-through axes at 0
-    emb_shape = [1] * b.dim
-    emb_lo = [0] * b.dim
-    for i, j in enumerate(ax0):
-        emb_shape[j] = a.support.shape[i]
-        emb_lo[j] = a.support.lo[i]
+    a_axes = [axes.index(j) if j in axes else None for j in range(1, b.dim + 1)]
+    return _product(a, b, a_axes, window, FullLattice(b.dim), tol, enforce, return_ledger)
+
+
+def _product(a, b, a_axes, window: Box, domain, tol, enforce, return_ledger):
+    """The body of both products: a's axis ``a_axes[i]`` pairs with b's axis i,
+    and a ``None`` is a length-1 pass-through axis of a at 0."""
+    out_kind = b.value_kind if a.value_kind == "scalar" else (
+        b.value_kind if b.value_kind != "scalar" else a.value_kind
+    )
+    out_m = b.m if b.m is not None else a.m
+    shape = tuple(1 if q is None else a.support.shape[q] for q in a_axes)
+    a_lo = tuple(0 if q is None else a.support.lo[q] for q in a_axes)
+    # stored entries outside a table's domain are zero, so the stored boxes
+    # are the whole summation range
     out = _correlate(
-        a.values.reshape(emb_shape), emb_lo, b.values, b.support.lo, window, 0, len(b.vshape)
+        a.values.reshape(shape + a.vshape), a_lo, b.values, b.support.lo, window,
+        len(a.vshape), len(b.vshape),
     )
     ledger = None
     if (enforce or return_ledger) and (a.envelope is not None or b.envelope is not None):
         ranges = [range(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
-        a_axes = [ax0.index(j) if j in ax0 else None for j in range(b.dim)]
-        ledger = _tail_ledger(a, b, a_axes, tuple(range(b.dim)), ranges)
+        ledger = _tail_ledger(a, b, a_axes, range(b.dim), ranges)
         if enforce:
-            _check_tail(out, ledger, window, tol, len(b.vshape))
-    table = SequenceTable(FullLattice(b.dim), window, out, b.value_kind, b.m)
+            _check_tail(out, ledger, window, tol, out.ndim - b.dim)
+    table = SequenceTable(domain, window, out, out_kind, out_m)
     return (table, ledger) if return_ledger else table
 
 

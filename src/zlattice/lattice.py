@@ -537,9 +537,17 @@ def beta_shift(f: SequenceTable, beta) -> SequenceTable:
     )
 
 
-def permute_axes(f: SequenceTable, order) -> SequenceTable:
-    """g(k) = f(k') where k'_order[i] = k_i: the table with its axis order[i]
-    as axis i, value axes kept last; domain, support and envelope permute too."""
+def sort_axes(f: SequenceTable, axes, n=math.inf) -> tuple[SequenceTable, tuple[int, ...]]:
+    """An l-D table on the 1-based axis subset ``axes`` of Z^n, with the axes
+    sorted and the table's axes permuted to match (value axes kept last;
+    domain, support and envelope permute too).  A repeated or out-of-range
+    axis, or a table of another dimension than l, raises DimensionMismatch."""
+    axes = tuple(int(j) for j in axes)
+    if f.dim != len(axes) or len(set(axes)) != len(axes) or not all(1 <= j <= n for j in axes):
+        raise DimensionMismatch(f"a {f.dim}-D kernel on axes {axes}")
+    order = sorted(range(len(axes)), key=axes.__getitem__)
+    if order == list(range(len(axes))):
+        return f, axes
     pick = lambda t: tuple(t[i] for i in order)  # noqa: E731
 
     def move(d):
@@ -553,7 +561,7 @@ def permute_axes(f: SequenceTable, order) -> SequenceTable:
 
     values = f.values.transpose(*order, *range(f.dim, f.values.ndim))
     env = f.envelope if f.envelope is None else Envelope(f.envelope.M, pick(f.envelope.rates))
-    return SequenceTable(move(f.domain), move(f.support), values, f.value_kind, f.m, env)
+    return SequenceTable(move(f.domain), move(f.support), values, f.value_kind, f.m, env), pick(axes)
 
 
 def _shift_envelope(env: Envelope, beta: MultiIndex) -> Envelope:

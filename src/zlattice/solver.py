@@ -4,17 +4,20 @@ A constant-coefficient partial difference equation sum_j A_j u(k+j) = C f(k)
 has the matrix symbol P(z) = sum_j z^j A_j; its Green kernel is the inverse
 transform of P(z)^{-1} C and convolving it with the data yields a solution.
 Volterra and Weyl-fractional problems carry structured symbols built from
-kernel transforms.  ``green_function`` builds a kernel on one of two paths.
+kernel transforms.  A Symbol holds its operator once, in convolution form:
+each summand is a block (t, lo, V), so that L u = sum over blocks of the
+correlation of A V with u from lo and M(z) = sum A V(p) z^{-lo-p}.  The
+residual, the symbol and the series recursion read these blocks.
+``green_function`` builds a kernel on one of two paths.
 
-Power series, when ``grid`` is None, the window has lo >= 0, the domain is
-N0^n and every kernel vanishes off N0^n: with j* the largest shift + order,
-z^{-j*} M(z) = sum_k B_k z^{-k} over N0^n (pencil pairs give their A_j,
-kernel terms their tables, (z - 1)^o written out).  If theta(R) =
+Power series, when ``grid`` is None, the window has lo >= 0 and every kernel
+vanishes off N0^n: with j* the largest shift + order, z^{-j*} M(z) = sum_k
+B_k z^{-k} over N0^n, each block's A V placed at lo + j*.  If theta(R) =
 sum_{j != 0} ||B_0^{-1} B_j|| R^{-j}, plus the envelope of the unstored kernel
 coefficients, is < 1 (Frobenius norms), M is invertible on and outside the
 polycircle and the kernel is the exact recursion H(k) = -B_0^{-1} sum_{0 != j
 <= k} B_j H(k - j), G(k) = H(k - j*) C, provided the certified reciprocal
-condition (1 - theta) / ((1 + theta) ||B_0|| ||B_0^{-1}||) passes ``rcond_min``.
+condition (1 - theta) / ((1 + theta) ||B_0|| ||B_0^{-1}||) passes RCOND_MIN.
 Its per-entry ledger bounds the distance to the exact kernel by
 ||H||_1 ||r||_1 / (1 - ||r||_1) on each box 0..k, r = B H - I, with the
 rounding of every step (Higham's gamma_n) and the envelope of any kernel
@@ -37,12 +40,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .convolution import _correlate, conv_axes, conv_general
+from .convolution import _correlate, conv_general
 from .errors import (
     DimensionMismatch,
     EvaluatorFailure,
@@ -53,17 +56,15 @@ from .errors import (
     SingularSymbol,
     ZeroCoordinate,
 )
-from .fractional import forward_difference
 from .lattice import (
     Box,
     Envelope,
     FullLattice,
-    LatticeDomain,
     SequenceTable,
     _sv_extremes,
     axis_interval,
     nonneg_orthant,
-    permute_axes,
+    sort_axes,
     value_norm,
     value_norms,
 )
@@ -73,8 +74,9 @@ from .ztransform import (
     PolyAnnulus,
     TransformEvaluator,
     _aliasing_bounds,
+    _check_powers,
     _mesh,
-    eval_forward,
+    _power_sum,
     forward_tail_bound,
     invert_contour,
 )
@@ -108,14 +110,10 @@ class Term:
         self.shift = tuple(int(c) for c in self.shift)
         self.A = np.asarray(self.A, dtype=complex)
         self.order = int(self.order)
+        if self.order < 0:
+            raise ValueError(f"difference order {self.order} < 0")
         if self.axes is not None:
-            axes = tuple(int(j) for j in self.axes)
-            if self.kernel.dim != len(axes) or len(set(axes)) != len(axes) or min(axes) < 1:
-                raise DimensionMismatch(f"a {self.kernel.dim}-D kernel on axes {axes}")
-            self.axes = tuple(sorted(axes))
-            if self.axes != axes:
-                order = sorted(range(len(axes)), key=axes.__getitem__)
-                self.kernel = permute_axes(self.kernel, order)
+            self.kernel, self.axes = sort_axes(self.kernel, self.axes)
 
 
 @dataclass
@@ -124,7 +122,8 @@ class Symbol:
     with right-hand-side factor C: the transform of the equation
     sum_j A_j u(k+j) + sum_w A_w (Delta^{o_w} (a_w * u))(k+s_w) = C f(k).
 
-    ``pencil`` holds the (j, A_j) pairs, ``terms`` the kernel summands.
+    ``pencil`` holds the (j, A_j) pairs, ``terms`` the kernel summands, and
+    ``_blocks`` every summand as the one block (t, lo, V) of ``_block``.
     """
 
     n: int
@@ -132,6 +131,7 @@ class Symbol:
     pencil: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     terms: tuple[Term, ...]
     C: np.ndarray
+    _blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pencil = []
@@ -148,12 +148,16 @@ class Symbol:
         if not pencil and not self.terms:
             raise ValueError("symbol needs at least one pencil or kernel term")
         for t in self.terms:
-            if len(t.shift) != self.n or max(t.axes or (1,)) > self.n:
-                raise DimensionMismatch("term shift or axes dimension mismatch")
+            a, l = t.kernel, len(t.axes or t.shift)
+            if len(t.shift) != self.n or max(t.axes or (1,)) > self.n or a.dim != l:
+                raise DimensionMismatch("term shift, axes or kernel dimension mismatch")
+            if a.vshape[:1] not in ((), (self.m,)):
+                raise DimensionMismatch(f"a kernel of value shape {a.vshape} in C^{self.m}")
             if t.order and self.n != 1:
                 raise DimensionMismatch("difference terms are one-dimensional")
         self.pencil = tuple(pencil)
         self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
+        self._blocks = tuple(_block(t, self.n) for t in _summands(self))
 
     def max_shift(self) -> int:
         return max(max(abs(c) for c in t.shift) + t.order for t in _summands(self))
@@ -161,9 +165,29 @@ class Symbol:
 
 def _summands(S: Symbol) -> tuple[Term, ...]:
     """Every summand of the operator L: the pencil pairs (j, A_j) as kernel-less
-    terms A_j u(k + j), then the kernel terms.  The symbol, the substitution
-    ``_apply`` and the amplification bound all read this one list."""
+    terms A_j u(k + j), then the kernel terms.  The blocks, the amplification
+    bound and the largest shift all read this one list."""
     return tuple(Term(None, A, j) for j, A in S.pencil) + S.terms
+
+
+def _block(t: Term, n: int):
+    """A summand as one convolution block (t, lo, V): L u gains the correlation
+    sum_p _times_A(t, V[p]) u(k - lo - p), and M(z) gains _times_A(t, sum_p
+    V[p] z^(-lo-p)).  V is the kernel's values, length 1 off its axes, with
+    z^shift (z - 1)^order folded into its index and coefficients; a pencil
+    pair's V is a one-point unit at -j."""
+    lo, V = [-c for c in t.shift], np.ones((1,) * n)
+    if t.kernel is not None:
+        a, ext = t.kernel, [1] * n
+        for q, i in enumerate(j - 1 for j in t.axes or range(1, n + 1)):
+            lo[i], ext[i] = lo[i] + a.support.lo[q], a.support.shape[q]
+        V = a.values.reshape(tuple(ext) + a.vshape)
+    if t.order:  # 1-D: z^s (z - 1)^o z^-l = sum_i (-1)^i C(o, i) z^-(l - s - o + i)
+        W = np.zeros((len(V) + t.order,) + V.shape[1:], dtype=complex)
+        for i in range(t.order + 1):
+            W[i : i + len(V)] += (-1) ** i * math.comb(t.order, i) * V
+        lo[0], V = lo[0] - t.order, W
+    return t, tuple(lo), V
 
 
 def OperatorPencil(n: int, m: int, terms, C) -> Symbol:
@@ -224,45 +248,45 @@ def _zpow(z, j):
 
 
 def _prefactor(z, t: Term):
-    """z^shift (z - 1)^order, the binomial sum written out when order > 0."""
-    if not t.order:
-        return _zpow(z, t.shift)
-    return sum(
-        (-1) ** (t.order - j) * math.comb(t.order, j) * _zpow(z, (t.shift[0] + j,))
-        for j in range(t.order + 1)
-    )
+    """z^shift (z - 1)^order; a negative shift raises at a zero coordinate."""
+    w = _zpow(z, t.shift)
+    return w * (z[0] - 1) ** t.order if t.order else w
 
 
 def symbol_eval(S: Symbol, z, with_err: bool = False):
     """Evaluate the symbol matrix at a point or on an open mesh (see
     ``TransformEvaluator``): the values have the mesh shape, then (m, m).
     Optionally report, per node, the error radius contributed by truncated
-    kernel-transform tails."""
+    kernel-transform tails.  A kernel term is the power sum of its block; its
+    prefactor z^shift (z - 1)^order is evaluated apart, for that radius."""
     z = _mesh(z)
     if len(z) != S.n:
         raise DimensionMismatch("point dimension mismatch")
     grid = np.broadcast_shapes(*(np.shape(zi) for zi in z))
     out = np.zeros(grid + (S.m, S.m), dtype=complex)
     err = np.zeros(grid)
-    for t in _summands(S):
-        w = _prefactor(z, t)
+    for t, lo, V in S._blocks:
         if t.kernel is None:
-            out += np.multiply.outer(w, t.A)
+            out += np.multiply.outer(_zpow(z, t.shift), t.A)
             continue
+        w = _prefactor(z, t)
         zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
-        fa, tail = eval_forward(t.kernel, zsub, with_tail=True)
-        out += np.expand_dims(w, (-2, -1)) * _times_A(t, fa)
+        _check_powers(t.kernel, zsub)
+        tail = forward_tail_bound(t.kernel, zsub)  # also validates region membership
+        out += _times_A(t, _power_sum(V, lo, z))
         err += np.abs(w) * tail * value_norm(t.A)
     return (out, err[()]) if with_err else out
 
 
 def _times_A(t: Term, fa):
-    """The (m, m) factor of a kernel term for each kernel value or transform
-    value in ``fa``: A F_a for a matrix kernel, since A (a * u) has the symbol
-    A F_a; else F_a A with the kernel's value axes right-aligned."""
-    if t.kernel.value_kind == "matrix":
+    """The (m, m) factor of a block for each of its values or transform values
+    in ``fa``: A F_a for a matrix kernel, since A (a * u) has the symbol A F_a;
+    else F_a A with the kernel's value axes right-aligned (a pencil pair's
+    values are scalars)."""
+    vdim = 0 if t.kernel is None else len(t.kernel.vshape)
+    if vdim == 2:
         return _left(t.A, fa)
-    return np.expand_dims(fa, tuple(range(-2, -len(t.kernel.vshape)))) * t.A
+    return np.expand_dims(fa, tuple(range(-2, -vdim))) * t.A
 
 
 def _left(A, X):
@@ -332,7 +356,7 @@ def _solve_stack(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_evaluator(S: Symbol, rcond_min: float):
+def _inverse_evaluator(S: Symbol):
     state = {"min_rcond": math.inf, "contour_max": 0.0, "symbol_err": 0.0}
 
     def fn(z):
@@ -343,7 +367,7 @@ def _inverse_evaluator(S: Symbol, rcond_min: float):
             raise EvaluatorFailure(t, f"non-finite symbol value {M[t]!r}")
         smax, smin = _sv_extremes(M)
         rcond = smin / np.where(smax > 0, smax, 1.0)  # 0 where M = 0
-        bad = rcond < rcond_min
+        bad = rcond < RCOND_MIN
         if bad.any():
             t = tuple(np.argwhere(bad)[0])  # the first node in row-major order
             node = np.array([np.broadcast_to(zi, bad.shape)[t] for zi in z])
@@ -389,36 +413,26 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
 
 
 @np.errstate(all="ignore")  # non-finite B, theta or ledger terms refuse or read inf, as bounds
-def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
+def _series_kernel(S: Symbol, radii, window: Box):
     """The Green kernel by power-series inversion on N0^n, or None where the
     certificate fails (see the module docstring).  Norms are Frobenius norms."""
-    n, m, R, ts, o = S.n, S.m, np.asarray(radii, dtype=float), _summands(S), (0,) * S.n
+    n, m, R, blocks, o = S.n, S.m, np.asarray(radii, dtype=float), S._blocks, (0,) * S.n
 
     def fro(X):  # Frobenius norms of a stack of m x m matrices
         return value_norms(np.reshape(X, (-1, m * m)), 1)
 
-    jstar = tuple(max(t.shift[i] + t.order for t in ts) for i in range(n))
+    jstar = tuple(max(t.shift[i] + t.order for t, _, _ in blocks) for i in range(n))
     K = tuple(map(max, window.hi, jstar))  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
     kb = tuple(k + 1 - j for k, j in zip(K, jstar))
-    blocks, enveloped = [], []  # (first index, coefficients of B); (term, its axes, offset)
-    for t in ts:
-        a, ax, lo, ext = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], [0] * n, [1] * n
-        d0 = [j - c - t.order for j, c in zip(jstar, t.shift)]
-        if a is not None:
-            lows = [axis_interval(a.domain, i)[0] for i in range(a.dim)] if a.envelope else ()
-            if any(c is None or c < 0 for c in (*lows, *a.support.lo)):
-                return None  # not causal
-            for q, i in enumerate(ax):
-                lo[i], ext[i] = a.support.lo[q], a.support.shape[q]
-            enveloped += [(t, ax, np.array(d0))] if a.envelope else []
-        X = (t.A if a is None else _times_A(t, a.values)).reshape(tuple(ext) + (m, m))
-        for i in range(t.order + 1):  # z^s (z - 1)^o, the binomial sum written out
-            start = [d + c + i for d, c in zip(d0, lo)]
-            blocks.append((start, (-1) ** i * math.comb(t.order, i) * X))
-    tops = ([p + e for p, e in zip(q, X.shape)] for q, X in blocks)
+    for a in (t.kernel for t in S.terms):
+        lows = [axis_interval(a.domain, i)[0] for i in range(a.dim)] if a.envelope else ()
+        if any(c is None or c < 0 for c in (*lows, *a.support.lo)):
+            return None  # not causal
+    at = [np.add(lo, jstar) for _, lo, _ in blocks]  # B_k is the block at k - j*
+    tops = (q + V.shape[:n] for q, (_, _, V) in zip(at, blocks))
     B = np.zeros(tuple(map(max, zip(kb, *tops))) + (m, m), dtype=complex)
-    for q, X in blocks:
-        B[tuple(slice(p, p + e) for p, e in zip(q, X.shape))] += X
+    for q, (t, _, V) in zip(at, blocks):
+        B[tuple(slice(p, p + e) for p, e in zip(q, V.shape))] += _times_A(t, V)
     try:  # a non-finite B gives theta nan
         Binv = np.linalg.inv(B[o])
         X = B[o[1:]][1 : n + 2]  # theta sums nonnegative terms: these first few may refuse
@@ -433,8 +447,10 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
         return None
     n0, ni, nc, nr = fro([B[o], Binv, S.C, B[o] @ Binv - np.eye(m)])
     tail = miss = 0.0  # unstored kernel coefficients: their share of theta and of B on 0..K - j*
-    for t, ax, d0 in enveloped:
-        a, top, nA = t.kernel, np.subtract(kb, d0 + 1), fro(t.A)[0]  # B_{d0 + l} for l <= top
+    for t in (t for t in S.terms if t.kernel.envelope):  # B_{d0 + l} for l <= top
+        a, ax, nA = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], fro(t.A)[0]
+        d0 = np.subtract(jstar, t.shift) - t.order
+        top = np.subtract(kb, d0 + 1)
         try:  # ||A a(l)|| <= ||A|| ||a(l)||_2 for every value kind of a
             tail += nA * forward_tail_bound(a, R[ax]) * np.prod(R**-d0) * (1 + 1 / R[0]) ** t.order
         except (PointOutsideRegion, NoEnvelope):
@@ -446,7 +462,7 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
             miss += 2**t.order * nA * w.sum()
     theta += float(ni * tail)
     rc = (1 - theta) / (1 + theta) / float(n0 * ni) if theta < 1 else -1.0
-    if not rc >= rcond_min:
+    if not rc >= RCOND_MIN:
         return None
     # Hs from B Hs = delta_{j*}: in 1-D one contiguous product per coefficient;
     # in n-D a whole level v.k at a time, each point gathering Hs(k - j) over
@@ -493,35 +509,25 @@ def _series_kernel(S: Symbol, radii, window: Box, domain, rcond_min: float):
     bound = float(ni * nc * math.prod(R ** -np.array(jstar))) / (1 - theta)
     at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
-    table = SequenceTable(domain, window, G, "matrix", m, Envelope(bound, tuple(R)))
+    table = SequenceTable(nonneg_orthant(n), window, G, "matrix", m, Envelope(bound, tuple(R)))
     return KernelResult(table, nc * led[at] if nc else np.zeros(window.shape), rc, bound, 0.0)
 
 
-def green_function(
-    S: Symbol,
-    radii: Sequence[float],
-    window: Box,
-    grid=None,
-    domain: LatticeDomain | None = None,
-    rcond_min: float = RCOND_MIN,
-) -> KernelResult:
+def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) -> KernelResult:
     """Green (resolvent) kernel G(k) of any symbol, with per-entry ledgers: by
     power-series inversion where the module docstring's certificate holds,
     else by polycircle quadrature of z^{k-1} M(z)^{-1} C with a fitted
-    envelope."""
+    envelope.  The kernel lies on N0^n for a window with lo >= 0, else on Z^n."""
     causal_window = all(c >= 0 for c in window.lo)
-    if domain is None:
-        domain = nonneg_orthant(S.n) if causal_window else FullLattice(S.n)
-    if grid is None and causal_window and domain == nonneg_orthant(S.n):
-        kr = _series_kernel(S, radii, window, domain, rcond_min)
+    domain = nonneg_orthant(S.n) if causal_window else FullLattice(S.n)
+    if grid is None and causal_window:
+        kr = _series_kernel(S, radii, window)
         if kr is not None:
             return kr
-    ev, state = _inverse_evaluator(S, rcond_min)
+    ev, state = _inverse_evaluator(S)
     res: InversionResult = invert_contour(ev, radii, window, grid=grid, domain=domain)
     env = _fit_envelope(res.table, radii)
-    table = SequenceTable(
-        domain, window, res.table.values, "matrix", S.m, envelope=env
-    )
+    table = SequenceTable(domain, window, res.table.values, "matrix", S.m, envelope=env)
     aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, state["contour_max"])
     # fold the symbol-evaluation error into the per-entry surrogate:
     # a perturbation dM of the contour samples moves each coefficient by at
@@ -583,18 +589,14 @@ def solve(
     kernel_window: Box,
     out_window: Box,
     grid=None,
-    dprime: LatticeDomain | None = None,
     orthant_variant: bool = False,
-    rcond_min: float = RCOND_MIN,
 ) -> SolveResult:
     """u = kernel conv f on the output window, with an error surrogate ledger."""
     f = promote_data(f, S.m)
     if orthant_variant and not S.terms:
         check_initial_conditions(S, f)
-    kr = green_function(S, radii, kernel_window, grid, dprime, rcond_min)
-    u, conv_ledger = conv_general(
-        kr.table, f, out_window, enforce=False, return_ledger=True
-    )
+    kr = green_function(S, radii, kernel_window, grid)
+    u, conv_ledger = conv_general(kr.table, f, out_window, enforce=False, return_ledger=True)
     err = conv_ledger if conv_ledger is not None else np.zeros(out_window.shape)
     # propagate kernel aliasing through the convolution with |f|; an infinite
     # bound makes every entry infinite that it reaches through nonzero data
@@ -612,24 +614,11 @@ def solve(
 
 
 def _apply(S: Symbol, u: SequenceTable, window: Box) -> np.ndarray:
-    """(L u)(k) at every k of the window: each summand of ``_summands``
-    substituted directly, A (Delta^o (a * u))(k + s)."""
-    n = window.dim
-    acc = np.zeros(window.shape, dtype=complex)
-    for t in _summands(S):
-        g = u
-        if t.kernel is not None:
-            lo = tuple(a + s for a, s in zip(window.lo, t.shift))
-            hi = tuple(b + s for b, s in zip(window.hi, t.shift))
-            ext = Box(lo, tuple(h + t.order for h in hi))
-            if t.axes is None:
-                g = conv_general(t.kernel, u, ext, enforce=False)
-            else:
-                g = conv_axes(t.kernel, u, t.axes, ext, enforce=False)
-            if t.order:
-                g = forward_difference(g, t.order, Box(lo, hi))
-        acc = _add_values(acc, _shifted_apply(t.A, g, t.shift, window), n)
-    return acc
+    """(L u)(k) at every k of the window: one correlation per block of ``S``."""
+    return sum(
+        _correlate(_times_A(t, V), lo, u.values, u.support.lo, window, 2, len(u.vshape))
+        for t, lo, V in S._blocks
+    )
 
 
 def residual(S: Symbol, u: SequenceTable, f: SequenceTable, check_window: Box) -> dict:
@@ -640,33 +629,12 @@ def residual(S: Symbol, u: SequenceTable, f: SequenceTable, check_window: Box) -
     for c, a, b, d in zip(check_window.lo, u.support.lo, u.support.hi, check_window.hi):
         if u.envelope is not None and (c - pad < a or d + pad > b):
             raise InsufficientWindow("u window too small for residual shifts")
-    diff = _add_values(
-        _apply(S, u, check_window), -_shifted_apply(S.C, f, (0,) * n, check_window), n
-    )
+    Lu = _apply(S, u, check_window)
+    C = S.C.reshape((1,) * n + S.C.shape)  # C f is the block of C at 0
+    Cf = _correlate(C, (0,) * n, f.values, f.support.lo, check_window, 2, len(f.vshape))
+    diff = Lu - Cf.reshape(Lu.shape)  # for m = 1, u and f may differ in value axes
     worst = float(np.max(value_norms(diff, diff.ndim - n)))
     return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
-
-
-def _shifted_apply(A, g: SequenceTable, shift, window: Box) -> np.ndarray:
-    """A g(k + shift) at every k of the window, as a one-point correlation."""
-    A = np.asarray(A, dtype=complex)
-    n = window.dim
-    return _correlate(
-        A.reshape((1,) * n + A.shape),
-        tuple(-c for c in shift),
-        g.values,
-        g.support.lo,
-        window,
-        A.ndim,
-        len(g.vshape),
-    )
-
-
-def _add_values(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """x + y over n lattice axes, value axes right-aligned as for single values."""
-    d = max(x.ndim, y.ndim) - n
-    x, y = (t.reshape(t.shape[:n] + (1,) * (d + n - t.ndim) + t.shape[n:]) for t in (x, y))
-    return x + y
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +642,12 @@ def _add_values(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")
 def pencil_roots_1d(P: Symbol) -> np.ndarray:
-    """Roots of a 1-D scalar pencil's characteristic polynomial."""
+    """Roots of a 1-D scalar pencil's characteristic polynomial c, scaled by
+    powers of 2 to |c_0| in [1/2, 1); a root past the float range reads inf.
+    Where some |c_i / c_0| > 2^1000, the roots are 2^e times those of the
+    polynomial in w = z 2^-e, whose ratios c_i 2^(-i e) / c_0 are at most 1."""
     if P.n != 1 or P.m != 1:
         raise ValueError("root location implemented for 1-D scalar pencils")
     jmin = min(j[0] for j, _ in P.pencil)
@@ -683,7 +655,13 @@ def pencil_roots_1d(P: Symbol) -> np.ndarray:
     coeffs = np.zeros(jmax - jmin + 1, dtype=complex)
     for j, A in P.pencil:
         coeffs[jmax - j[0]] = complex(A.reshape(()))
-    return np.roots(coeffs)
+    c = np.trim_zeros(coeffs, "f")  # c[0] != 0, unless every coefficient is 0
+    i = np.flatnonzero(c)[1:]
+    logs = np.log2(np.abs(c[i])) - np.log2(np.abs(c[:1]))
+    e = int(np.ceil(np.max(logs / i))) if np.max(logs, initial=0) > 1000 else 0
+    k = -np.frexp(np.abs(c[:1]))[1] - e * np.arange(len(c))
+    w = np.roots(np.ldexp(c.real, k) + 1j * np.ldexp(c.imag, k))
+    return np.ldexp(w.real, e) + 1j * np.ldexp(w.imag, e) if e else w
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -382,6 +382,25 @@ def _solvable_docs():
         "volterra_zn": (volterra, "1.3", "0:40", "0:20"),
         "weyl_1d": (_weyl_doc(1), "1.3", "0:40", "0:20"),
         "mixed_axes": (mixed, "1.2,1.2", "0:24,0:24", "0:8,0:8"),
+        "mixed_axes vector": (_vector_axes_doc(), "1.2,1.2", "0:24,0:24", "0:8,0:8"),
+    }
+
+
+def _vector_axes_doc():
+    """A mixed_axes problem in C^2 with a vector kernel on axis 2; its symbol refuses
+    the series certificate, so the kernel is inverted on the contour."""
+    from zlattice.lattice import emit
+
+    k = np.arange(4)
+    kernel = SequenceTable(nonneg_orthant(1), Box((0,), (3,)),
+                           np.stack([0.5**k, 0.25 * 0.5**k], -1), "vector", 2)
+    eye = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+    return {
+        "kind": "mixed_axes", "n": 2, "m": 2,
+        "terms": [{"kernel": {"cesaro": {"alpha": 0.0, "len": 0}}, "axes": [1], "A": eye},
+                  {"kernel": emit(kernel), "axes": [2], "A": [[[0.3, 0], [0.1, 0]], [[0, 0], [0.2, 0]]]}],
+        "C": eye,
+        "data": {"generator": "delta"},
     }
 
 
@@ -578,6 +597,8 @@ def _fuzz_seeds():
         ([*solve, "1.2,1.2", "--kernel-window", "0:12,0:12", "--check-window", "0:4,0:4", "--out", OUT],
          _axes_out_of_order_doc()),
         (["probe-uniqueness", "--problem", DOC, "--radii", "1.0", "--samples", "4"], _pencil_doc()),
+        (["convolve", "--mode", "axes", "--axes", "1", "--a", DOC, "--b", DOC, "--window", "0:6",
+          "--out", OUT], seq),
     ]
 
 
@@ -665,9 +686,16 @@ def _edit(doc, path, value):
     (3, ("n",), 1, (9, "-1"), 1),  # --kernel-len -1
     (5, ("terms", 0, "A"), [[[1e308, 0]]], None, 0),  # the series ledger overflows: inf
     (7, ("terms", 0, "A"), [[[-1e-300, 0]]], None, 0),  # a root of 5e299: its mode overflows
+    (7, ("terms", 0, "A"), [[[5e-324, 0]]], None, 0),  # a root past the float range: inf
+    (7, ("terms",), [{"j": [1], "A": [[[-1e-300, 0]]]}, {"j": [0], "A": [[[1e308, 0]]]}], None, 0),
+    (8, ("n",), 1, (4, "2,1"), 1),  # a 1-D kernel on two axes
+    (8, ("n",), 1, (4, "0"), 1),  # an axis below 1
+    (8, ("n",), 1, (4, "3"), 1),  # an axis past the dimension
+    (8, ("n",), 1, (4, "1,1"), 1),  # an axis listed twice
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
-        "weyl A 1e308", "probe root 5e299"])
+        "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
+        "axes 2,1", "axes 0", "axes 3", "axes 1,1"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

@@ -19,7 +19,7 @@ from zlattice.convolution import (
     conv_theorem_check,
     support_minkowski,
 )
-from zlattice.errors import DivergentConvolution
+from zlattice.errors import DimensionMismatch, DivergentConvolution
 from zlattice.fractional import cesaro
 from zlattice.lattice import (
     Box,
@@ -355,10 +355,33 @@ def test_axes_validation():
     rng = np.random.default_rng(9)
     a = random_box_table(rng, n=1)
     b = random_box_table(rng, n=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         conv_axes(a, b, (2, 1), b.support)
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         conv_axes(a, b, (3,), b.support)
+
+
+@pytest.mark.parametrize("a_kind, b_kind", [
+    ("vector", "vector"), ("vector", "scalar"), ("matrix", "vector"), ("scalar", "matrix"),
+])
+def test_axes_takes_every_value_kind_and_axis_order(a_kind, b_kind):
+    # a kernel on axis 2 is a 2-D kernel of one row at k1 = 0, and a 2-D kernel
+    # on axes (2, 1) is its transpose on axes (1, 2)
+    rng = np.random.default_rng(12)
+
+    def table(kind, lo):
+        shape = (3,) * len(lo) + value_shape(kind, 2)
+        vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return SequenceTable(FullLattice(len(lo)), Box(lo, tuple(c + 2 for c in lo)), vals, kind, 2)
+
+    a, a2, b = table(a_kind, (-1,)), table(a_kind, (0, -1)), table(b_kind, (1, -2))
+    window = Box((-2, -4), (6, 4))
+    row = SequenceTable(FullLattice(2), Box((0, -1), (0, 1)), a.values[None], a_kind, 2)
+    a2t = SequenceTable(FullLattice(2), Box((-1, 0), (1, 2)), np.swapaxes(a2.values, 0, 1), a_kind, 2)
+    for got, want in ((conv_axes(a, b, (2,), window), conv_general(row, b, window)),
+                      (conv_axes(a2, b, (2, 1), window), conv_general(a2t, b, window))):
+        assert got.value_kind == want.value_kind
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-14, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -604,6 +604,15 @@ def test_symbol_rejects_malformed_terms():
         Symbol(2, 1, (), (Term(a, np.eye(1), (0, 0), order=1),), np.eye(1))
     with pytest.raises(DimensionMismatch):
         Term(a, np.eye(1), (0, 0), (1, 2))
+    # a 1-D kernel on all axes of Z^2, a vector kernel in C^3 against m = 2 and
+    # a negative difference order raise where the symbol is built
+    with pytest.raises(DimensionMismatch):
+        Symbol(2, 1, (((0, 0), np.eye(1)),), (Term(a, np.eye(1), (0, 0)),), np.eye(1))
+    v = SequenceTable(nonneg_orthant(1), Box((0,), (2,)), np.ones((3, 3)), "vector", 3)
+    with pytest.raises(DimensionMismatch):
+        Symbol(1, 2, (), (Term(v, np.eye(2), (0,)),), np.eye(2))
+    with pytest.raises(ValueError):
+        WeylTerm(a, -1, 0, np.eye(1))
 
 
 def test_solve_zero_data():
@@ -812,8 +821,8 @@ KINDS = ("scalar", "vector", "matrix")
 @st.composite
 def operators(draw, n, m):
     """A symbol on Z^n whose kernels are finitely supported: pencil shifts on
-    both sides of 0; scalar, vector and matrix kernels on all axes; orders
-    0-2 in 1-D; scalar kernels on axis subsets in 2-D."""
+    both sides of 0; scalar, vector and matrix kernels on all axes and, in
+    2-D, on axis subsets; orders 0-2 in 1-D."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def cplx(shape):
@@ -824,7 +833,7 @@ def operators(draw, n, m):
     terms = []
     for _ in range(draw(st.integers(0 if js else 1, 3))):
         axes = None if n == 1 else draw(st.sampled_from((None, (1,), (2,), (1, 2))))
-        kind = "scalar" if axes is not None else draw(st.sampled_from(KINDS))
+        kind = draw(st.sampled_from(KINDS))
         l = n if axes is None else len(axes)
         lo = tuple(draw(st.integers(-2, 1)) for _ in range(l))
         box = Box(lo, tuple(a + draw(st.integers(0, 3)) for a in lo))
