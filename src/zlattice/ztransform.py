@@ -571,7 +571,9 @@ def invert_contour(
             t = tuple(int(i) for i in np.argwhere(bad)[0])
             raise EvaluatorFailure(t, f"non-finite value {samples[t]!r}")
 
-    coeff = np.fft.ifftn(samples, axes=tuple(range(n)))
+    big = smax * math.prod(grid) > 1e300  # the FFT's unscaled sums would pass the float range
+    coeff = np.fft.ifftn(samples / math.prod(grid) if big else samples, axes=tuple(range(n)),
+                         norm="forward" if big else "backward")
     ks = [np.arange(lo, hi + 1) for lo, hi in zip(window.lo, window.hi)]
     w = math.prod(np.ix_(*(r**k for r, k in zip(radii, ks))))  # outer product
     coeff = coeff[np.ix_(*(k % N for k, N in zip(ks, grid)))]

@@ -692,10 +692,11 @@ def _edit(doc, path, value):
     (8, ("n",), 1, (4, "0"), 1),  # an axis below 1
     (8, ("n",), 1, (4, "3"), 1),  # an axis past the dimension
     (8, ("n",), 1, (4, "1,1"), 1),  # an axis listed twice
+    (1, ("values", 15), [1e308, 0], None, 0),  # the inverse FFT's sums pass the float range
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
         "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
-        "axes 2,1", "axes 0", "axes 3", "axes 1,1"])
+        "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]
