@@ -286,7 +286,7 @@ def _times_A(t: Term, fa):
     vdim = 0 if t.kernel is None else len(t.kernel.vshape)
     if vdim == 2:
         return _left(t.A, fa)
-    return np.expand_dims(fa, tuple(range(-2, -vdim))) * t.A
+    return fa[(..., *(None,) * (2 - vdim), *(slice(None),) * vdim)] * t.A
 
 
 def _left(A, X):
@@ -428,8 +428,8 @@ def _series_kernel(S: Symbol, radii, window: Box):
         lows = [axis_interval(a.domain, i)[0] for i in range(a.dim)] if a.envelope else ()
         if any(c is None or c < 0 for c in (*lows, *a.support.lo)):
             return None  # not causal
-    at = [np.add(lo, jstar) for _, lo, _ in blocks]  # B_k is the block at k - j*
-    tops = (q + V.shape[:n] for q, (_, _, V) in zip(at, blocks))
+    at = [[c + j for c, j in zip(lo, jstar)] for _, lo, _ in blocks]  # B_k is the block at k - j*
+    tops = ([p + e for p, e in zip(q, V.shape)] for q, (_, _, V) in zip(at, blocks))
     B = np.zeros(tuple(map(max, zip(kb, *tops))) + (m, m), dtype=complex)
     for q, (t, _, V) in zip(at, blocks):
         B[tuple(slice(p, p + e) for p, e in zip(q, V.shape))] += _times_A(t, V)
