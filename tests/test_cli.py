@@ -687,7 +687,8 @@ def _edit(doc, path, value):
     (5, ("terms", 0, "A"), [[[1e308, 0]]], None, 0),  # the series ledger overflows: inf
     (7, ("terms", 0, "A"), [[[-1e-300, 0]]], None, 0),  # a root of 5e299: its mode overflows
     (7, ("terms", 0, "A"), [[[5e-324, 0]]], None, 0),  # a root past the float range: inf
-    (7, ("terms",), [{"j": [1], "A": [[[-1e-300, 0]]]}, {"j": [0], "A": [[[1e308, 0]]]}], None, 0),
+    (7, ("terms",), [{"j": [1], "A": [[[-1e-300, 0]]]}, {"j": [0], "A": [[[1e308, 0]]]}], None,
+     0),  # a root of 1e608
     (8, ("n",), 1, (4, "2,1"), 1),  # a 1-D kernel on two axes
     (8, ("n",), 1, (4, "0"), 1),  # an axis below 1
     (8, ("n",), 1, (4, "3"), 1),  # an axis past the dimension
