@@ -32,7 +32,7 @@ def cesaro_values(alpha: float, K: int) -> np.ndarray:
 
 
 def cesaro(alpha: float, K: int) -> SequenceTable:
-    """Cesaro kernel table on N0 with a geometric envelope.
+    """Cesaro kernel table on N0 with a geometric envelope (none for c^0, the delta).
 
     The sequence grows like k^(alpha-1)/Gamma(alpha), so any rate 1 + eps
     dominates eventually; the constant is the exact maximum of
@@ -41,12 +41,12 @@ def cesaro(alpha: float, K: int) -> SequenceTable:
     rate = 1.0 + CESARO_ENVELOPE_EPS
     # ratio c(k)/rate^k peaks near k* = (alpha - 1)/log(rate); scan that far
     scan = cesaro_values(alpha, max(K, int((max(alpha, 1.0)) / math.log(rate)) + 2))
-    M = float(np.max(scan / rate ** np.arange(len(scan)))) if alpha > 0 else 1.0
+    M = float(np.max(scan / rate ** np.arange(len(scan))))
     return SequenceTable(
         nonneg_orthant(1),
         Box((0,), (K,)),
         scan[: K + 1].astype(complex),
-        envelope=Envelope(M, (rate,)),
+        envelope=Envelope(M, (rate,)) if alpha > 0 else None,
     )
 
 

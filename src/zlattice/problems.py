@@ -125,6 +125,6 @@ def _dispatch(kind, n, m, C, terms, doc) -> tuple[Symbol, SequenceTable]:
     if "data" not in doc:
         raise SchemaError("missing field 'data'")
     f = data_from_doc(doc["data"], n)
-    if f.dim != n:
-        raise SchemaError(f"data dimension {f.dim} != problem dimension {n}")
+    if f.dim != n or f.vshape[:1] not in ((), (m,)):
+        raise SchemaError(f"data dimension {f.dim}, value shape {f.vshape}: problem n={n}, m={m}")
     return prob, f

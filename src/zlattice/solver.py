@@ -12,17 +12,16 @@ residual, the symbol and the series recursion read these blocks.
 
 Power series, when ``grid`` is None, the window has lo >= 0 and every kernel
 vanishes off N0^n: with j* the largest shift + order, z^{-j*} M(z) = sum_k
-B_k z^{-k} over N0^n, each block's A V placed at lo + j*.  If theta(R) =
-sum_{j != 0} ||B_0^{-1} B_j|| R^{-j}, plus the envelope of the unstored kernel
-coefficients, is < 1 (Frobenius norms), M is invertible on and outside the
-polycircle and the kernel is the exact recursion H(k) = -B_0^{-1} sum_{0 != j
-<= k} B_j H(k - j), G(k) = H(k - j*) C, provided the certified reciprocal
-condition (1 - theta) / ((1 + theta) ||B_0|| ||B_0^{-1}||) passes RCOND_MIN.
-Its per-entry ledger bounds the distance to the exact kernel by
-||H||_1 ||r||_1 / (1 - ||r||_1) on each box 0..k, r = B H - I, with the
-rounding of every step (Higham's gamma_n) and the envelope of any kernel
-coefficients the stored tables lack; ``min_rcond`` and ``contour_max`` are
-certified bounds, and the envelope is ||B_0^{-1}|| ||C|| R^{k - j*} / (1 - theta).
+B_k z^{-k} over N0^n, each block's A V placed at lo + j*.  The recursion H(k)
+= -B_0^{-1} sum_{0 != j <= k} B_j H(k - j) on a box 0..K gives G(k) = H(k -
+j*) C.  Its residual r = B H - I certifies it: if q = ||r||_w < 1, w(k) =
+R^{-k} over N0^n, with r measured on the box plus the rounding of measuring
+it (Higham's gamma_n |B| * |H|), the unstored kernel coefficients and the rows
+past the box, a Neumann series shows M invertible on and outside the
+polycircle; ||M^{-1}||_w <= ||H||_w / (1 - q) bounds ``contour_max`` and the
+envelope, and ``min_rcond`` = (1 - q) / (||B||_w ||H||_w) must pass
+RCOND_MIN.  An entry's ledger is ||H||_1 ||r||_1 / (1 - ||r||_1) on its box
+0..k, r on that box alone (Frobenius norms).
 
 Contour, for every other symbol or window, and whenever ``grid`` is given:
 the quadrature samples M(z)^{-1} C on a whole polycircle node grid at once,
@@ -290,8 +289,8 @@ def _times_A(t: Term, fa):
 
 
 def _left(A, X):
-    """A X for a stack X of m x m matrices, as one product on the reshaped stack."""
-    AX = np.dot(A, X.transpose(X.ndim - 2, *range(X.ndim - 2), -1).reshape(len(A), -1))
+    """A X for a stack X of matrices, as one product on the reshaped stack."""
+    AX = np.dot(A, X.transpose(X.ndim - 2, *range(X.ndim - 2), -1).reshape(X.shape[-2], -1))
     return AX.reshape(len(A), *X.shape[:-2], X.shape[-1]).transpose(*range(1, X.ndim - 1), 0, -1)
 
 
@@ -412,14 +411,14 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     return Envelope(M, tuple(rates))
 
 
-@np.errstate(all="ignore")  # non-finite B, theta or ledger terms refuse or read inf, as bounds
+@np.errstate(all="ignore")  # a non-finite B or H gives q nan, which refuses; ledger terms read inf
 def _series_kernel(S: Symbol, radii, window: Box):
-    """The Green kernel by power-series inversion on N0^n, or None where the
-    certificate fails (see the module docstring).  Norms are Frobenius norms."""
+    """The Green kernel by power-series inversion on N0^n, or None where its
+    residual does not certify it (see the module docstring)."""
     n, m, R, blocks, o = S.n, S.m, np.asarray(radii, dtype=float), S._blocks, (0,) * S.n
 
-    def fro(X):  # Frobenius norms of a stack of m x m matrices
-        return value_norms(np.reshape(X, (-1, m * m)), 1)
+    def fro(X):  # Frobenius norms of a stack of m x m matrices, in the stack's shape
+        return value_norms(np.reshape(X, np.shape(X)[:-2] + (m * m,)), 1)
 
     jstar = tuple(max(t.shift[i] + t.order for t, _, _ in blocks) for i in range(n))
     K = tuple(map(max, window.hi, jstar))  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
@@ -428,27 +427,18 @@ def _series_kernel(S: Symbol, radii, window: Box):
         lows = [axis_interval(a.domain, i)[0] for i in range(a.dim)] if a.envelope else ()
         if any(c is None or c < 0 for c in (*lows, *a.support.lo)):
             return None  # not causal
-    at = [[c + j for c, j in zip(lo, jstar)] for _, lo, _ in blocks]  # B_k is the block at k - j*
-    tops = ([p + e for p, e in zip(q, V.shape)] for q, (_, _, V) in zip(at, blocks))
-    B = np.zeros(tuple(map(max, zip(kb, *tops))) + (m, m), dtype=complex)
-    for q, (t, _, V) in zip(at, blocks):
-        B[tuple(slice(p, p + e) for p, e in zip(q, V.shape))] += _times_A(t, V)
-    try:  # a non-finite B gives theta nan
+    sl = [tuple(slice(c + j, c + j + e) for c, j, e in zip(lo, jstar, V.shape))
+          for _, lo, V in blocks]
+    B = np.zeros(tuple(map(max, zip(kb, *((c.stop for c in q) for q in sl)))) + (m, m), complex)
+    for (t, _, V), q in zip(blocks, sl):  # B_k sums the blocks placed at lo + j*
+        B[q] += _times_A(t, V)
+    try:
         Binv = np.linalg.inv(B[o])
-        X = B[o[1:]][1 : n + 2]  # theta sums nonnegative terms: these first few may refuse
-        theta = float(np.sum(fro(Binv @ X) * R[-1] ** -np.arange(1.0, len(X) + 1)))
-        if theta < 1:
-            Bn = _left(-Binv, B)
-            w = functools.reduce(np.multiply.outer, (r**-np.arange(q) for r, q in zip(R, B.shape)))
-            theta = float(np.sum(fro(Bn)[1:] * w.reshape(-1)[1:]))
     except np.linalg.LinAlgError:  # a singular B_0
         return None
-    if not theta < 1:
-        return None
-    n0, ni, nc, nr = fro([B[o], Binv, S.C, B[o] @ Binv - np.eye(m)])
-    tail = miss = 0.0  # unstored kernel coefficients: their share of theta and of B on 0..K - j*
+    tail = miss = 0.0  # unstored kernel coefficients: ||.||_w over N0^n, and their sum on 0..K - j*
     for t in (t for t in S.terms if t.kernel.envelope):  # B_{d0 + l} for l <= top
-        a, ax, nA = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], fro(t.A)[0]
+        a, ax, nA = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], fro(t.A)
         d0 = np.subtract(jstar, t.shift) - t.order
         top = np.subtract(kb, d0 + 1)
         try:  # ||A a(l)|| <= ||A|| ||a(l)||_2 for every value kind of a
@@ -460,53 +450,62 @@ def _series_kernel(S: Symbol, radii, window: Box):
             w = functools.reduce(np.multiply.outer, env, a.envelope.M * np.all(top >= 0))
             w[tuple(slice(p, q + 1) for p, q in zip(a.support.lo, a.support.hi))] = 0
             miss += 2**t.order * nA * w.sum()
-    theta += float(ni * tail)
-    rc = (1 - theta) / (1 + theta) / float(n0 * ni) if theta < 1 else -1.0
-    if not rc >= RCOND_MIN:
-        return None
-    # Hs from B Hs = delta_{j*}: in 1-D one contiguous product per coefficient;
-    # in n-D a whole level v.k at a time, each point gathering Hs(k - j) over
-    # the nonzero B_j, for the unit or all-ones v with v.j >= 1 for those j and
-    # the fewest levels; points are stored by level, then a zero row
+    # Hs from B Hs = delta_{j*}: in 1-D one contiguous product per coefficient, over B_j up
+    # to the last nonzero; in n-D a level v.k at a time, gathering Hs(k - j) over the nonzero B_j,
+    # for the unit or all-ones v with v.j >= 1 for those j and the fewest levels.  Then the
+    # residual r = B Hs - delta_{j*} in one product over the same windows (1-D) or gather (n-D)
     box, P, at = tuple(k + 1 for k in K), math.prod(k + 1 for k in K), tuple(map(slice, kb))
-    Bb, Bnb = B[at], Bn[at]
-    live = np.any(Bb != 0, axis=(-2, -1))
-    live[o] = False  # the j != 0 with B_j != 0; F, Bn and B vanish elsewhere
-    if n == 1:
-        j0, flat = jstar[0], np.zeros((P + 1, m, m), dtype=complex)  # Hs(i) at flat[P - i]
-        flat[P - j0], rows, end = Binv, flat.reshape(-1, m), (P + 1 - j0) * m
-        cat = Bnb[1:].transpose(1, 0, 2).reshape(m, m * len(Bnb) - m)
-        for k in range(j0 + 1, P):  # Hs(k - 1) .. Hs(j0), stacked, into Hs(k)
-            np.dot(cat[:, : (k - j0) * m], rows[(P + 1 - k) * m : end], out=flat[P - k])
-        Hs = flat[P:0:-1]
+    bn = fro(B)
+    J = np.argwhere(bn[at] != 0) if n > 1 else np.arange(np.flatnonzero(bn[at])[-1] + 1)[:, None]
+    BJ = B[at][tuple(J.T)].transpose(1, 0, 2).reshape(m, len(J) * m)
+    cat = -Binv @ BJ[:, m:]
+    if n == 1:  # Hs(i) at flat[P - i], then zero rows
+        j0, flat = jstar[0], np.zeros((P + len(J), m, m), dtype=complex)
+        flat[P - j0], rows = Binv, flat.reshape(-1, m)
+        for k in range(j0 + 1, P):  # Hs(k - 1) .. Hs(k - len(J) + 1), stacked, into Hs(k)
+            np.dot(cat, rows[(P + 1 - k) * m : (P + len(J) - k) * m], out=flat[P - k])
+        step = flat.strides[0]  # the stacked Hs(k) .. Hs(k - len(J) + 1) start at flat[P - k]
+        windows = np.ndarray((P, len(J) * m, m), complex, flat, P * step, (-step, *rows.strides))
+        Hs, r = flat[P:0:-1], BJ @ windows
     else:
-        J = np.argwhere(live)
-        v = min((*np.eye(n, dtype=int)[(J >= 1).all(0)], np.ones(n, int)), key=lambda v: v @ K)
+        v = min((*np.eye(n, dtype=int)[(J[1:] >= 1).all(0)], np.ones(n, int)), key=lambda v: v @ K)
         pts = np.indices(box).reshape(n, -1)
         order = np.argsort(v @ pts, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(P)
-        src = pts[:, order, None] - J.T[:, None, :]
+        rank = np.argsort(order)
+        src = pts[:, order, None] - J[1:].T[:, None, :]
         gather = np.where((src >= 0).all(0), rank[np.ravel_multi_index(np.maximum(src, 0), box)], P)
-        cat = Bnb[tuple(J.T)].transpose(1, 0, 2).reshape(m, len(J) * m)
-        flat = np.zeros((P + 1, m, m), dtype=complex)
+        flat = np.zeros((P + 1, m, m), dtype=complex)  # by level, then a zero row
         flat[rank[np.ravel_multi_index(jstar, box)]] = Binv
         ends = np.cumsum(np.bincount(v @ pts))[v @ jstar :]
         for i0, i1 in zip(ends[:-1], ends[1:]):  # the points of one level
-            gathered = flat[gather[i0:i1]].reshape(i1 - i0, len(J) * m, m)
+            gathered = flat[gather[i0:i1]].reshape(i1 - i0, len(J) * m - m, m)
             flat[i0:i1] = np.dot(cat, gathered).transpose(1, 0, 2)
-        Hs = flat[rank].reshape(box + (m, m))
-    # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on each box 0..k, for
-    # r = B Hs - delta_{j*}: B_0 Binv - I at j*, elsewhere sum_j F_j Hs(k - j)
-    # with F = B_0 Bn + B, plus B_0 times the rounding of the step
-    Bj, Bnj = Bb[live], Bnb[live]
-    nf, nbn, nb = np.sum(fro(np.stack((_left(B[o], Bnj) + Bj, Bnj, Bj))).reshape(3, -1), axis=1)
-    g = 4.0 * ((len(Bj) + 1) * m + 4) * np.finfo(float).eps  # gamma, with room for complex
-    hn = fro(Hs).reshape(box)
+        r = flat[np.column_stack((np.arange(P), gather))].reshape(P, len(J) * m, m)
+        Hs, r = flat[rank].reshape(box + (m, m)), _left(BJ, r[rank]).reshape(box + (m, m))
+    r[jstar] -= np.eye(m)  # its rounding is within g (|B| * |Hs|), g >= gamma_n
+    rn, hn = fro(np.stack((r, Hs)))
+    g = 1.01 * 2.0**-53 * (m * np.count_nonzero(bn[at]) + 4)  # n terms, complex, n u < 0.01
+    # q = ||r||_w over N0^n for w(k) = R^-(k - j*) = c R^-k: the measured rows, their
+    # rounding, the unstored coefficients, and the rows past K along each axis
+    ws = [x ** -np.arange(e) for x, e in zip(R, map(max, box, bn.shape))]
+    w = functools.reduce(np.multiply.outer, ws)
+    wH, c = w[tuple(map(slice, box))], math.prod(R ** np.array(jstar))
+    hw, bw = hn * wH, bn * w[tuple(map(slice, bn.shape))]
+    Hw, past = float(hw.sum()), 0.0
+    for i in range(n):  # the rows k_i = K_i + t reach from Hs(k) with k_i > K_i - t
+        rest = tuple(a for a in range(n) if a != i)
+        suffix = np.cumsum(bw.sum(rest)[::-1])[::-1][1 : K[i] + 2]  # sum over j_i > t
+        past += hw.sum(rest)[::-1][: len(suffix)] @ suffix
+    q = c * float((rn * wH).sum() + (g * bw[at].sum() + tail) * Hw + past)
+    rc = (1 - q) / (c * Hw * (float(bw.sum()) + tail))  # ||B^-1||_w <= c Hw / (1 - q)
+    if not (q < 1 and rc >= RCOND_MIN):
+        return None
+    # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on box 0..k, r on it; g ||Hs|| for C
     h = functools.reduce(np.cumsum, range(n), hn)
-    rho = nr + g * n0 * ni + (nf + g * (n0 * nbn + nb) + miss) * h
+    rho = functools.reduce(np.cumsum, range(n), rn) + (g * bn[at].sum() + miss) * h
     led = np.divide(h * rho, 1 - rho, out=np.full(box, math.inf), where=rho < 1) + g * hn
-    bound = float(ni * nc * math.prod(R ** -np.array(jstar))) / (1 - theta)
+    nc = float(fro(S.C))
+    bound = nc * Hw / (1 - q)  # R^-j* ||M^-1||_w ||C||
     at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
     table = SequenceTable(nonneg_orthant(n), window, G, "matrix", m, Envelope(bound, tuple(R)))

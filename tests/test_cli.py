@@ -334,6 +334,24 @@ def _pencil_doc():
     }
 
 
+def _vector_data(size):
+    """The delta on N0 as a vector document of the given size, all ones at 0."""
+    from zlattice.lattice import emit
+
+    return emit(SequenceTable(nonneg_orthant(1), Box((0,), (0,)), np.ones((1, size)), "vector", size))
+
+
+def _vector_pencil_doc():
+    """u(k+1) - 0.5 u(k) = delta(k) (1, 1) in C^2."""
+    eye, half = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[-0.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
+    return {
+        "kind": "pencil", "n": 1, "m": 2,
+        "terms": [{"j": [1], "A": eye}, {"j": [0], "A": half}],
+        "C": eye,
+        "data": _vector_data(2),
+    }
+
+
 def test_solve_cli_writes_scalar_u_for_scalar_problem(tmp_path):
     p = tmp_path / "p.json"
     p.write_text(json.dumps(_pencil_doc()))
@@ -599,6 +617,8 @@ def _fuzz_seeds():
         (["probe-uniqueness", "--problem", DOC, "--radii", "1.0", "--samples", "4"], _pencil_doc()),
         (["convolve", "--mode", "axes", "--axes", "1", "--a", DOC, "--b", DOC, "--window", "0:6",
           "--out", OUT], seq),
+        ([*solve, "1.0", "--kernel-window", "0:8", "--check-window", "1:4", "--out", OUT],
+         _vector_pencil_doc()),
     ]
 
 
@@ -615,7 +635,12 @@ _ARGUMENTS = st.one_of(st.text(max_size=4).filter(lambda t: "/" not in t), st.sa
 
 
 def _mutate(draw, doc):
-    """The document with one node replaced, deleted or wrapped in a list."""
+    """The document with one node replaced, deleted or wrapped in a list, or
+    its vector data resized to a drawn m."""
+    data = doc.get("data") if isinstance(doc, dict) else None
+    if isinstance(data, dict) and data.get("value_kind") == "vector" and draw(st.booleans()):
+        data.update(_vector_data(draw(st.integers(1, 3))))
+        return doc
     nodes = [(None, None)]  # (container, key) of every node; the root first
     stack = [doc]
     while stack:
@@ -694,10 +719,11 @@ def _edit(doc, path, value):
     (8, ("n",), 1, (4, "3"), 1),  # an axis past the dimension
     (8, ("n",), 1, (4, "1,1"), 1),  # an axis listed twice
     (1, ("values", 15), [1e308, 0], None, 0),  # the inverse FFT's sums pass the float range
+    (9, ("data",), _vector_data(3), None, 4),  # data in C^3 for a problem in C^2
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
         "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
-        "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308"])
+        "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308", "data m 3"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

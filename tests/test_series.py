@@ -205,30 +205,44 @@ def test_first_order_pencil_error_is_within_a_tight_ledger(monkeypatch, lam, rad
     assert kr.table.envelope.rates == (radius,)
 
 
+@pytest.mark.parametrize("m, L", [(1, 256), (2, 192)])
+def test_weyl_kernels_of_order_1_4_are_certified_by_their_residual(monkeypatch, m, L):
+    # the alpha = 1.4 Weyl slots of the benchmark: G(k) = c^(2 - b)(k - 2) A^-1 for the
+    # kernel c^b, b = 2 - 1.4, the inverse transform of z^-2 (1 - 1/z)^(b - 2) A^-1
+    calls = contour_calls(monkeypatch)
+    A = np.eye(m) + 0.3 * np.random.default_rng(m).normal(size=(m, m))
+    kr = green_function(weyl_fractional_problem(1.4, A, kernel_len=L), (1.3,), Box((0,), (80,)))
+    assert not calls
+    a, Ainv = 1 - mp.mpf(math.ceil(1.4) - 1.4), mp.matrix(A.tolist()) ** -1
+    ref = {(k,): mp.binomial(k - 2 + a, k - 2) * Ainv if k >= 2 else 0 * Ainv for k in range(81)}
+    err = frobenius_errors(kr.table.values, ref, (81,))
+    assert np.all(err <= kr.aliasing) and np.all(np.isfinite(kr.aliasing))
+
+
 def test_contour_runs_for_uncertified_symbols_and_explicit_grids(monkeypatch):
     calls = contour_calls(monkeypatch)
     w = Box((0, 0), (8, 8))
-    P = scaling_pencil()  # theta(1) = ||diag(1/2, 1/3)||_F = 0.6: certified
+    P = scaling_pencil()  # z1 z2 A - I, A = diag(2, 3): certified at radius 1
     green_function(P, (1.0, 1.0), w)
     assert not calls
     green_function(P, (1.0, 1.0), w, grid=(32, 32))  # the quadrature's own parameter
     assert len(calls) == 1
-    green_function(P, (0.6, 0.6), w)  # theta(0.6) = 0.6 / 0.36 > 1
+    green_function(P, (0.6, 0.6), w)  # z1 z2 A - I is singular at z1 z2 = 2 and 3
     assert len(calls) == 2
-    S = weyl_fractional_problem(1.4, kernel_len=128)  # theta(1.3) = 1.28 at j = 1 alone
+    S = weyl_fractional_problem(1.4, kernel_len=128)  # certified by its residual
     green_function(S, (1.3,), Box((0,), (40,)))
-    assert len(calls) == 3
+    assert len(calls) == 2
     green_function(first_order_pencil(0.5), (1.0,), Box((-2,), (8,)))  # not an orthant window
-    assert len(calls) == 4
-    with pytest.raises(SingularSymbol):  # theta = 1 exactly: the contour meets the pole
+    assert len(calls) == 3
+    with pytest.raises(SingularSymbol):  # the pole on the contour: q >= 1
         green_function(first_order_pencil(1.0), (1.0,), Box((0,), (8,)))
-    assert len(calls) == 5
+    assert len(calls) == 4
     # a singular B_0 (z diag(1, 0) - I / 2 is invertible off |z| = 1/2), and a
     # non-finite B, which the contour then reports at its first node
     P = OperatorPencil(1, 2, (((1,), np.diag([1.0, 0.0])), ((0,), -0.5 * np.eye(2))), np.eye(2))
     green_function(P, (1.0,), Box((0,), (8,)))
-    assert len(calls) == 6
+    assert len(calls) == 5
     with pytest.raises(EvaluatorFailure):
         green_function(OperatorPencil(1, 1, (((1,), [[1.0]]), ((0,), [[np.nan]])), [[1.0]]),
                        (1.0,), Box((0,), (8,)))
-    assert len(calls) == 7
+    assert len(calls) == 6
