@@ -17,7 +17,7 @@ import numpy as np
 
 from .convolution import conv_general
 from .errors import DimensionMismatch, InsufficientWindow
-from .lattice import Box, Envelope, SequenceTable, nonneg_orthant, value_norm
+from .lattice import Box, Envelope, SequenceTable, nonneg_orthant, value_norms
 from .ztransform import eval_forward
 
 CESARO_ENVELOPE_EPS = 0.05  # envelope rate 1 + eps; any eps > 0 is valid
@@ -155,16 +155,14 @@ def weyl_transform_identity_check(
         hi = u.support.hi[0] + a.support.hi[0]
         out_window = Box((lo,), (hi,))
     d = weyl_am(a, m, u, out_window, enforce=False)
-    worst = 0.0
-    for z in z_points:
-        z = complex(z[0]) if isinstance(z, (tuple, list)) else complex(z)
-        lhs = np.asarray(eval_forward(d, (z,)))
-        fa = eval_forward(a, (z,))
-        fu = np.asarray(eval_forward(u, (z,)))
-        pref = sum(
-            (-1) ** (m - j) * math.comb(m, j) * z**j for j in range(m + 1)
-        )
-        rhs = pref * fa * fu
-        denom = max(value_norm(rhs), 1e-30)
-        worst = max(worst, value_norm(lhs - rhs) / denom)
-    return {"max_rel_deviation": worst, "points": len(list(z_points))}
+    z = np.array([complex(p[0]) if isinstance(p, (tuple, list)) else complex(p) for p in z_points])
+    vd = max(len(t.vshape) for t in (d, a, u))
+
+    def at_points(t):  # F_t on all points as one mesh, value axes right-aligned to vd
+        return np.reshape(eval_forward(t, (z,)), z.shape + (1,) * (vd - len(t.vshape)) + t.vshape)
+
+    lhs, fa, fu = at_points(d), at_points(a), at_points(u)
+    pref = sum((-1) ** (m - j) * math.comb(m, j) * z**j for j in range(m + 1))
+    rhs = np.reshape(pref, z.shape + (1,) * vd) * fa * fu
+    dev = value_norms(lhs - rhs, vd) / np.maximum(value_norms(rhs, vd), 1e-30)
+    return {"max_rel_deviation": float(np.max(dev, initial=0.0)), "points": len(z)}

@@ -14,14 +14,19 @@ Power series, when ``grid`` is None, the window has lo >= 0 and every kernel
 vanishes off N0^n: with j* the largest shift + order, z^{-j*} M(z) = sum_k
 B_k z^{-k} over N0^n, each block's A V placed at lo + j*.  The recursion H(k)
 = -B_0^{-1} sum_{0 != j <= k} B_j H(k - j) on a box 0..K gives G(k) = H(k -
-j*) C.  Its residual r = B H - I certifies it: if q = ||r||_w < 1, w(k) =
+j*) C.  In n-D it runs a level of points at a time.  In 1-D, after the first
+b ~ sqrt(3K) coefficients, it runs a block of b at a time (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): the block's history is one
+product with the band, and the block is minus the block-Toeplitz matrix of
+the first b coefficients times it, since that matrix inverts B's leading
+block.  Its residual r = B H - I certifies it: if q = ||r||_w < 1, w(k) =
 R^{-k} over N0^n, with r measured on the box plus the rounding of measuring
-it (Higham's gamma_n |B| * |H|), the unstored kernel coefficients and the rows
-past the box, a Neumann series shows M invertible on and outside the
-polycircle; ||M^{-1}||_w <= ||H||_w / (1 - q) bounds ``contour_max`` and the
-envelope, and ``min_rcond`` = (1 - q) / (||B||_w ||H||_w) must pass
-RCOND_MIN.  An entry's ledger is ||H||_1 ||r||_1 / (1 - ||r||_1) on its box
-0..k, r on that box alone (Frobenius norms).
+it (Higham's gamma_n |B| * |H|) and of forming B, the unstored kernel
+coefficients and the rows past the box, a Neumann series shows M invertible
+on and outside the polycircle; ||M^{-1}||_w <= ||H||_w / (1 - q) bounds
+``contour_max`` and the envelope, and ``min_rcond`` = (1 - q) / (||B||_w
+||H||_w) must pass RCOND_MIN.  An entry's ledger is ||H||_1 ||r||_1 / (1 -
+||r||_1) on its box 0..k, r on that box alone (Frobenius norms).
 
 Contour, for every other symbol or window, and whenever ``grid`` is given:
 the quadrature samples M(z)^{-1} C on a whole polycircle node grid at once,
@@ -122,7 +127,8 @@ class Symbol:
     sum_j A_j u(k+j) + sum_w A_w (Delta^{o_w} (a_w * u))(k+s_w) = C f(k).
 
     ``pencil`` holds the (j, A_j) pairs, ``terms`` the kernel summands, and
-    ``_blocks`` every summand as the one block (t, lo, V) of ``_block``.
+    ``_blocks`` every summand as the one block (t, lo, V) of ``_block``, but for
+    pencil pairs with A_j exactly zero (an all-zero symbol keeps its first).
     """
 
     n: int
@@ -156,7 +162,8 @@ class Symbol:
                 raise DimensionMismatch("difference terms are one-dimensional")
         self.pencil = tuple(pencil)
         self.C = np.asarray(self.C, dtype=complex).reshape(self.m, self.m)
-        self._blocks = tuple(_block(t, self.n) for t in _summands(self))
+        live = [t for t in _summands(self) if t.kernel is not None or t.A.any()]
+        self._blocks = tuple(_block(t, self.n) for t in live or _summands(self)[:1])
 
     def max_shift(self) -> int:
         return max(max(abs(c) for c in t.shift) + t.order for t in _summands(self))
@@ -164,8 +171,8 @@ class Symbol:
 
 def _summands(S: Symbol) -> tuple[Term, ...]:
     """Every summand of the operator L: the pencil pairs (j, A_j) as kernel-less
-    terms A_j u(k + j), then the kernel terms.  The blocks, the amplification
-    bound and the largest shift all read this one list."""
+    terms A_j u(k + j), then the kernel terms.  The blocks and the largest
+    shift read this one list."""
     return tuple(Term(None, A, j) for j, A in S.pencil) + S.terms
 
 
@@ -181,12 +188,17 @@ def _block(t: Term, n: int):
         for q, i in enumerate(j - 1 for j in t.axes or range(1, n + 1)):
             lo[i], ext[i] = lo[i] + a.support.lo[q], a.support.shape[q]
         V = a.values.reshape(tuple(ext) + a.vshape)
-    if t.order:  # 1-D: z^s (z - 1)^o z^-l = sum_i (-1)^i C(o, i) z^-(l - s - o + i)
-        W = np.zeros((len(V) + t.order,) + V.shape[1:], dtype=complex)
-        for i in range(t.order + 1):
-            W[i : i + len(V)] += (-1) ** i * math.comb(t.order, i) * V
-        lo[0], V = lo[0] - t.order, W
+    for _ in range(t.order):  # 1-D: (z - 1) sum_p V(p) z^-(l + p) starts at l - 1
+        lo[0], V = lo[0] - 1, _diff(V)
     return t, tuple(lo), V
+
+
+def _diff(V):
+    """V(p) - V(p - 1) along the first axis, with V zero past both ends."""
+    W = np.empty((len(V) + 1,) + V.shape[1:], dtype=V.dtype)
+    W[0], W[-1] = V[0], -V[-1]
+    np.subtract(V[1:], V[:-1], out=W[1:-1])
+    return W
 
 
 def OperatorPencil(n: int, m: int, terms, C) -> Symbol:
@@ -303,7 +315,7 @@ def operator_amplification(S: Symbol) -> float:
         value_norm(t.A)
         * 2.0**t.order
         * (1.0 if t.kernel is None else float(np.sum(t.kernel.norms())))
-        for t in _summands(S)
+        for t, _, _ in S._blocks
     )
 
 
@@ -430,8 +442,24 @@ def _series_kernel(S: Symbol, radii, window: Box):
     sl = [tuple(slice(c + j, c + j + e) for c, j, e in zip(lo, jstar, V.shape))
           for _, lo, V in blocks]
     B = np.zeros(tuple(map(max, zip(kb, *((c.stop for c in q) for q in sl)))) + (m, m), complex)
-    for (t, _, V), q in zip(blocks, sl):  # B_k sums the blocks placed at lo + j*
+    box = tuple(k + 1 for k in K)
+    ws = (x ** -np.arange(max(e, k)) for x, e, k in zip(R, box, B.shape))
+    w = functools.reduce(np.multiply.outer, ws)  # R^-k over the box and B
+    # forming B rounds (the A V products, the (z - 1)^o fold, the sums of overlapping blocks)
+    # within sqrt(2) gamma_s, s = 2m + o + 1 + the blocks, of ||A|| ||V(p)||_F at lo + j* + p:
+    # fw weighted, f1 not.  The fold is o first differences D_s, each within u of its result
+    # and then differenced o - s more times; D_o is V itself
+    fw = f1 = 0.0
+    gb = 1.43 * 2.0**-53 * (2 * m + 1 + max(t.order for t, _, _ in blocks) + len(blocks))
+    gA = gb * fro(np.stack([t.A for t, _, _ in blocks]))
+    for (t, _, V), q, ga in zip(blocks, sl, gA):  # B_k sums the blocks placed at lo + j*
         B[q] += _times_A(t, V)
+        nv = value_norms(V.reshape(V.shape[:n] + (-1,)), 1)
+        D = t.kernel.values.reshape(len(V) - t.order, -1) if t.order else None
+        for i in range(t.order - 1, 0, -1):  # D_s for s = o - i
+            D = _diff(D)
+            nv = nv + np.convolve(value_norms(D, 1), [math.comb(i, c) for c in range(i + 1)])
+        f1, fw = f1 + ga * nv.sum(), fw + ga * (nv * w[q]).sum()
     try:
         Binv = np.linalg.inv(B[o])
     except np.linalg.LinAlgError:  # a singular B_0
@@ -447,27 +475,21 @@ def _series_kernel(S: Symbol, radii, window: Box):
             return None
         if any(p > 0 or q < top[i] for p, q, i in zip(a.support.lo, a.support.hi, ax)):
             env = (a.envelope.axis_factor(q, np.arange(top[i] + 1)) for q, i in enumerate(ax))
-            w = functools.reduce(np.multiply.outer, env, a.envelope.M * np.all(top >= 0))
-            w[tuple(slice(p, q + 1) for p, q in zip(a.support.lo, a.support.hi))] = 0
-            miss += 2**t.order * nA * w.sum()
-    # Hs from B Hs = delta_{j*}: in 1-D one contiguous product per coefficient, over B_j up
-    # to the last nonzero; in n-D a level v.k at a time, gathering Hs(k - j) over the nonzero B_j,
-    # for the unit or all-ones v with v.j >= 1 for those j and the fewest levels.  Then the
-    # residual r = B Hs - delta_{j*} in one product over the same windows (1-D) or gather (n-D)
-    box, P, at = tuple(k + 1 for k in K), math.prod(k + 1 for k in K), tuple(map(slice, kb))
+            ew = functools.reduce(np.multiply.outer, env, a.envelope.M * np.all(top >= 0))
+            ew[tuple(slice(p, q + 1) for p, q in zip(a.support.lo, a.support.hi))] = 0
+            miss += 2**t.order * nA * ew.sum()
+    # Hs from B Hs = delta_{j*}, and r = B Hs - delta_{j*}: in 1-D over B_j up to the last
+    # nonzero, by blocks (_series_1d); in n-D a level v.k at a time, gathering Hs(k - j) over
+    # the nonzero B_j, for the unit or all-ones v with v.j >= 1 for those j and the fewest
+    # levels, and r in one product over the same gather
+    P, at = math.prod(box), tuple(map(slice, kb))
     bn = fro(B)
     J = np.argwhere(bn[at] != 0) if n > 1 else np.arange(np.flatnonzero(bn[at])[-1] + 1)[:, None]
     BJ = B[at][tuple(J.T)].transpose(1, 0, 2).reshape(m, len(J) * m)
-    cat = -Binv @ BJ[:, m:]
-    if n == 1:  # Hs(i) at flat[P - i], then zero rows
-        j0, flat = jstar[0], np.zeros((P + len(J), m, m), dtype=complex)
-        flat[P - j0], rows = Binv, flat.reshape(-1, m)
-        for k in range(j0 + 1, P):  # Hs(k - 1) .. Hs(k - len(J) + 1), stacked, into Hs(k)
-            np.dot(cat, rows[(P + 1 - k) * m : (P + len(J) - k) * m], out=flat[P - k])
-        step = flat.strides[0]  # the stacked Hs(k) .. Hs(k - len(J) + 1) start at flat[P - k]
-        windows = np.ndarray((P, len(J) * m, m), complex, flat, P * step, (-step, *rows.strides))
-        Hs, r = flat[P:0:-1], BJ @ windows
+    if n == 1:
+        Hs, r = _series_1d(Binv, BJ, P, jstar[0])
     else:
+        cat = -Binv @ BJ[:, m:]
         v = min((*np.eye(n, dtype=int)[(J[1:] >= 1).all(0)], np.ones(n, int)), key=lambda v: v @ K)
         pts = np.indices(box).reshape(n, -1)
         order = np.argsort(v @ pts, kind="stable")
@@ -486,9 +508,7 @@ def _series_kernel(S: Symbol, radii, window: Box):
     rn, hn = fro(np.stack((r, Hs)))
     g = 1.01 * 2.0**-53 * (m * np.count_nonzero(bn[at]) + 4)  # n terms, complex, n u < 0.01
     # q = ||r||_w over N0^n for w(k) = R^-(k - j*) = c R^-k: the measured rows, their
-    # rounding, the unstored coefficients, and the rows past K along each axis
-    ws = [x ** -np.arange(e) for x, e in zip(R, map(max, box, bn.shape))]
-    w = functools.reduce(np.multiply.outer, ws)
+    # rounding, the unstored coefficients, forming B, and the rows past K along each axis
     wH, c = w[tuple(map(slice, box))], math.prod(R ** np.array(jstar))
     hw, bw = hn * wH, bn * w[tuple(map(slice, bn.shape))]
     Hw, past = float(hw.sum()), 0.0
@@ -496,13 +516,13 @@ def _series_kernel(S: Symbol, radii, window: Box):
         rest = tuple(a for a in range(n) if a != i)
         suffix = np.cumsum(bw.sum(rest)[::-1])[::-1][1 : K[i] + 2]  # sum over j_i > t
         past += hw.sum(rest)[::-1][: len(suffix)] @ suffix
-    q = c * float((rn * wH).sum() + (g * bw[at].sum() + tail) * Hw + past)
-    rc = (1 - q) / (c * Hw * (float(bw.sum()) + tail))  # ||B^-1||_w <= c Hw / (1 - q)
+    q = c * float((rn * wH).sum() + (g * bw[at].sum() + tail + fw) * Hw + past)
+    rc = (1 - q) / (c * Hw * (float(bw.sum()) + tail + fw))  # ||B^-1||_w <= c Hw / (1 - q)
     if not (q < 1 and rc >= RCOND_MIN):
         return None
     # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on box 0..k, r on it; g ||Hs|| for C
     h = functools.reduce(np.cumsum, range(n), hn)
-    rho = functools.reduce(np.cumsum, range(n), rn) + (g * bn[at].sum() + miss) * h
+    rho = functools.reduce(np.cumsum, range(n), rn) + (g * bn[at].sum() + miss + f1) * h
     led = np.divide(h * rho, 1 - rho, out=np.full(box, math.inf), where=rho < 1) + g * hn
     nc = float(fro(S.C))
     bound = nc * Hw / (1 - q)  # R^-j* ||M^-1||_w ||C||
@@ -510,6 +530,52 @@ def _series_kernel(S: Symbol, radii, window: Box):
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
     table = SequenceTable(nonneg_orthant(n), window, G, "matrix", m, Envelope(bound, tuple(R)))
     return KernelResult(table, nc * led[at] if nc else np.zeros(window.shape), rc, bound, 0.0)
+
+
+def _series_1d(Binv, BJ, P: int, j0: int):
+    """Hs(0..P - 1) from B Hs = delta_{j0} in 1-D, for BJ = [B_0 .. B_{J-1}] (m x J m),
+    and B Hs on 0..P - 1.  Hs(j0) .. Hs(j0 + b - 1) come one product per coefficient;
+    each further block [s, e) of b comes from its history h = [B_1 .. B_{J-1}] Hs,
+    taken while the block's rows are still zero, as Hs[s:e] = -T_H h, with T_H the
+    lower block-Toeplitz matrix of the first b coefficients (the inverse of B's
+    leading one, T_B); its rows of B Hs are h + T_B Hs[s:e]."""
+    m, J = len(Binv), BJ.shape[1] // len(Binv)
+    flat = np.zeros((P + J, m, m), dtype=complex)  # Hs(i) at flat[P - i], then zero rows
+    flat[P - j0], rows = Binv, flat.reshape(-1, m)
+    step, rs = flat.strides[0], rows.strides  # windows[k]: Hs(k) .. Hs(k - J + 1), stacked
+    windows = np.ndarray((P, J * m, m), complex, flat, P * step, (-step, *rs))
+    b = max(1, min(P - j0, J - 1, math.isqrt(3 * (P - j0))))
+    head = P if b == 1 else j0 + b
+    cat = -Binv @ BJ[:, m:]
+    for k in range(j0 + 1, head):  # Hs(k - 1) .. Hs(k - J + 1), stacked, into Hs(k)
+        np.dot(cat, rows[(P + 1 - k) * m : (P + J - k) * m], out=flat[P - k])
+    r = np.empty((P, m, m), dtype=complex)  # B Hs (k) at r[P - 1 - k]
+    r[P - head :] = BJ @ windows[head - 1 :: -1]
+    if head < P:  # the blocks run in flat's order, k descending: T_H and T_B upper triangular
+        Bz = np.zeros((2 * b - 1, m, m), dtype=complex)  # B_j at Bz[b - 1 + j], zeros below
+        Bz[b - 1 :] = BJ[:, : b * m].reshape(m, b, m).transpose(1, 0, 2)
+        # [a, :, c, :] of T_H is Hs(j0 + c - a), of T_B is B_{c - a}; both zero for c < a
+        TH = np.ndarray((b, m, b, m), complex, flat, (P - j0) * step, (step, rs[0], -step, rs[1]))
+        TB = np.ndarray((b, m, b, m), complex, Bz, (b - 1) * step, (-step, rs[0], step, rs[1]))
+        nTH, TB = -TH.reshape(b * m, b * m), TB.reshape(b * m, b * m)
+        # for m > 1 the history runs faster as one real product of [Re; Im] of B_1 .. B_{J-1}
+        # with the interleaved real view of the windows, whose two halves then combine
+        Bri = np.concatenate((BJ[:, m:].real, BJ[:, m:].imag)) if m > 1 else None
+    for s in range(head, P, b):
+        e = min(s + b, P)
+        w = (e - s) * m
+        if m == 1:
+            h = np.matmul(BJ[:, m:], windows[e - 1 : s - 1 : -1, m:]).reshape(w, m)
+        else:
+            y = np.matmul(Bri, windows[e - 1 : s - 1 : -1, m:].view(float))
+            h = np.empty((e - s, m, m), dtype=complex)
+            np.subtract(y[:, :m, ::2], y[:, m:, 1::2], out=h.real)
+            np.add(y[:, :m, 1::2], y[:, m:, ::2], out=h.imag)
+            h = h.reshape(w, m)
+        x = np.matmul(nTH[:w, :w], h, out=rows[(P - e + 1) * m : (P - s + 1) * m])
+        rb = np.matmul(TB[:w, :w], x, out=r[P - e : P - s].reshape(w, m))
+        rb += h
+    return flat[P:0:-1], r[::-1]
 
 
 def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) -> KernelResult:

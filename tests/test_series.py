@@ -246,3 +246,92 @@ def test_contour_runs_for_uncertified_symbols_and_explicit_grids(monkeypatch):
         green_function(OperatorPencil(1, 1, (((1,), [[1.0]]), ((0,), [[np.nan]])), [[1.0]]),
                        (1.0,), Box((0,), (8,)))
     assert len(calls) == 6
+
+
+# ---------------------------------------------------------------------------
+# the blocked 1-D recursion
+# ---------------------------------------------------------------------------
+
+
+def per_coefficient(Binv, BJ, P, j0):
+    """Hs(0..P - 1) from B Hs = delta_{j0}, one coefficient at a time."""
+    m, J = len(Binv), BJ.shape[1] // len(Binv)
+    Bs = BJ.reshape(m, J, m).transpose(1, 0, 2)
+    Hs = np.zeros((P, m, m), dtype=complex)
+    Hs[j0] = Binv
+    for k in range(j0 + 1, P):
+        Hs[k] = -Binv @ sum(Bs[j] @ Hs[k - j] for j in range(1, min(J, k + 1)))
+    return Hs
+
+
+def applied(BJ, Hs, dtype=complex):
+    """(B Hs)(k) = sum_j B_j Hs(k - j) on 0..P - 1, summed in ``dtype``."""
+    m, P = len(BJ), len(Hs)
+    Bs, H = BJ.reshape(m, -1, m).transpose(1, 0, 2).astype(dtype), Hs.astype(dtype)
+    out = np.zeros((P, m, m), dtype=dtype)
+    for j in range(min(len(Bs), P)):
+        out[j:] += np.einsum("ip,kpl->kil", Bs[j], H[: P - j])
+    return out
+
+
+def fro_norms(X):
+    return np.sqrt(np.sum(np.abs(X.astype(complex)) ** 2, axis=(-2, -1)))
+
+
+@st.composite
+def recursions(draw):
+    """(Binv, BJ, P, j0): a random decaying band, or the growing Weyl symbol
+    (1 - 1/z)^alpha A of order alpha in [1, 1.9], whose kernel c^alpha A^-1 grows."""
+    m = draw(st.integers(1, 3))
+    j0 = draw(st.integers(0, 2))
+    nk = draw(st.integers(1, 200))  # K - j* + 1 coefficients
+    J = 1 + draw(st.integers(1, nk))  # the band B_0 .. B_{J-1}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = np.eye(m) + 0.3 * rng.normal(size=(m, m)) + 0.2j * rng.normal(size=(m, m))
+    if draw(st.booleans()):
+        k = np.arange(1.0, J)
+        c = np.cumprod(np.concatenate(([1.0], (k - 1 - draw(st.floats(1.0, 1.9))) / k)))
+        Bs = c[:, None, None] * A
+    else:
+        Bs = rng.normal(size=(J, m, m)) / (1 + np.arange(J))[:, None, None] ** 2 / m + 0j
+        Bs[0] = A
+    BJ = Bs.transpose(1, 0, 2).reshape(m, J * m).astype(complex)
+    return np.linalg.inv(Bs[0]).astype(complex), BJ, j0 + nk, j0
+
+
+@given(recursions())
+@settings(max_examples=150, deadline=None)
+def test_blocked_recursion_is_the_per_coefficient_one_to_rounding(case):
+    Binv, BJ, P, j0 = case
+    m, J = len(Binv), BJ.shape[1] // len(Binv)
+    Hs, r = solver._series_1d(Binv, BJ, P, j0)
+    ref = per_coefficient(Binv, BJ, P, j0)
+    bn = fro_norms(BJ.reshape(m, J, m).transpose(1, 0, 2))
+    hn = fro_norms(Hs)
+    conv = lambda a, b: np.convolve(a, b)[:P]  # noqa: E731
+    # r is B Hs on 0..P - 1 within the rounding the certificate allows it
+    g = 1.01 * 2.0**-53 * (m * np.count_nonzero(bn) + 4)
+    exact = applied(BJ, Hs, np.clongdouble)
+    assert np.all(fro_norms(r - exact) <= g * conv(bn, hn) * (1 + 1e-9))
+    # both recursions solve B Hs = delta_{j0} to rounding, so they differ by at most
+    # B^-1 * (their two residuals), to first order, where B^-1(k) = Hs(k + j0)
+    delta = np.zeros((P, m, m))
+    delta[j0] = np.eye(m)
+    res = sum(fro_norms(applied(BJ, X, np.clongdouble) - delta) for X in (Hs, ref))
+    assert np.all(fro_norms(Hs - ref) <= 2 * conv(hn[j0:], res + 2 * g * conv(bn, hn)) + 1e-300)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_long_weyl_kernel_is_within_its_ledger_of_the_closed_form(monkeypatch, m):
+    # order 0.5 on 0:1280 (blocks of 61 coefficients): G(k) = c^0.5(k - 1) A^-1,
+    # the inverse transform of z^-1 (1 - 1/z)^-0.5 A^-1
+    calls = contour_calls(monkeypatch)
+    A = np.eye(m) + 0.3 * np.random.default_rng(m).normal(size=(m, m))
+    S = weyl_fractional_problem(0.5, A, kernel_len=1400)
+    kr = green_function(S, (1.3,), Box((0,), (1280,)))
+    assert not calls
+    c, Ainv = [mp.mpf(0), mp.mpf(1)], mp.matrix(A.tolist()) ** -1
+    for k in range(1, 1280):
+        c.append(c[-1] * (k - mp.mpf(0.5)) / k)
+    err = frobenius_errors(kr.table.values, {(k,): c[k] * Ainv for k in range(1281)}, (1281,))
+    assert np.all(err <= kr.aliasing) and np.all(np.isfinite(kr.aliasing))

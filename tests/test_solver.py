@@ -707,6 +707,38 @@ def test_weyl_solve_residual_within_ledger():
     assert rep["max_residual"] <= 10 * sol.ledger
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_zero_pencil_pair_changes_nothing(m):
+    # the Weyl slots carry A0 = 0 at shift 0; a 2-D pencil gets a zero pair
+    # at a shift of its own.  The pair stays in the pencil and in max_shift,
+    # but adds no block, so u, the ledgers and the residual are unchanged
+    rng = np.random.default_rng(m)
+    A = np.eye(m) + 0.3 * rng.normal(size=(m, m))
+    S = weyl_fractional_problem(0.5, A, kernel_len=128)
+    T = Symbol(1, m, (), S.terms, S.C)
+    P = OperatorPencil(2, m, (((1, 1), 2 * A), ((0, 0), -np.eye(m))), np.eye(m))
+    Z = OperatorPencil(2, m, P.pencil + (((1, 0), np.zeros((m, m))),), np.eye(m))
+    f1, f2 = SequenceTable.delta(1), gaussian_table(2, 6)
+    for (with_zero, without), f, kw, check in (
+        ((S, T), f1, ((1.3,), Box((0,), (80,)), Box((0,), (48,))), Box((4,), (32,))),
+        ((Z, P), f2, ((1.0, 1.0), Box((0, 0), (12, 12)), Box((0, 0), (10, 10))), Box((1, 1), (8, 8))),
+    ):
+        assert len(with_zero.pencil) == len(without.pencil) + 1
+        assert with_zero.max_shift() == without.max_shift()
+        assert len(with_zero._blocks) == len(without._blocks)
+        a, b = solve(with_zero, f, *kw), solve(without, f, *kw)
+        assert np.array_equal(a.u.values, b.u.values) and np.array_equal(a.error, b.error)
+        assert a.ledger == b.ledger and np.array_equal(a.kernel.aliasing, b.kernel.aliasing)
+        assert residual(with_zero, a.u, f, check) == residual(without, b.u, f, check)
+    # an all-zero symbol keeps a block: it evaluates to 0, applies as 0, and is singular
+    O = OperatorPencil(1, m, (((0,), np.zeros((m, m))), ((1,), np.zeros((m, m)))), np.eye(m))
+    assert len(O._blocks) == 1 and not symbol_eval(O, (1.5,)).any()
+    u = SequenceTable(nonneg_orthant(1), Box((0,), (6,)), np.ones((7, m)), "vector", m)
+    assert residual(O, u, u, Box((0,), (4,)))["max_residual"] == pytest.approx(math.sqrt(m))
+    with pytest.raises(SingularSymbol):
+        green_function(O, (1.0,), Box((0,), (8,)))
+
+
 def test_long_kernel_weyl_solve_takes_the_fft_path(monkeypatch):
     # 640 kernel terms on the 656 contour nodes of the window 0:320 (the
     # default grid, passed explicitly so that the quadrature runs): the
