@@ -10,9 +10,10 @@ correlation of A V with u from lo and M(z) = sum A V(p) z^{-lo-p}.  The
 residual, the symbol and the series recursion read these blocks.
 ``green_function`` builds a kernel on one of two paths.
 
-Power series, when ``grid`` is None, the window has lo >= 0 and every kernel
-vanishes off N0^n: with j* the largest shift + order, z^{-j*} M(z) = sum_k
-B_k z^{-k} over N0^n, each block's A V placed at lo + j*.  The recursion H(k)
+Power series, when ``grid`` is None, the window has lo >= 0, every kernel
+vanishes off N0^n and j*, the largest shift + order over the blocks, is >= 0
+(so that H(k - j*) lives on N0^n): z^{-j*} M(z) = sum_k B_k z^{-k} over N0^n,
+each block's A V placed at lo + j*.  The recursion H(k)
 = -B_0^{-1} sum_{0 != j <= k} B_j H(k - j) on a box 0..K gives G(k) = H(k -
 j*) C.  In n-D it runs a level of points at a time.  In 1-D, after the first
 b ~ sqrt(3K) coefficients, it runs a block of b at a time (Hairer, Lubich &
@@ -433,6 +434,8 @@ def _series_kernel(S: Symbol, radii, window: Box):
         return value_norms(np.reshape(X, np.shape(X)[:-2] + (m * m,)), 1)
 
     jstar = tuple(max(t.shift[i] + t.order for t, _, _ in blocks) for i in range(n))
+    if min(jstar) < 0:  # Hs(k) = H(k - j*) would start off N0^n
+        return None
     K = tuple(map(max, window.hi, jstar))  # Hs(k) = H(k - j*) on 0..K needs B on 0..K - j*
     kb = tuple(k + 1 - j for k, j in zip(K, jstar))
     for a in (t.kernel for t in S.terms):
@@ -451,8 +454,8 @@ def _series_kernel(S: Symbol, radii, window: Box):
     # and then differenced o - s more times; D_o is V itself
     fw = f1 = 0.0
     gb = 1.43 * 2.0**-53 * (2 * m + 1 + max(t.order for t, _, _ in blocks) + len(blocks))
-    gA = gb * fro(np.stack([t.A for t, _, _ in blocks]))
-    for (t, _, V), q, ga in zip(blocks, sl, gA):  # B_k sums the blocks placed at lo + j*
+    nAs = fro(np.stack([t.A for t, _, _ in blocks]))  # each block's ||A||_F, read again below
+    for (t, _, V), q, ga in zip(blocks, sl, gb * nAs):  # B_k sums the blocks placed at lo + j*
         B[q] += _times_A(t, V)
         nv = value_norms(V.reshape(V.shape[:n] + (-1,)), 1)
         D = t.kernel.values.reshape(len(V) - t.order, -1) if t.order else None
@@ -465,8 +468,10 @@ def _series_kernel(S: Symbol, radii, window: Box):
     except np.linalg.LinAlgError:  # a singular B_0
         return None
     tail = miss = 0.0  # unstored kernel coefficients: ||.||_w over N0^n, and their sum on 0..K - j*
-    for t in (t for t in S.terms if t.kernel.envelope):  # B_{d0 + l} for l <= top
-        a, ax, nA = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)], fro(t.A)
+    for (t, _, _), nA in zip(blocks, nAs):  # B_{d0 + l} for l <= top
+        if t.kernel is None or not t.kernel.envelope:
+            continue
+        a, ax = t.kernel, [j - 1 for j in t.axes or range(1, n + 1)]
         d0 = np.subtract(jstar, t.shift) - t.order
         top = np.subtract(kb, d0 + 1)
         try:  # ||A a(l)|| <= ||A|| ||a(l)||_2 for every value kind of a
@@ -558,20 +563,10 @@ def _series_1d(Binv, BJ, P: int, j0: int):
         TH = np.ndarray((b, m, b, m), complex, flat, (P - j0) * step, (step, rs[0], -step, rs[1]))
         TB = np.ndarray((b, m, b, m), complex, Bz, (b - 1) * step, (-step, rs[0], step, rs[1]))
         nTH, TB = -TH.reshape(b * m, b * m), TB.reshape(b * m, b * m)
-        # for m > 1 the history runs faster as one real product of [Re; Im] of B_1 .. B_{J-1}
-        # with the interleaved real view of the windows, whose two halves then combine
-        Bri = np.concatenate((BJ[:, m:].real, BJ[:, m:].imag)) if m > 1 else None
     for s in range(head, P, b):
         e = min(s + b, P)
         w = (e - s) * m
-        if m == 1:
-            h = np.matmul(BJ[:, m:], windows[e - 1 : s - 1 : -1, m:]).reshape(w, m)
-        else:
-            y = np.matmul(Bri, windows[e - 1 : s - 1 : -1, m:].view(float))
-            h = np.empty((e - s, m, m), dtype=complex)
-            np.subtract(y[:, :m, ::2], y[:, m:, 1::2], out=h.real)
-            np.add(y[:, :m, 1::2], y[:, m:, ::2], out=h.imag)
-            h = h.reshape(w, m)
+        h = np.matmul(BJ[:, m:], windows[e - 1 : s - 1 : -1, m:]).reshape(w, m)
         x = np.matmul(nTH[:w, :w], h, out=rows[(P - e + 1) * m : (P - s + 1) * m])
         rb = np.matmul(TB[:w, :w], x, out=r[P - e : P - s].reshape(w, m))
         rb += h

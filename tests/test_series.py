@@ -20,7 +20,8 @@ from zlattice import solver
 from zlattice.errors import EvaluatorFailure, SingularSymbol
 from zlattice.fixtures import first_order_pencil, scaling_pencil, weyl_fractional_problem
 from zlattice.fractional import cesaro_values
-from zlattice.lattice import Box, Envelope, SequenceTable, nonneg_orthant
+from zlattice.lattice import Box, Envelope, SequenceTable, emit, nonneg_orthant
+from zlattice.problems import problem_from_doc
 from zlattice.solver import (
     MixedAxesSymbol,
     MixedAxesTerm,
@@ -246,6 +247,49 @@ def test_contour_runs_for_uncertified_symbols_and_explicit_grids(monkeypatch):
         green_function(OperatorPencil(1, 1, (((1,), [[1.0]]), ((0,), [[np.nan]])), [[1.0]]),
                        (1.0,), Box((0,), (8,)))
     assert len(calls) == 6
+
+
+def _negative_jstar_docs():
+    """Documents whose largest shift + order is negative on an axis once their zero
+    pencil pair (the default B or A0) adds no block."""
+    one, kernel = [[[1.0, 0.0]]], emit(geometric_kernel((0.5, 0.5), (4, 4)))
+    zn = {"kind": "volterra_zn", "n": 2, "m": 1, "C": one, "data": {"generator": "delta"},
+          "terms": [{"kernel": kernel, "shift": [1, -1], "A": one}]}
+    weyl = [{"kind": "weyl_1d", "m": 1, "C": one, "data": {"generator": "delta"},
+             "terms": [{"kernel": {"cesaro": {"alpha": 0.5, "len": 16}}, "order": 1,
+                        "shift": s, "A": one}]} for s in (-2, -20)]  # j* = -1, and past the band
+    return {"volterra_zn": (zn, (1.3, 1.3), Box((0, 0), (8, 8))),
+            "weyl_1d": (weyl[0], (1.3,), Box((0,), (20,))),
+            "weyl_1d far": (weyl[1], (1.3,), Box((0,), (10,)))}
+
+
+@pytest.mark.parametrize("kind", list(_negative_jstar_docs()))
+def test_a_negative_jstar_refuses_the_series(monkeypatch, kind):
+    # Hs(k) = H(k - j*) would start off N0^n: the series refuses, and the contour
+    # inverts the symbol as it does without the zero pair
+    doc, radii, window = _negative_jstar_docs()[kind]
+    S = problem_from_doc(doc)[0]
+    T = solver.Symbol(S.n, S.m, (), S.terms, S.C)
+    assert len(S.pencil) == 1 and not S.pencil[0][1].any() and len(S._blocks) == len(T._blocks)
+    calls = contour_calls(monkeypatch)
+    a, b = green_function(S, radii, window), green_function(T, radii, window)
+    assert len(calls) == 2
+    assert np.array_equal(a.table.values, b.table.values) and np.array_equal(a.aliasing, b.aliasing)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_pencil_with_negative_jstar_is_inverted_on_the_contour(monkeypatch, n):
+    # z1^-1 - z1^-2 / 2 has G(k) = 2^-(k1 + 1) delta(k2 .. kn) for k1 >= -1: on N0^n
+    # only the contour holds its entry at k1 = -1
+    e = np.eye(n, dtype=int)[0]
+    P = OperatorPencil(n, 1, ((tuple(-e), [[1.0]]), (tuple(-2 * e), [[-0.5]])), [[1.0]])
+    calls = contour_calls(monkeypatch)
+    window = Box((0,) * n, (10,) * n)
+    kr = green_function(P, (1.3,) * n, window)
+    assert len(calls) == 1
+    k = np.indices(window.shape)
+    exact = np.where((k[1:] == 0).all(0), 0.5 ** (k[0] + 1), 0.0)
+    assert np.all(np.abs(kr.table.values.reshape(window.shape) - exact) <= kr.aliasing)
 
 
 # ---------------------------------------------------------------------------
