@@ -212,12 +212,9 @@ def cmd_transform(args) -> int:
     elif args.rational:
         F = _rational_evaluator(read_json(args.rational))
         source = args.rational
-    elif args.fixture == "probability":
-        F = fixtures.probability_evaluator()
-        source = "fixture:probability"
-    elif args.fixture == "binomial":
-        F = fixtures.binomial_evaluator()
-        source = "fixture:binomial"
+    elif args.fixture in ("probability", "binomial"):
+        F = getattr(fixtures, f"{args.fixture}_evaluator")()
+        source = f"fixture:{args.fixture}"
     else:
         raise SchemaError("invert needs --seq, --rational, or a known --fixture")
     if args.radii:
@@ -337,59 +334,43 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+def _verdict(label: str, worst: float, tol: float, table, out) -> int:
+    """Save the fixture's table if asked, print its PASS/FAIL line, exit 0 or 2."""
+    if out:
+        save(table, out)
+    ok = worst <= tol
+    print(f"{'PASS' if ok else 'FAIL'} {label} {worst:.3e}")
+    return EXIT_OK if ok else EXIT_TOLERANCE
+
+
 def cmd_fixtures(args) -> int:
-    name = args.name
-    if name == "probability":
-        K = args.window
-        F = fixtures.probability_evaluator(args.p, args.q)
-        res = invert_contour(F, (2.0, 2.0), Box((0, 0), (K, K)), grid=(64, 64))
-        exact = fixtures.probability_table(args.p, args.q, K)
-        worst = 0.0
-        for k in exact.support.points():
-            if k[1] <= k[0]:
-                worst = max(worst, abs(res.table.at(k) - exact.at(k)))
-        if args.out:
-            save(exact, args.out)
-        ok = worst <= 1e-9
-        print(f"{'PASS' if ok else 'FAIL'} probability max abs dev {worst:.3e}")
-        return EXIT_OK if ok else EXIT_TOLERANCE
-    if name == "binomial":
-        K = args.window
-        F = fixtures.binomial_evaluator(args.a_coef, args.b_coef)
-        res = invert_contour(F, (1.0, 1.0), Box((0, 0), (K, K)), grid=(96, 96))
-        exact = fixtures.binomial_table(args.a_coef, args.b_coef, K)
-        worst = 0.0
-        for k in exact.support.points():
-            ref = exact.at(k)
-            worst = max(worst, abs(res.table.at(k) - ref) / abs(ref))
-        if args.out:
-            save(exact, args.out)
-        ok = worst <= 1e-9
-        print(f"{'PASS' if ok else 'FAIL'} binomial max rel dev {worst:.3e}")
-        return EXIT_OK if ok else EXIT_TOLERANCE
+    name, K = args.name, args.window
+    if name in ("probability", "binomial"):  # contour inversion against the exact table
+        if name == "probability":  # absolute deviation, on the triangle k2 <= k1 of the law
+            F, r, N, what = fixtures.probability_evaluator(args.p, args.q), 2.0, 64, "abs"
+            exact = fixtures.probability_table(args.p, args.q, K)
+            scale = np.where(np.tri(K + 1, dtype=bool), 1.0, np.inf)
+        else:
+            F, r, N, what = fixtures.binomial_evaluator(args.a_coef, args.b_coef), 1.0, 96, "rel"
+            exact = fixtures.binomial_table(args.a_coef, args.b_coef, K)
+            scale = np.abs(exact.values)
+        got = invert_contour(F, (r, r), exact.support, grid=(N, N)).table.values
+        dev = np.max(np.abs(got - exact.values) / scale)
+        return _verdict(f"{name} max {what} dev", dev, 1e-9, exact, args.out)
     if name == "diagonal":
-        f = fixtures.diagonal_table(2.0, args.window)
+        f = fixtures.diagonal_table(2.0, K)
         worst = 0.0
         for t in range(10):
             z = (2.2 + 0.1 * t, 1.3 + 0.05 * t)
             ref = fixtures.diagonal_closed_form(2.0, z)
             dev = abs(eval_forward(f, z) - ref) / abs(ref)
-            tail = fixtures.diagonal_tail(2.0, args.window, z)
-            worst = max(worst, max(dev - tail / abs(ref), 0.0))
-        if args.out:
-            save(f, args.out)
-        ok = worst <= 1e-10
-        print(f"{'PASS' if ok else 'FAIL'} diagonal max rel dev beyond tail {worst:.3e}")
-        return EXIT_OK if ok else EXIT_TOLERANCE
-    if name == "geometric":
-        table = fixtures.geometric_table(K=args.window)
-        save(table, args.out or "geometric.json")
-        print("PASS geometric table written")
-        return EXIT_OK
-    if name == "gaussian":
-        table = fixtures.gaussian_table(2, args.window)
-        save(table, args.out or "gaussian.json")
-        print("PASS gaussian table written")
+            worst = max(worst, max(dev - fixtures.diagonal_tail(2.0, K, z) / abs(ref), 0.0))
+        return _verdict("diagonal max rel dev beyond tail", worst, 1e-10, f, args.out)
+    if name in ("geometric", "gaussian"):
+        table = (fixtures.geometric_table(K=K) if name == "geometric"
+                 else fixtures.gaussian_table(2, K))
+        save(table, args.out or f"{name}.json")
+        print(f"PASS {name} table written")
         return EXIT_OK
     raise SchemaError(f"unknown fixture {name!r}; known: {sorted(fixtures.FIXTURES)}")
 

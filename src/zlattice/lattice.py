@@ -250,6 +250,7 @@ class Envelope:
 # ---------------------------------------------------------------------------
 
 _VALUE_KINDS = ("scalar", "vector", "matrix")
+_ENVELOPE_SLACK = 1e-12  # absolute slack of SequenceTable.envelope_ok
 
 
 def value_shape(value_kind: str, m: int | None) -> tuple[int, ...]:
@@ -307,8 +308,8 @@ def _sv_extremes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if patch:
         a, b, c, d, ma, mb, mc, md = (np.where(ok, v, 0.0) for v in (a, b, c, d, ma, mb, mc, md))
     e = np.frexp(np.where(ok, s, 1.0))[1]
-    r = np.ldexp(1.0, -e)
-    a, b, c, d, ma, mb, mc, md = (v * r for v in (a, b, c, d, ma, mb, mc, md))
+    r, r2 = np.ldexp(1.0, -e // 2), np.ldexp(1.0, -e - -e // 2)  # 2^-e overflows below 2^-1022
+    a, b, c, d, ma, mb, mc, md = (v * r * r2 for v in (a, b, c, d, ma, mb, mc, md))
     f = np.sqrt(np.maximum(np.maximum(ma * ma + mc * mc, mb * mb + md * md), 0.25))  # >= 0.5 where ok
     det = np.abs(a * d - b * c)
     g = np.abs(a.conj() * b + c.conj() * d) / f
@@ -458,14 +459,14 @@ class SequenceTable:
         """||f(k)|| over the support box."""
         return value_norms(self.values, len(self.vshape))
 
-    def envelope_ok(self, slack: float = 1e-12) -> bool:
-        """Check every stored value against the envelope bound."""
+    def envelope_ok(self) -> bool:
+        """Check every stored value against the envelope bound, up to _ENVELOPE_SLACK."""
         if self.envelope is None:
             return True
         env, sup = self.envelope, self.support
         ks = (np.arange(a, b + 1) for a, b in zip(sup.lo, sup.hi))
         bound = env.M * math.prod(np.ix_(*(env.axis_factor(i, k) for i, k in enumerate(ks))))
-        return bool(np.all(self.norms() <= bound + slack))
+        return bool(np.all(self.norms() <= bound + _ENVELOPE_SLACK))
 
     def __repr__(self):
         return (

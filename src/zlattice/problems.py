@@ -13,13 +13,24 @@ Kernels inside terms are either an inline sequence document or
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import fixtures
 from .errors import DimensionMismatch, SchemaError
 from .fractional import cesaro
 from .lattice import SequenceTable, ingest
-from .solver import Symbol, Term
+from .solver import (
+    MixedAxesSymbol,
+    MixedAxesTerm,
+    MultiTermSymbol,
+    OperatorPencil,
+    Symbol,
+    VolterraTerm,
+    WeylFractionalSymbol,
+    WeylTerm,
+)
 
 
 def matrix_from_doc(doc, m: int | None = None) -> np.ndarray:
@@ -86,41 +97,25 @@ def problem_from_doc(doc) -> tuple[Symbol, SequenceTable]:
 
 def _dispatch(kind, n, m, C, terms, doc) -> tuple[Symbol, SequenceTable]:
     zero = [[[0.0, 0.0]] * m] * m
+    mat = functools.partial(matrix_from_doc, m=m)
+
+    def term(make, t, *args):  # every term constructor takes the kernel first and A last
+        return make(kernel_from_doc(t["kernel"]), *args, mat(t["A"]))
+
     if kind == "pencil":
-        pencil = tuple((tuple(t["j"]), matrix_from_doc(t["A"], m)) for t in terms)
-        terms = ()
+        prob = OperatorPencil(n, m, tuple((tuple(t["j"]), mat(t["A"])) for t in terms), C)
     elif kind == "volterra_zn":
-        pencil = (((0,) * n, matrix_from_doc(doc.get("B", zero), m)),)
-        terms = tuple(
-            Term(kernel_from_doc(t["kernel"]), matrix_from_doc(t["A"], m), tuple(t["shift"]))
-            for t in terms
-        )
+        B = mat(doc.get("B", zero))
+        prob = MultiTermSymbol(n, m, B, tuple(term(VolterraTerm, t, t["shift"]) for t in terms), C)
     elif kind == "weyl_1d":
         n = 1
-        terms = tuple(
-            Term(
-                kernel_from_doc(t["kernel"]),
-                matrix_from_doc(t["A"], m),
-                (int(t.get("shift", 0)),),
-                order=int(t["order"]),
-            )
-            for t in terms
-        )
-        pencil = (((int(doc.get("k0", 0)),), matrix_from_doc(doc.get("A0", zero), m)),)
+        terms = tuple(term(WeylTerm, t, t["order"], t.get("shift", 0)) for t in terms)
+        prob = WeylFractionalSymbol(m, terms, mat(doc.get("A0", zero)), doc.get("k0", 0), C)
     elif kind == "mixed_axes":
-        pencil = ()
-        terms = tuple(
-            Term(
-                kernel_from_doc(t["kernel"]),
-                matrix_from_doc(t["A"], m),
-                (0,) * n,
-                tuple(t["axes"]),
-            )
-            for t in terms
-        )
+        terms = tuple(term(MixedAxesTerm, t, tuple(t["axes"])) for t in terms)
+        prob = MixedAxesSymbol(n, m, terms, C)
     else:
         raise SchemaError(f"unknown problem kind {kind!r}")
-    prob = Symbol(n, m, pencil, terms, C)
 
     if "data" not in doc:
         raise SchemaError("missing field 'data'")

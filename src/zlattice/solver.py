@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convolution import _correlate, conv_general
+from .convolution import _check_finite, _correlate, conv_general
 from .errors import (
     DimensionMismatch,
     EvaluatorFailure,
@@ -420,7 +420,8 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
         shape = [1] * n
         shape[ax] = -1
         weights = weights * (rho**ks).reshape(shape)
-    M = float(np.max(norms / weights)) if norms.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # weights may underflow to 0
+        M = float(np.max(norms / weights, where=norms > 0, initial=0.0))
     return Envelope(M, tuple(rates))
 
 
@@ -578,6 +579,8 @@ def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) ->
     power-series inversion where the module docstring's certificate holds,
     else by polycircle quadrature of z^{k-1} M(z)^{-1} C with a fitted
     envelope.  The kernel lies on N0^n for a window with lo >= 0, else on Z^n."""
+    if len(radii) != S.n or window.dim != S.n:
+        raise DimensionMismatch("radii/window dimension mismatch")
     causal_window = all(c >= 0 for c in window.lo)
     domain = nonneg_orthant(S.n) if causal_window else FullLattice(S.n)
     if grid is None and causal_window:
@@ -689,10 +692,12 @@ def residual(S: Symbol, u: SequenceTable, f: SequenceTable, check_window: Box) -
     for c, a, b, d in zip(check_window.lo, u.support.lo, u.support.hi, check_window.hi):
         if u.envelope is not None and (c - pad < a or d + pad > b):
             raise InsufficientWindow("u window too small for residual shifts")
-    Lu = _apply(S, u, check_window)
     C = S.C.reshape((1,) * n + S.C.shape)  # C f is the block of C at 0
-    Cf = _correlate(C, (0,) * n, f.values, f.support.lo, check_window, 2, len(f.vshape))
-    diff = Lu - Cf.reshape(Lu.shape)  # for m = 1, u and f may differ in value axes
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range raises
+        Lu = _apply(S, u, check_window)
+        Cf = _correlate(C, (0,) * n, f.values, f.support.lo, check_window, 2, len(f.vshape))
+        diff = Lu - Cf.reshape(Lu.shape)  # for m = 1, u and f may differ in value axes
+    _check_finite(diff, check_window)
     worst = float(np.max(value_norms(diff, diff.ndim - n)))
     return {"max_residual": worst, "window": (check_window.lo, check_window.hi)}
 

@@ -510,6 +510,7 @@ def derivative_series(f: SequenceTable, v, z):
 # ---------------------------------------------------------------------------
 
 GRID_GUARD = 16  # default N_i = 2 * span_i + GRID_GUARD
+_RADIUS_FACTOR = 1.5  # how far propose_radii steps inside a region's boundary
 
 
 @dataclass
@@ -648,15 +649,15 @@ def _aliasing_bounds(env, domain, radii, grid, window, sample_max) -> np.ndarray
     return E + W
 
 
-def propose_radii(region: PolyAnnulus, factor: float = 1.5) -> tuple[float, ...]:
+def propose_radii(region: PolyAnnulus) -> tuple[float, ...]:
     """Helper used by the CLI: per axis a radius strictly inside the region,
-    r / factor for |z| < r, else the lower radius times factor where that
-    stays below the upper one, or the geometric mean of the two."""
+    r / _RADIUS_FACTOR for |z| < r, else the lower radius times _RADIUS_FACTOR
+    where that stays below the upper one, or the geometric mean of the two."""
     out = []
     for c in region.axes:
         if isinstance(c, Inside):
-            out.append(c.r / factor)
+            out.append(c.r / _RADIUS_FACTOR)
         else:
             lo, hi = (c.r, math.inf) if isinstance(c, Outside) else (c.r_lo, c.r_hi)
-            out.append(lo * factor if lo * factor < hi else math.sqrt(lo * hi))
+            out.append(lo * _RADIUS_FACTOR if lo * _RADIUS_FACTOR < hi else math.sqrt(lo * hi))
     return tuple(out)

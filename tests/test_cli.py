@@ -202,6 +202,20 @@ def test_fractional_cesaro_cli(tmp_path, capsys):
     assert np.allclose(c.values.real, 1.0)
 
 
+def test_fractional_weyl_cli(tmp_path, capsys):
+    from zlattice.fractional import cesaro, weyl_am
+
+    f = SequenceTable(nonneg_orthant(1), Box((0,), (12,)), 0.5 ** np.arange(13))
+    save(f, tmp_path / "f.json")
+    out, rep = tmp_path / "d.json", tmp_path / "r.json"
+    code = run(["fractional", "weyl", "--alpha", "1.5", "--seq", str(tmp_path / "f.json"),
+                "--window", "0:8", "--kernel-len", "16", "--out", str(out), "--report", str(rep)])
+    assert code == 0 and "Traceback" not in capsys.readouterr().err
+    want = weyl_am(cesaro(0.5, 16), 2, f, Box((0,), (8,)))
+    assert np.array_equal(load(out).values, want.values)
+    assert json.loads(rep.read_text()) == {"command": "fractional weyl", "alpha": 1.5, "m": 2}
+
+
 def test_solve_cli_and_exit_codes(tmp_path, capsys):
     prob = {
         "kind": "pencil", "n": 1, "m": 1,
@@ -295,6 +309,39 @@ def test_fixture_commands(capsys):
     assert "PASS" in capsys.readouterr().out
     assert run(["fixtures", "diagonal", "--window", "30"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name, window, line", [
+    ("binomial", "6", "PASS binomial max rel dev"),
+    ("geometric", "5", "PASS geometric table written"),
+    ("gaussian", "3", "PASS gaussian table written"),
+])
+def test_fixture_commands_write_their_tables(tmp_path, monkeypatch, capsys, name, window, line):
+    from zlattice import fixtures
+
+    monkeypatch.chdir(tmp_path)  # the table writers default to a file in the working directory
+    out = [] if name != "binomial" else ["--out", "b.json"]
+    assert run(["fixtures", name, "--window", window, *out]) == 0
+    assert capsys.readouterr().out.startswith(line)
+    K = int(window)
+    want = {"binomial": fixtures.binomial_table(K=K), "geometric": fixtures.geometric_table(K=K),
+            "gaussian": fixtures.gaussian_table(2, K)}[name]
+    got = load(tmp_path / ("b.json" if name == "binomial" else f"{name}.json"))
+    assert got.support == want.support and np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("name, radii, grid", [("probability", "2,2", "64,64"),
+                                              ("binomial", "1,1", "96,96")])
+def test_transform_invert_of_a_fixture_matches_its_table(tmp_path, name, radii, grid):
+    # the radii and grids of the fixtures command
+    from zlattice import fixtures
+
+    out, rep = tmp_path / "g.json", tmp_path / "r.json"
+    code = run(["transform", "invert", "--fixture", name, "--radii", radii, "--window", "0:5,0:5",
+                "--grid", grid, "--out", str(out), "--report", str(rep)])
+    assert code == 0 and json.loads(rep.read_text())["source"] == f"fixture:{name}"
+    exact = getattr(fixtures, f"{name}_table")(K=5)
+    assert np.max(np.abs(load(out).values - exact.values)) < 1e-9
 
 
 def test_deterministic_output_across_thread_flags(tmp_path):
@@ -634,9 +681,17 @@ _ARGUMENTS = st.one_of(st.text(max_size=4).filter(lambda t: "/" not in t), st.sa
 ]))
 
 
+def _scaled(node, factor):
+    """The node with every number in it multiplied by ``factor``."""
+    if isinstance(node, list):
+        return [_scaled(x, factor) for x in node]
+    return node * factor if type(node) in (int, float) else node
+
+
 def _mutate(draw, doc):
-    """The document with one node replaced, deleted or wrapped in a list, or
-    its vector data resized to a drawn m."""
+    """The document with one node replaced, deleted or wrapped in a list, its
+    values and matrices scaled toward the end of the float range, or its
+    vector data resized to a drawn m."""
     data = doc.get("data") if isinstance(doc, dict) else None
     if isinstance(data, dict) and data.get("value_kind") == "vector" and draw(st.booleans()):
         data.update(_vector_data(draw(st.integers(1, 3))))
@@ -648,8 +703,14 @@ def _mutate(draw, doc):
         for key in (range(len(c)) if isinstance(c, list) else c if isinstance(c, dict) else ()):
             nodes.append((c, key))
             stack.append(c[key])
+    op = draw(st.sampled_from(("replace", "delete", "wrap", "scale")))
+    if op == "scale":  # values, matrix entries and envelope constants
+        factor = draw(st.sampled_from([1e100, 1e200, 1e300, -1e300]))
+        for c, key in nodes[1:]:
+            if key in ("values", "A", "A0", "B", "C", "M"):
+                c[key] = _scaled(c[key], factor)
+        return doc
     c, key = draw(st.sampled_from(nodes))
-    op = draw(st.sampled_from(("replace", "delete", "wrap")))
     if c is None:
         return draw(_LEAVES) if op == "replace" else [doc]
     if op == "delete":
@@ -720,10 +781,16 @@ def _edit(doc, path, value):
     (8, ("n",), 1, (4, "1,1"), 1),  # an axis listed twice
     (1, ("values", 15), [1e308, 0], None, 0),  # the inverse FFT's sums pass the float range
     (9, ("data",), _vector_data(3), None, 4),  # data in C^3 for a problem in C^2
+    (6, ("n",), 3, None, 1),  # a 3-D problem with 2-D radii and windows
+    (9, ("n",), 1, (4, "1e-300"), 0),  # a contour at radius 1e-300: its fitted envelope was nan
+    (2, ("values",), [[1e200, 0.0]] * 9, None, 2),  # a product past the float range
+    (3, ("values",), [[1.5e308, 0.0], [-1.5e308, 0.0]] * 4 + [[1.5e308, 0.0]], (3, "2"),
+     2),  # --alpha 2: the kernel is the delta, and the second difference passes the float range
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
         "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
-        "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308", "data m 3"])
+        "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308", "data m 3",
+        "n 3 against 2-D radii", "radius 1e-300", "convolve 1e200", "weyl difference 1.5e308"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

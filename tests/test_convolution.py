@@ -17,7 +17,6 @@ from zlattice.convolution import (
     conv_axes,
     conv_general,
     conv_theorem_check,
-    support_minkowski,
 )
 from zlattice.errors import DimensionMismatch, DivergentConvolution
 from zlattice.fractional import cesaro
@@ -30,6 +29,7 @@ from zlattice.lattice import (
     SequenceTable,
     Shifted,
     axis_interval,
+    minkowski_sum,
     nonneg_orthant,
     value_norm,
     value_shape,
@@ -77,7 +77,7 @@ def test_matches_naive_double_loop():
     for _ in range(10):
         a = random_box_table(rng)
         b = random_box_table(rng)
-        window = support_minkowski(a, b)
+        window = minkowski_sum(a.support, b.support)
         out = conv_general(a, b, window)
         for k in window.points():
             assert out.at(k) == pytest.approx(naive_conv(a, b, k), rel=1e-12, abs=1e-12)
@@ -87,7 +87,7 @@ def test_commutativity():
     rng = np.random.default_rng(3)
     a = random_box_table(rng)
     b = random_box_table(rng)
-    window = support_minkowski(a, b)
+    window = minkowski_sum(a.support, b.support)
     ab = conv_general(a, b, window)
     ba = conv_general(b, a, window)
     assert np.allclose(ab.values, ba.values)
@@ -98,8 +98,8 @@ def test_associativity():
     a = random_box_table(rng, span=1)
     b = random_box_table(rng, span=1)
     c = random_box_table(rng, span=1)
-    w_ab = support_minkowski(a, b)
-    w_bc = support_minkowski(b, c)
+    w_ab = minkowski_sum(a.support, b.support)
+    w_bc = minkowski_sum(b.support, c.support)
     w_all = Box(
         tuple(x + y for x, y in zip(w_ab.lo, c.support.lo)),
         tuple(x + y for x, y in zip(w_ab.hi, c.support.hi)),
@@ -137,7 +137,7 @@ def test_matrix_values_commute_with_linear_maps():
     vals = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
     b = SequenceTable(FullLattice(1), Box((0,), (3,)), vals, "matrix", 2)
     L = rng.normal(size=(2, 2))
-    window = support_minkowski(a, b)
+    window = minkowski_sum(a.support, b.support)
     conv_then_map = conv_general(a, b, window).values @ L
     mapped = SequenceTable(b.domain, b.support, vals @ L, "matrix", 2)
     map_then_conv = conv_general(a, mapped, window).values
@@ -318,7 +318,7 @@ def test_axes_full_set_equals_general():
     rng = np.random.default_rng(6)
     a = random_box_table(rng)
     b = random_box_table(rng)
-    window = support_minkowski(a, b)
+    window = minkowski_sum(a.support, b.support)
     assert np.allclose(
         conv_axes(a, b, (1, 2), window).values,
         conv_general(a, b, window).values,
@@ -420,6 +420,37 @@ def test_theorem_check_axes_mode():
     ]
     rep = conv_theorem_check(a, b, pts, axes=(1,))
     assert rep["max_rel_deviation"] <= 1e-10
+
+
+@st.composite
+def theorem_cases(draw):
+    """(a, b, points, axes): finitely supported tables on Z^1 or Z^2 of any two value
+    kinds in C^m, m <= 3, with a on every axis (axes None) or on a drawn axis list."""
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    kinds = draw(st.tuples(*[st.sampled_from(("scalar", "vector", "matrix"))] * 2))
+    axes = draw(st.sampled_from([None, (1,)] + ([(2,), (1, 2), (2, 1)] if n == 2 else [])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table(dim, kind):
+        lo = rng.integers(-2, 2, dim)
+        hi = lo + rng.integers(0, 4, dim)
+        shape = tuple(hi - lo + 1) + value_shape(kind, m)
+        values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return SequenceTable(FullLattice(dim), Box(tuple(lo), tuple(hi)), values, kind,
+                             None if kind == "scalar" else m)
+
+    pts = [tuple(rng.uniform(0.6, 1.8, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+           for _ in range(3)]
+    return table(len(axes or range(n)), kinds[0]), table(n, kinds[1]), pts, axes
+
+
+@given(theorem_cases())
+@settings(max_examples=100, deadline=None)
+def test_theorem_check_holds_for_every_pair_of_value_kinds(case):
+    # F_{a*b} = F_a (x) F_b with (x) the products' value rule: a matrix acts on a
+    # vector or matrix, any other pair multiplies elementwise
+    a, b, pts, axes = case
+    assert conv_theorem_check(a, b, pts, axes=axes)["max_rel_deviation"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,25 @@ def test_identity_random_cases():
         assert rep["max_rel_deviation"] <= 1e-9
 
 
+@given(st.integers(1, 3), st.integers(0, 2), st.sampled_from(("vector", "matrix")),
+       st.integers(4, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_identity_for_matrix_kernels(m, order, kind, L, seed):
+    # a matrix kernel acts on a vector or matrix u as a matrix: F_a F_u
+    rng = np.random.default_rng(seed)
+
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    vals = 0.5 ** np.arange(L + 1)[:, None, None] * normal(L + 1, m, m)
+    a = SequenceTable(nonneg_orthant(1), Box((0,), (L,)), vals, "matrix", m)
+    lo, span = int(rng.integers(-3, 4)), int(rng.integers(0, 9))
+    u = SequenceTable(FullLattice(1), Box((lo,), (lo + span,)),
+                      normal(span + 1, *value_shape(kind, m)), kind, m)
+    pts = [(rng.uniform(1.2, 2.5) * np.exp(2j * np.pi * rng.uniform()),) for _ in range(3)]
+    assert weyl_transform_identity_check(a, order, u, pts)["max_rel_deviation"] <= 1e-9
+
+
 def test_operators_linear_in_f():
     rng = np.random.default_rng(4)
     f = finite_u(rng)

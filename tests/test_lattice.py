@@ -287,6 +287,20 @@ def test_roundtrip_two_sided_rates():
     assert g.envelope.rates == ((2.0, 0.5),)
 
 
+@pytest.mark.parametrize(
+    "domain",
+    [Box((-1, 0), (1, 2)), Shifted(nonneg_orthant(2), (-1, 1)),
+     FiniteSet(((0, 0), (1, 2), (-1, 1)))],
+    ids=["box", "shifted", "finite"],
+)
+def test_roundtrip_domains(domain):
+    f = SequenceTable.from_function(domain, Box((-1, 0), (2, 3)), lambda k: complex(k[0], k[1]))
+    doc = emit(f)
+    g = ingest(json.loads(json.dumps(doc)))
+    assert g.domain == f.domain and g.support == f.support
+    assert np.array_equal(g.values, f.values) and emit(g) == doc
+
+
 def test_ingest_rejects_bad_length():
     doc = emit(SequenceTable.delta(1))
     doc["values"] = doc["values"] + [[0.0, 0.0]]
@@ -343,6 +357,14 @@ def test_value_norms_of_2x2_matrices_at_extreme_scales(scale):
     M = scale * np.array([[1.0, 2.0], [3.0, 4.0j]])
     ref = np.linalg.svd(M / scale, compute_uv=False)[0] * scale
     assert abs(value_norm(M) - ref) <= 1e-14 * ref
+    assert value_norms(M[None], 2)[0] == value_norm(M)
+
+
+def test_value_norms_of_subnormal_2x2_matrices():
+    # scaled up by 2^1040, in two steps: 2^1040 itself is past the float range
+    M = 2.0**-1040 * np.array([[1.0, 2.0], [3.0, 4.0j]])
+    ref = np.linalg.svd(M * 2.0**520 * 2.0**520, compute_uv=False) * 2.0**-1040
+    assert value_norm(M) == pytest.approx(ref[0], rel=1e-9)  # a subnormal result keeps ~34 bits
     assert value_norms(M[None], 2)[0] == value_norm(M)
 
 

@@ -20,7 +20,7 @@ from zlattice import solver
 from zlattice.errors import EvaluatorFailure, SingularSymbol
 from zlattice.fixtures import first_order_pencil, scaling_pencil, weyl_fractional_problem
 from zlattice.fractional import cesaro_values
-from zlattice.lattice import Box, Envelope, SequenceTable, emit, nonneg_orthant
+from zlattice.lattice import Box, Envelope, FullLattice, SequenceTable, emit, nonneg_orthant
 from zlattice.problems import problem_from_doc
 from zlattice.solver import (
     MixedAxesSymbol,
@@ -290,6 +290,47 @@ def test_a_pencil_with_negative_jstar_is_inverted_on_the_contour(monkeypatch, n)
     k = np.indices(window.shape)
     exact = np.where((k[1:] == 0).all(0), 0.5 ** (k[0] + 1), 0.0)
     assert np.all(np.abs(kr.table.values.reshape(window.shape) - exact) <= kr.aliasing)
+
+
+def test_a_non_causal_kernel_refuses_the_series(monkeypatch):
+    # M(z) = 1 + 0.3 F_a(z) with a(k) = 0.5^|k| on -1..4: the kernel's term at k = -1
+    # refuses the series, and the contour kernel agrees with a 4096-node quadrature of
+    # 1 / M on the unit circle within its ledger
+    k = np.arange(-1, 5)
+    a = SequenceTable(FullLattice(1), Box((-1,), (4,)), 0.5 ** np.abs(k))
+    S = MultiTermSymbol(1, 1, [[1.0]], (VolterraTerm(a, (0,), [[0.3]]),), [[1.0]])
+    window = Box((0,), (20,))
+    assert solver._series_kernel(S, (1.0,), window) is None
+    calls = contour_calls(monkeypatch)
+    kr = green_function(S, (1.0,), window)
+    assert len(calls) == 1
+    z = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    M = 1 + 0.3 * sum(c * z ** -int(j) for j, c in zip(k, a.values))
+    exact = np.array([np.mean(z**j / M) for j in range(21)])
+    assert np.all(np.abs(kr.table.values.reshape(-1) - exact) <= kr.aliasing.reshape(-1))
+
+
+def test_radii_inside_a_kernel_rate_refuse_the_series():
+    # F_a diverges on |z| = 0.4 < 0.5, the kernel's envelope rate: the series refuses,
+    # and the contour, which evaluates F_a on the same circle, reports the failure
+    a = geometric_kernel((0.5,), (10,))
+    S = MultiTermSymbol(1, 1, [[1.0]], (VolterraTerm(a, (0,), [[0.3]]),), [[1.0]])
+    assert solver._series_kernel(S, (0.4,), Box((0,), (20,))) is None
+    with pytest.raises(EvaluatorFailure, match="outside convergence region"):
+        green_function(S, (0.4,), Box((0,), (20,)))
+    assert solver._series_kernel(S, (0.6,), Box((0,), (20,))) is not None
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_contour_kernel_at_a_tiny_radius_has_a_ledger(m):
+    # (z - 1/2)^-1 = -2 sum_j (2z)^j inside |z| = 1/2: on 0:8, G(0) = -2 I and G(k) = 0
+    # for k > 0.  At radius 1e-300 the fitted envelope's weights r^k underflow to 0
+    # where the kernel is 0, which made its constant, and every ledger, nan
+    P = OperatorPencil(1, m, (((1,), np.eye(m)), ((0,), -0.5 * np.eye(m))), np.eye(m))
+    kr = green_function(P, (1e-300,), Box((0,), (8,)))
+    exact = np.zeros((9, m, m))
+    exact[0] = -2 * np.eye(m)
+    assert np.all(np.abs(kr.table.values - exact) <= kr.aliasing[:, None, None])
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,19 @@ def test_modulation_transform_relation():
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
+@pytest.mark.parametrize("domain, lo, rate, a, scaled, zs", [
+    (nonneg_orthant(1), 0, 0.5, -2.0, 1.0, (1.6 + 0.3j, -1.2j)),
+    (FullLattice(1), -4, (2.0, 0.5), 0.5j, (1.0, 0.25), (0.6 + 0.3j, -0.5j)),
+], ids=["one-sided", "two-sided"])
+def test_modulation_scales_the_envelope(domain, lo, rate, a, scaled, zs):
+    f = SequenceTable.from_function(domain, Box((lo,), (6,)), lambda k: 0.5 ** abs(k[0]),
+                                    envelope=Envelope(1.5, (rate,)))
+    g = modulation(f, (a,))
+    assert g.envelope.M == 1.5 and g.envelope.rates == (scaled,) and g.envelope_ok()
+    for z in zs:  # inside g's convergence region
+        assert eval_forward(g, (z,)) == pytest.approx(eval_forward(f, (z / a,)), rel=1e-13)
+
+
 def test_separable_deltas_give_one():
     F = separable_transform([SequenceTable.delta(1), SequenceTable.delta(1)])
     assert F((3.0, -2.0)) == pytest.approx(1.0)
