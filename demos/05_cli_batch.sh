@@ -1,8 +1,8 @@
 #!/bin/sh
 # Batch workflow through the zlattice command line: build a Cesaro kernel,
-# convolve it with itself, take its Weyl derivative, evaluate and invert its
-# transform, solve a pencil problem from a JSON description, and run every
-# built-in fixture.
+# convolve it with itself, take its Weyl derivative, evaluate its transform
+# (also at z = 1e308, where z^-k underflows) and invert it, solve a pencil
+# problem from a JSON description, and run every built-in fixture.
 set -e
 
 work=$(mktemp -d)
@@ -17,6 +17,8 @@ zlattice fractional weyl --alpha 0.5 --seq "$work/c.json" --window 0:20 --kernel
 echo "order-0.5 Weyl derivative written to $work/weyl.json"
 printf "transform at z = 2: "
 zlattice transform eval --seq "$work/c.json" --at 2+0i
+printf "transform at z = 1e308: "
+zlattice transform eval --seq "$work/c.json" --at 1e308
 zlattice transform invert --seq "$work/c.json" --window 0:31 --out "$work/inverted.json" \
     --report "$work/invert.json"
 echo "inversion report:"

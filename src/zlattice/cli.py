@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 usage (including a point or dimension the input does
 not admit), 2 numerical-tolerance failure, 3 singular symbol, 4 I/O or schema
 error.  Result documents are written with sorted keys
 and a fixed float format so identical inputs give byte-identical outputs; the
---threads flag (default from ZLATTICE_THREADS) is accepted for interface
-compatibility but all computation is sequential and deterministic regardless.
+--threads flag (default 1) is accepted for interface compatibility but all
+computation is sequential and deterministic regardless.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 
@@ -69,9 +68,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_complex(text: str) -> complex:
-    """Parse 'a+bi' with decimal literals ('2+0i', '-1.5-2i', '3', '2i')."""
+    """Parse 'a+bi' with decimal literals ('2+0i', '-1.5-2i', '3', '2i', 'inf')."""
+    text = text.strip()
     try:
-        return complex(text.strip().replace("i", "j"))
+        return complex(text[:-1] + "j" if text.endswith("i") else text)
     except ValueError as e:
         raise SchemaError(f"bad complex literal {text!r}") from e
 
@@ -385,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("ZLATTICE_THREADS", "1")),
+        default=1,
         help="accepted for compatibility; computation is sequential",
     )
     sub = p.add_subparsers(dest="command", required=True)

@@ -7,7 +7,8 @@ axes, through the same body.  Output windows are always caller-supplied:
 infinite result domains are never materialized.  When a factor carries a decay
 envelope, truncation of the unstored tail is bounded entrywise in closed
 geometric form and reported as a ledger, its runs summed by one call of the
-rounded-up ``ztransform._log_run``.
+rounded-up ``ztransform._log_run``.  ``_stencil(m)`` holds the coefficients
+of (z - 1)^m, the m-th forward difference's correlation kernel.
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def _profiles(f: SequenceTable, axes: Sequence[int | None]) -> tuple[float, list
         lo, hi = axis_interval(f.domain, ax)
         s_lo, s_hi = f.support.lo[ax], f.support.hi[ax]
         lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
-        r = env.rates[ax] if env is not None else 1.0
         if env is None:
             lo, hi = max(lo, s_lo), min(hi, s_hi)
-        rates = r if isinstance(r, tuple) else (r, r)
+        rates = env.sides[ax] if env is not None else (1.0, 1.0)
         profs.append(_AxisProfile(lo, hi, max(lo, s_lo), min(hi, s_hi), *rates))
     return M, profs
 
@@ -221,6 +221,23 @@ def _correlate(a, a_lo, b, b_lo, window: Box, a_vdim: int = 0, b_vdim: int = 0):
     shape = padded.shape[:-n] + W + a.shape[:n]
     view = np.ndarray(shape, dtype, padded, 0, strides[:-n] + strides[-n:] * 2)
     return np.einsum(subscripts, view, a, order="C")
+
+
+def _diff(V):
+    """V(p) - V(p - 1) along the first axis, with V zero past both ends."""
+    W = np.empty((len(V) + 1,) + V.shape[1:], dtype=V.dtype)
+    W[0], W[-1] = V[0], -V[-1]
+    np.subtract(V[1:], V[:-1], out=W[1:-1])
+    return W
+
+
+def _stencil(m: int) -> np.ndarray:
+    """The coefficients (-1)^p C(m, p) of z^(m - p) in (z - 1)^m, p = 0..m: m
+    first differences of the unit, exact while C(m, p) < 2^53 (m <= 56)."""
+    s = np.ones(1)
+    for _ in range(m):
+        s = _diff(s)
+    return s
 
 
 def _check_finite(out, window: Box) -> None:

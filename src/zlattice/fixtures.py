@@ -28,8 +28,8 @@ from .ztransform import (
 # ---------------------------------------------------------------------------
 
 
-def probability_evaluator(p: float = 0.3, q: float = 0.7, S: int = 60) -> TransformEvaluator:
-    """F(z1,z2) = 1/(1 - p/(z2 (z1-q))) * sum_{s=0}^{S} (q/z1)^s.
+def probability_evaluator(p: float = 0.3, q: float = 0.7) -> TransformEvaluator:
+    """F(z1,z2) = 1/(1 - p/(z2 (z1-q))) * sum_{s=0}^{S} (q/z1)^s, S = 60.
 
     The generating function of the success-count distribution
     f(k1,k2) = C(k1,k2) p^k2 q^(k1-k2); the geometric factor in z1 is
@@ -38,7 +38,7 @@ def probability_evaluator(p: float = 0.3, q: float = 0.7, S: int = 60) -> Transf
 
     def fn(z):
         z1, z2 = z
-        geo = sum((q / z1) ** s for s in range(S + 1))
+        geo = sum((q / z1) ** s for s in range(61))
         return geo / (1.0 - p / (z2 * (z1 - q)))
 
     region = PolyAnnulus((Outside(1.0), Outside(1.0)))
@@ -185,17 +185,15 @@ def weyl_fractional_problem(
     )
 
 
-def two_term_weyl_symbol(
-    k0: int = 3, k1: int = 1, k2: int = 2, kernel_len: int = 128
-) -> Symbol:
+def two_term_weyl_symbol(k0: int = 3, k1: int = 1, k2: int = 2) -> Symbol:
     """Two fractional terms plus a pure shift term.
 
     M(z) = (z^k2 - 2 z^(k2+1) + z^(k2+2)) F_a2(z) A2
          + (z^(k1+1) - z^k1) F_a1(z) A1 + z^k0 A0,
-    with A0 = A1 = I; used by the injectivity probe.
+    with A0 = A1 = I and kernels on 0..128; used by the injectivity probe.
     """
-    a1 = cesaro(0.5, kernel_len)
-    a2 = cesaro(0.7, kernel_len)
+    a1 = cesaro(0.5, 128)
+    a2 = cesaro(0.7, 128)
     eye = np.eye(1)
     terms = (
         WeylTerm(a2, 2, k2, eye * 0.05),

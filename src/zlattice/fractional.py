@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .convolution import _at_points, _check_finite, _deviation, _value_product, conv_general
+from .convolution import _at_points, _check_finite, _correlate, _deviation, _stencil
+from .convolution import _value_product, conv_general
 from .errors import DimensionMismatch, InsufficientWindow
 from .lattice import Box, Envelope, SequenceTable, nonneg_orthant
 
@@ -65,7 +66,8 @@ def _window_box(window) -> Box:
 
 
 def forward_difference(f: SequenceTable, m: int, window) -> SequenceTable:
-    """(Delta^m f)(k) = sum_j (-1)^(m-j) C(m, j) f(k+j), 1-D only."""
+    """(Delta^m f)(k) = sum_j (-1)^(m-j) C(m, j) f(k+j), 1-D only: the
+    correlation of f with the stencil of (z - 1)^m placed at -m."""
     if f.dim != 1:
         raise DimensionMismatch("forward difference is one-dimensional")
     if m < 0:
@@ -78,19 +80,10 @@ def forward_difference(f: SequenceTable, m: int, window) -> SequenceTable:
         raise InsufficientWindow(
             f"window needs f up to {top}, stored up to {f.support.hi[0]}"
         )
-    # f over window.lo .. top, zero off its stored box, so the j-th term is a
-    # slice starting at j
-    w_lo, s_lo, s_hi = window.lo[0], f.support.lo[0], f.support.hi[0]
-    padded = np.zeros((top - w_lo + 1,) + f.vshape, dtype=complex)
-    lo, hi = max(s_lo, w_lo), min(s_hi, top)
-    if lo <= hi:
-        padded[lo - w_lo : hi - w_lo + 1] = f.values[lo - s_lo : hi - s_lo + 1]
-    acc = np.zeros(window.shape + f.vshape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below
-        for j in range(m + 1):
-            acc = acc + (-1) ** (m - j) * math.comb(m, j) * padded[j : j + window.shape[0]]
-    _check_finite(acc, window)
-    return SequenceTable(f.domain, window, acc, f.value_kind, f.m)
+        out = _correlate(_stencil(m), (-m,), f.values, f.support.lo, window, 0, len(f.vshape))
+    _check_finite(out, window)
+    return SequenceTable(f.domain, window, out, f.value_kind, f.m)
 
 
 def weyl_derivative(
@@ -137,23 +130,18 @@ def weyl_transform_identity_check(
     m: int,
     u: SequenceTable,
     z_points: Sequence[complex],
-    out_window: Box | None = None,
 ) -> dict:
-    """Deviation of F_{D_{W,a,m} u} from sum_j (-1)^(m-j) C(m,j) z^j F_a (x) F_u,
-    (x) the value product of the convolution.
+    """Deviation of F_{D_{W,a,m} u} from (z - 1)^m F_a (x) F_u, (x) the value
+    product of the convolution.
 
-    The derivative sequence inherits the kernel's polynomial growth, so its
-    transform is evaluated on a long window; the kernel envelope bounds the
-    remainder, which is folded into the reported deviation tolerance.
+    The derivative by the stored kernel is evaluated on all of its support,
+    from u's first point - m to u's last + a's last.
     """
     if u.envelope is not None:
         raise ValueError("identity check expects finitely supported u")
-    if out_window is None:
-        lo = u.support.lo[0] - m
-        hi = u.support.hi[0] + a.support.hi[0]
-        out_window = Box((lo,), (hi,))
-    d = weyl_am(a, m, u, out_window, enforce=False)
+    window = Box((u.support.lo[0] - m,), (u.support.hi[0] + a.support.hi[0],))
+    d = weyl_am(a, m, u, window, enforce=False)
     z = np.array(z_points, dtype=complex).reshape(-1, 1)
-    pref = sum((-1) ** (m - j) * math.comb(m, j) * z[:, 0] ** j for j in range(m + 1))
+    pref = (z[:, 0] - 1) ** m
     fa_fu = _value_product(_at_points(a, z), _at_points(u, z), len(a.vshape), len(u.vshape))
     return _deviation(d, z, _value_product(pref, fa_fu, 0, fa_fu.ndim - 1))

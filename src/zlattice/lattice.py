@@ -203,28 +203,27 @@ class Envelope:
     A per-axis rate is either a single positive real r (b(k) = r^k) or a pair
     (r_neg, r_pos) meaning b(k) = r_pos^k for k >= 0 and r_neg^k for k < 0.
     The pair form is what makes two-sided (full-lattice) axes summable: it
-    yields the ring r_pos < |z| < r_neg in the transform domain.
+    yields the ring r_pos < |z| < r_neg in the transform domain.  ``sides``
+    holds each axis's (r_neg, r_pos), (r, r) for a single rate.
     """
 
     M: float
     rates: tuple[RateSpec, ...]
+    sides: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.M < 0:
             raise ValueError("envelope constant must be >= 0")
-        rates = []
+        rates, sides = [], []
         for r in self.rates:
-            if isinstance(r, (tuple, list)):
-                lo, hi = (float(x) for x in r)  # a pair, else ValueError
-                if lo <= 0 or hi <= 0:
-                    raise ValueError("envelope rates must be positive")
-                rates.append((lo, hi))
-            else:
-                r = float(r)
-                if r <= 0:
-                    raise ValueError("envelope rates must be positive")
-                rates.append(r)
+            pair = isinstance(r, (tuple, list))
+            lo, hi = (float(x) for x in r) if pair else (float(r),) * 2  # a pair, else ValueError
+            if lo <= 0 or hi <= 0:
+                raise ValueError("envelope rates must be positive")
+            rates.append((lo, hi) if pair else lo)
+            sides.append((lo, hi))
         object.__setattr__(self, "rates", tuple(rates))
+        object.__setattr__(self, "sides", tuple(sides))
 
     @property
     def dim(self) -> int:
@@ -232,8 +231,7 @@ class Envelope:
 
     def axis_factor(self, axis: int, k):
         """b_axis(k) for an index or an index array; inf where it overflows."""
-        r = self.rates[axis]
-        r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
+        r_neg, r_pos = self.sides[axis]
         k = np.asarray(k)
         with np.errstate(over="ignore"):
             return np.where(k >= 0, r_pos, r_neg) ** k.astype(float)
@@ -497,13 +495,12 @@ class SequenceTable:
     @staticmethod
     def delta(
         n: int,
-        at: MultiIndex | None = None,
         domain: LatticeDomain | None = None,
         value_kind: str = "scalar",
         m: int | None = None,
     ) -> "SequenceTable":
-        """Unit impulse at a point (identity matrix for matrix kind)."""
-        at = _as_index(at) if at is not None else (0,) * n
+        """Unit impulse at the origin (identity matrix for matrix kind)."""
+        at = (0,) * n
         domain = domain if domain is not None else nonneg_orthant(n)
         if value_kind == "matrix":
             unit = np.eye(m, dtype=complex)
@@ -512,7 +509,7 @@ class SequenceTable:
         else:
             unit = 1.0 + 0j
         vals = np.zeros((1,) * n + value_shape(value_kind, m), dtype=complex)
-        vals[(0,) * n] = unit
+        vals[at] = unit
         return SequenceTable(domain, Box(at, at), vals, value_kind, m)
 
 
@@ -569,12 +566,8 @@ def _shift_envelope(env: Envelope, beta: MultiIndex) -> Envelope:
     # ||f(k+beta)|| <= M * prod b_i(k_i + beta_i) <= (M * prod max b_i(b)) * prod b_i(k_i)
     # only exact for one-sided rates; for pair rates keep the looser of the two.
     M = env.M
-    for i, b in enumerate(beta):
-        r = env.rates[i]
-        if isinstance(r, tuple):
-            M *= max(r[0] ** b, r[1] ** b)
-        else:
-            M *= r**b
+    for (r_neg, r_pos), b in zip(env.sides, beta):
+        M *= max(r_neg**b, r_pos**b)
     return Envelope(M, env.rates)
 
 

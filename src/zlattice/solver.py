@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .convolution import _check_finite, _correlate, conv_general
+from .convolution import _check_finite, _correlate, _diff, _stencil, conv_general
 from .errors import (
     DimensionMismatch,
     EvaluatorFailure,
@@ -192,14 +192,6 @@ def _block(t: Term, n: int):
     for _ in range(t.order):  # 1-D: (z - 1) sum_p V(p) z^-(l + p) starts at l - 1
         lo[0], V = lo[0] - 1, _diff(V)
     return t, tuple(lo), V
-
-
-def _diff(V):
-    """V(p) - V(p - 1) along the first axis, with V zero past both ends."""
-    W = np.empty((len(V) + 1,) + V.shape[1:], dtype=V.dtype)
-    W[0], W[-1] = V[0], -V[-1]
-    np.subtract(V[1:], V[:-1], out=W[1:-1])
-    return W
 
 
 def OperatorPencil(n: int, m: int, terms, C) -> Symbol:
@@ -462,7 +454,7 @@ def _series_kernel(S: Symbol, radii, window: Box):
         D = t.kernel.values.reshape(len(V) - t.order, -1) if t.order else None
         for i in range(t.order - 1, 0, -1):  # D_s for s = o - i
             D = _diff(D)
-            nv = nv + np.convolve(value_norms(D, 1), [math.comb(i, c) for c in range(i + 1)])
+            nv = nv + np.convolve(value_norms(D, 1), np.abs(_stencil(i)))
         f1, fw = f1 + ga * nv.sum(), fw + ga * (nv * w[q]).sum()
     try:
         Binv = np.linalg.inv(B[o])
@@ -588,7 +580,7 @@ def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) ->
         if kr is not None:
             return kr
     ev, state = _inverse_evaluator(S)
-    res: InversionResult = invert_contour(ev, radii, window, grid=grid, domain=domain)
+    res: InversionResult = invert_contour(ev, radii, window, grid=grid)
     env = _fit_envelope(res.table, radii)
     table = SequenceTable(domain, window, res.table.values, "matrix", S.m, envelope=env)
     aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, state["contour_max"])

@@ -170,8 +170,12 @@ class TransformEvaluator:
 
 
 def _mesh(z) -> tuple:
-    """Coordinates as complex numbers (a point) or complex arrays (a mesh)."""
-    return tuple(complex(c) if np.ndim(c) == 0 else np.asarray(c, dtype=complex) for c in z)
+    """Coordinates as complex numbers (a point) or complex arrays (a mesh); a
+    non-finite coordinate lies in no region."""
+    z = tuple(complex(c) if np.ndim(c) == 0 else np.asarray(c, dtype=complex) for c in z)
+    if not all(np.isfinite(zi).all() for zi in z):
+        raise PointOutsideRegion(f"{z} has a non-finite coordinate")
+    return z
 
 
 def _check_powers(f: SequenceTable, z) -> None:
@@ -190,14 +194,13 @@ def convergence_region(f: SequenceTable) -> PolyAnnulus:
     if not isinstance(_base(f.domain), (Orthant, FullLattice)):
         raise NoEnvelope("convergence region defined for orthant or full domains only")
     axes = []
-    for i, r in enumerate(f.envelope.rates):
+    for i, (r_neg, r_pos) in enumerate(f.envelope.sides):
         lo, hi = axis_interval(f.domain, i)
-        r_neg, r_pos = r if isinstance(r, tuple) else (r, r)
         if lo is not None:
             axes.append(Outside(r_pos))
         elif hi is not None:
             axes.append(Inside(r_neg))
-        elif isinstance(r, tuple) and r_pos < r_neg:
+        elif r_pos < r_neg:
             axes.append(Ring(r_pos, r_neg))
         else:
             raise TwoSidedAxisWithoutRingRates(
@@ -258,8 +261,6 @@ def forward_tail_bound(f: SequenceTable, z):
         raise PointOutsideRegion(f"{z} outside convergence region")
     tail, stored = 0.0, 1.0
     for i, zi in enumerate(z):
-        r = f.envelope.rates[i]
-        rates = r if isinstance(r, tuple) else (r, r)  # for k < 0, k >= 0
         lo, hi = axis_interval(f.domain, i)
         lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
         s_lo, s_hi = max(lo, f.support.lo[i]), min(hi, f.support.hi[i])
@@ -269,7 +270,7 @@ def forward_tail_bound(f: SequenceTable, z):
             ends = (float(np.max(log_z)), float(np.min(log_z)))  # k < 0 runs grow with |z|
         st = [0.0, 0.0]  # S_i over the stored interval, T_i over the unstored ones around it
         for row, (a, b) in enumerate(((s_lo, s_hi), (lo, min(hi, s_lo - 1)), (max(lo, s_hi + 1), hi))):
-            for rate, a, b, lz in zip(rates, (a, max(a, 0)), (min(b, -1), b), ends):
+            for rate, a, b, lz in zip(f.envelope.sides[i], (a, max(a, 0)), (min(b, -1), b), ends):
                 if a <= b:  # each side of k = 0
                     st[row > 0] = st[row > 0] + _exp(_log_run(a, b, math.log(rate) - lz))
         tail, stored = tail * (st[0] + st[1]) + stored * st[1], stored * st[0]
@@ -328,7 +329,8 @@ def _power_sum(values, lo, z, v=None) -> np.ndarray:
     ``_circle`` grid r e^(2 pi i t / N), and whose stored length passes the
     crossover, is the FFT of c(k) r^(-k-v) values[k] folded at (k+v) mod N;
     any other axis, or one whose weights leave the float range, is one
-    tensordot with the matrix c_i(k) z_i^(-k_i-v_i).
+    tensordot with the matrix c_i(k) z_i^(-k_i-v_i), where a power whose
+    modulus leaves the float range reads 0 (below it) or inf (above it).
     """
     acc = np.asarray(values, dtype=complex)
     pos = []  # the mesh dimension each coordinate varies along
@@ -345,8 +347,11 @@ def _power_sum(values, lo, z, v=None) -> np.ndarray:
         if w is not None and np.isfinite(w).all():
             acc = _fold_fft(acc, w, lo[i] + vi, zi.size)
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 w = zi.reshape(1, -1) ** (-ks - vi)
+                if not np.isfinite(w).all():  # numpy forms z^-k as 1/z^k
+                    up = np.log(np.abs(zi.reshape(1, -1))) * (-ks - vi) > 0
+                    w = np.where(np.isfinite(w), w, np.where(up, math.inf, 0.0))
                 if vi:  # c = 0 masks the powers of z = 0 it cancels
                     w = np.where(c != 0, c * w, 0.0)
             acc = np.tensordot(acc, w, axes=(0, 0))
@@ -526,7 +531,6 @@ def invert_contour(
     radii: Sequence[float],
     window: Box,
     grid: Sequence[int] | None = None,
-    domain=None,
 ) -> InversionResult:
     """Recover sequence values on a window from polycircle samples of F.
 
@@ -538,7 +542,7 @@ def invert_contour(
     raise ``SingularSymbol`` or an ``EvaluatorFailure`` naming its own node;
     any other exception it raises, or a result that does not broadcast to the
     grid plus the value shape, is reported at the grid origin.  No node is
-    skipped.
+    skipped.  The table lies on the full lattice.
     """
     n = F.dim
     radii = tuple(float(r) for r in radii)
@@ -583,9 +587,7 @@ def invert_contour(
     env, seq_domain = F.sequence_envelope, F.sequence_domain or nonneg_orthant(n)
     aliasing = None if env is None else _aliasing_bounds(env, seq_domain, radii, grid, window, smax)
 
-    if domain is None:
-        domain = FullLattice(n)
-    table = SequenceTable(domain, window, out, F.value_kind, F.m)
+    table = SequenceTable(FullLattice(n), window, out, F.value_kind, F.m)
     return InversionResult(table, aliasing, radii, grid)
 
 
@@ -619,8 +621,7 @@ def _aliasing_bounds(env, domain, radii, grid, window, sample_max) -> np.ndarray
         lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
         k = np.arange(k0, k1 + 1.0).reshape((-1,) + (1,) * (n - 1 - i))
         d, a = [], []  # the terms of each side of j = 0
-        rates = env.rates[i] if isinstance(env.rates[i], tuple) else (env.rates[i],) * 2
-        for r, A, B in zip(rates, (lo, max(lo, 0)), (min(hi, -1), hi)):
+        for r, A, B in zip(env.sides[i], (lo, max(lo, 0)), (min(hi, -1), hi)):
             if A > B:
                 continue
             log_g, klr = N * math.log(r / R), k * math.log(r)

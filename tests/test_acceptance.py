@@ -37,7 +37,7 @@ def report(name, ok, detail):
 
 def test_criterion_01_probability_fixture():
     t0 = time.perf_counter()
-    F = fixtures.probability_evaluator(0.3, 0.7, S=60)
+    F = fixtures.probability_evaluator(0.3, 0.7)
     res = invert_contour(F, (2.0, 2.0), Box((0, 0), (12, 12)), grid=(64, 64))
     exact = fixtures.probability_table(0.3, 0.7, 12)
     worst = max(

@@ -25,6 +25,7 @@ def test_parse_complex_forms():
     assert parse_complex("-1.5-2i") == complex(-1.5, -2.0)
     assert parse_complex("3") == 3.0
     assert parse_complex("2i") == 2j
+    assert parse_complex("inf") == math.inf and parse_complex("-1+infi") == complex(-1, math.inf)
     assert parse_point("2+0i,1-1i") == (2.0, complex(1, -1))
 
 
@@ -195,6 +196,16 @@ def test_transform_eval_accepts_point_with_leading_minus(tmp_path, capsys):
     assert outs[0] == outs[1] != ""
 
 
+@pytest.mark.parametrize("at", ["1e308", "1e200"])
+def test_transform_eval_where_the_powers_leave_the_float_range(tmp_path, capsys, at):
+    """0.5^k on 0:8: z^-k underflows to 0 for k >= 2, and 1e-308 < 2^-1022 adds nothing to 1."""
+    from zlattice.fixtures import geometric_table
+
+    save(geometric_table(0.5, 8), tmp_path / "g.json")
+    assert run(["transform", "eval", "--seq", str(tmp_path / "g.json"), "--at", at]) == 0
+    assert capsys.readouterr().out.strip() == "1+0i"
+
+
 def test_fractional_cesaro_cli(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert run(["fractional", "cesaro", "--alpha", "1", "--len", "5", "--out", str(out)]) == 0
@@ -360,6 +371,11 @@ def test_deterministic_output_across_thread_flags(tmp_path):
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_threads_default_reads_no_environment_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("ZLATTICE_THREADS", "abc")
+    assert run(["fractional", "cesaro", "--alpha", "0.5", "--out", str(tmp_path / "c.json")]) == 0
 
 
 def test_entry_point_runs():
@@ -786,11 +802,15 @@ def _edit(doc, path, value):
     (2, ("values",), [[1e200, 0.0]] * 9, None, 2),  # a product past the float range
     (3, ("values",), [[1.5e308, 0.0], [-1.5e308, 0.0]] * 4 + [[1.5e308, 0.0]], (3, "2"),
      2),  # --alpha 2: the kernel is the delta, and the second difference passes the float range
+    (0, ("n",), 1, (5, "1e308"), 0),  # z^-k past the float range: 0, with no warning
+    (0, ("n",), 1, (5, "1e200"), 0),
+    (0, ("n",), 1, (5, "inf"), 1),  # a non-finite point lies in no region
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
         "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
         "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308", "data m 3",
-        "n 3 against 2-D radii", "radius 1e-300", "convolve 1e200", "weyl difference 1.5e308"])
+        "n 3 against 2-D radii", "radius 1e-300", "convolve 1e200", "weyl difference 1.5e308",
+        "eval at 1e308", "eval at 1e200", "eval at inf"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

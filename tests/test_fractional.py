@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlattice.convolution import conv_general
+from zlattice.convolution import _diff, _stencil, conv_general
 from zlattice.errors import DimensionMismatch, InsufficientWindow
 from zlattice.fractional import (
     cesaro,
@@ -317,6 +317,20 @@ def tables_1d(draw):
     return SequenceTable(domain, support, vals, kind, m, env)
 
 
+def test_stencil_is_the_binomial_row():
+    """(-1)^p C(m, p): exactly while every Pascal sum is an integer below 2^53
+    (m <= 56), and up to the CLI's largest order 1029 within 1.3e-15 relative
+    (1.26e-15 at m = 925); every order in one pass of first differences."""
+    s, row = _stencil(0), [1]
+    for m in range(1, 1030):
+        s, row = _diff(s), [a - b for a, b in zip(row + [0], [0] + row)]
+        if m <= 56:
+            assert s.tolist() == row  # a float equals an int only exactly
+        exact = np.array([float(c) for c in row])
+        assert np.all(np.abs(s - exact) <= 1.3e-15 * np.abs(exact)), m
+    assert np.array_equal(_stencil(1029), s)
+
+
 def raised(fn):
     """(result, None) or (None, exception type)."""
     try:
@@ -325,7 +339,7 @@ def raised(fn):
         return None, type(e)
 
 
-@given(tables_1d(), st.integers(-1, 4), st.integers(-6, 8), st.integers(0, 8))
+@given(tables_1d(), st.integers(-1, 8), st.integers(-6, 8), st.integers(0, 8))
 @settings(max_examples=200, deadline=None)
 def test_forward_difference_matches_per_point_reference(f, m, w_lo, w_len):
     window = Box((w_lo,), (w_lo + w_len,))

@@ -235,6 +235,17 @@ def test_envelope_pair_rates():
     assert env.bound((-3,)) == pytest.approx(2.0**-3)
 
 
+@pytest.mark.parametrize("rate, doc", [(0.5, 0.5), ((2.0, 0.5), [2.0, 0.5])], ids=["scalar", "pair"])
+def test_envelope_sides_is_the_rate_pair(rate, doc):
+    env = Envelope(1.0, (rate, 0.25))
+    assert env.sides == ((2.0, 0.5) if doc != 0.5 else (0.5, 0.5), (0.25, 0.25))
+    assert env.rates == (rate, 0.25)
+    assert env == Envelope(1.0, (doc, 0.25)) and hash(env) == hash(Envelope(1.0, (doc, 0.25)))
+    assert repr(env) == f"Envelope(M=1.0, rates=({rate!r}, 0.25))"
+    f = SequenceTable(FullLattice(2), Box((0, 0), (1, 1)), np.ones((2, 2)), envelope=env)
+    assert emit(f)["envelope"] == {"M": 1.0, "rates": [doc, 0.25]}
+
+
 def test_table_rejects_nonfinite():
     with pytest.raises(ValueError):
         SequenceTable(nonneg_orthant(1), Box((0,), (1,)), np.array([1.0, np.nan]))

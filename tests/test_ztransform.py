@@ -249,6 +249,28 @@ def test_eval_outside_region_rejected():
         eval_forward(f, (0.4,))
 
 
+@pytest.mark.parametrize("c", [math.inf, complex(1, -math.inf), math.nan], ids=["inf", "-inf i", "nan"])
+def test_a_non_finite_point_lies_in_no_region(c):
+    from zlattice.fixtures import first_order_pencil, geometric_table
+    from zlattice.solver import symbol_eval
+
+    f, S = geometric_table(0.5, 8), first_order_pencil(0.5)
+    for call in (lambda: eval_forward(f, (c,)), lambda: eval_forward(SequenceTable.delta(1), (c,)),
+                 lambda: derivative_series(f, (1,), (c,)), lambda: symbol_eval(S, (c,))):
+        with pytest.raises(PointOutsideRegion):
+            call()
+
+
+@pytest.mark.parametrize("k, r, expect", [(2, 1e200, 0.0), (-2, 1e200, math.inf), (2, 1e-200, math.inf),
+                                          (-2, 1e-200, 0.0), (1, 1e308, 1e-308), (-1, 1e308, 1e308)])
+def test_a_power_past_the_float_range_reads_0_or_inf(k, r, expect):
+    """z^-k on a mesh of four phases, a one-term table at k."""
+    z = r * np.array([1, 1j, -1, np.exp(0.3j)])
+    with np.errstate(invalid="ignore"):  # an inf power times the value's zero imaginary part
+        w = ztransform._power_sum(np.ones(1), (k,), (z,))
+    assert np.allclose(np.abs(w), expect, rtol=1e-15, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
