@@ -328,9 +328,9 @@ def cmd_probe(args) -> int:
         samples.append(tuple(r * np.exp(1j * p) for r, p in zip(radii, phases)))
     report = uniqueness_probe(prob, samples, threshold=args.threshold)
     print(report["verdict"], f"(min sigma {report['min_sigma']:.6e})")
-    _write_report(args.report, {"command": "probe-uniqueness", **{
-        k: v for k, v in report.items() if k != "roots"
-    }})
+    if "roots" in report:  # as [re, im] pairs, the form of complex numbers in the JSON files
+        report["roots"] = [[r.real, r.imag] for r in report["roots"]]
+    _write_report(args.report, {"command": "probe-uniqueness", **report})
     return EXIT_OK
 
 

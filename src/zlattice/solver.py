@@ -6,39 +6,33 @@ transform of P(z)^{-1} C and convolving it with the data yields a solution.
 Volterra and Weyl-fractional problems carry structured symbols built from
 kernel transforms.  A Symbol holds its operator once, in convolution form:
 each summand is a block (t, lo, V), so that L u = sum over blocks of the
-correlation of A V with u from lo and M(z) = sum A V(p) z^{-lo-p}.  The
-residual, the symbol and the series recursion read these blocks.
-``green_function`` builds a kernel on one of two paths.
+correlation of A V with u from lo and M(z) = sum A V(p) z^{-lo-p}.
 
-Power series, when ``grid`` is None, the window has lo >= 0, every kernel
-vanishes off N0^n and j*, the largest shift + order over the blocks, is >= 0
-(so that H(k - j*) lives on N0^n): z^{-j*} M(z) = sum_k B_k z^{-k} over N0^n,
-each block's A V placed at lo + j*.  The recursion H(k)
-= -B_0^{-1} sum_{0 != j <= k} B_j H(k - j) on a box 0..K gives G(k) = H(k -
-j*) C.  In n-D it runs a level of points at a time.  In 1-D, after the first
-b ~ sqrt(3K) coefficients, it runs a block of b at a time (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): the block's history is one
-product with the band, and the block is minus the block-Toeplitz matrix of
-the first b coefficients times it, since that matrix inverts B's leading
-block.  Its residual r = B H - I certifies it: if q = ||r||_w < 1, w(k) =
-R^{-k} over N0^n, with r measured on the box plus the rounding of measuring
-it (Higham's gamma_n |B| * |H|) and of forming B, the unstored kernel
-coefficients and the rows past the box, a Neumann series shows M invertible
-on and outside the polycircle; ||M^{-1}||_w <= ||H||_w / (1 - q) bounds
-``contour_max`` and the envelope, and ``min_rcond`` = (1 - q) / (||B||_w
-||H||_w) must pass RCOND_MIN.  An entry's ledger is ||H||_1 ||r||_1 / (1 -
-||r||_1) on its box 0..k, r on that box alone (Frobenius norms).
-
-Contour, for every other symbol or window, and whenever ``grid`` is given:
-the quadrature samples M(z)^{-1} C on a whole polycircle node grid at once,
-behind a 2-norm reciprocal-condition gate.  For m <= 2 the gate and the solve
-are closed forms over the whole node stack, with no per-node LAPACK call:
-sigma_max and sigma_min of a 2 x 2 matrix from one column-pivoted QR step
-(its column norms, column inner product and determinant), and the solve as
-2 x 2 Gaussian elimination with partial pivoting written elementwise (a
-division for m = 1); larger m uses the stacked numpy.linalg svd and solve.
-Its aliasing bound reads a fitted decay envelope, and the symbol's truncated
-transform tails are folded in.  Ledgers are reported, never silently asserted.
+``green_function`` builds a kernel from three parts.  The operator: on a
+window with lo >= 0, z^{-j*} M(z) = sum_k B_k z^{-k} over N0^n on the box
+0..K, K = max(window.hi, j*), j* the largest shift + order over the blocks,
+each block's A V placed at lo + j*; with R^{-k}, the rounding of forming B and
+the unstored kernel coefficients.  It is None for a kernel off N0^n, j* < 0
+or a kernel tail that diverges at R.  A producer of Hs, M(z)^{-1}'s
+coefficients, on the box: the series H(k) = -B_0^{-1} sum_{0 != j <= k} B_j
+H(k - j), Hs(k) = H(k - j*), when ``grid`` is None, a level of points at a
+time in n-D; in 1-D, after the first b ~ sqrt(3K) coefficients, a block of b
+at a time (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985),
+handing over the rows of B Hs it forms.  Else the contour samples M(z)^{-1}
+on the box (``grid`` where it covers the box), and Hs is zeroed off j* +
+N0^n, where the exact kernel vanishes.  One certificate: r = B Hs -
+delta_{j*}, one correlation unless handed over.  If q = ||r||_w < 1, w(k) =
+R^{-(k - j*)} over N0^n, with r on the box plus the rounding of measuring it
+(Higham's gamma_n |B| * |Hs|) and of forming B, the unstored coefficients
+and the rows past the box, a Neumann series shows M invertible on and
+outside the polycircle (Rump, Acta Numerica 19, 2010); ||M^{-1}||_w <=
+||Hs||_w / (1 - q) bounds ``contour_max`` and the envelope, and
+``min_rcond`` = (1 - q) / (||B||_w ||Hs||_w) must pass RCOND_MIN.  An
+entry's ledger is ||Hs||_1 ||r||_1 / (1 - ||r||_1) on its box 0..k, r on
+that box alone (Frobenius norms), and G = Hs C.  A contour kernel it refuses
+keeps its values, with ledger inf.  Any other kernel is the contour's on the
+window, M(z)^{-1} C behind a reciprocal-condition gate, with a fitted
+envelope's aliasing and the truncated transform tails as a surrogate ledger.
 """
 
 from __future__ import annotations
@@ -46,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -360,7 +355,7 @@ def _solve_stack(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inverse_evaluator(S: Symbol):
+def _inverse_evaluator(S: Symbol, C):
     state = {"min_rcond": math.inf, "contour_max": 0.0, "symbol_err": 0.0}
 
     def fn(z):
@@ -376,7 +371,7 @@ def _inverse_evaluator(S: Symbol):
             t = tuple(np.argwhere(bad)[0])  # the first node in row-major order
             node = np.array([np.broadcast_to(zi, bad.shape)[t] for zi in z])
             raise SingularSymbol(tuple(np.round(node, 12)), float(rcond[t]))
-        out = _solve_stack(M, S.C)
+        out = _solve_stack(M, C)
         state["min_rcond"] = min(state["min_rcond"], float(np.min(rcond)))
         state["contour_max"] = max(state["contour_max"], float(np.max(value_norms(out, 2))))
         state["symbol_err"] = max(state["symbol_err"], float(np.max(err)))
@@ -417,15 +412,16 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     return Envelope(M, tuple(rates))
 
 
-@np.errstate(all="ignore")  # a non-finite B or H gives q nan, which refuses; ledger terms read inf
-def _series_kernel(S: Symbol, radii, window: Box):
-    """The Green kernel by power-series inversion on N0^n, or None where its
-    residual does not certify it (see the module docstring)."""
-    n, m, R, blocks, o = S.n, S.m, np.asarray(radii, dtype=float), S._blocks, (0,) * S.n
+def _fro(X):
+    """Frobenius norms of a stack of m x m matrices, in the stack's shape."""
+    return value_norms(np.reshape(X, np.shape(X)[:-2] + (np.shape(X)[-1] ** 2,)), 1)
 
-    def fro(X):  # Frobenius norms of a stack of m x m matrices, in the stack's shape
-        return value_norms(np.reshape(X, np.shape(X)[:-2] + (m * m,)), 1)
 
+@np.errstate(all="ignore")  # a non-finite B gives fw or the tails nan: q nan refuses
+def _operator(S: Symbol, radii, window: Box):
+    """z^{-j*} M(z) = sum_k B_k z^{-k} on the box 0..K and the certificate's terms that rest
+    on the symbol alone, or None where no certificate can be formed (module docstring)."""
+    n, m, R, blocks = S.n, S.m, np.asarray(radii, dtype=float), S._blocks
     jstar = tuple(max(t.shift[i] + t.order for t, _, _ in blocks) for i in range(n))
     if min(jstar) < 0:  # Hs(k) = H(k - j*) would start off N0^n
         return None
@@ -437,9 +433,9 @@ def _series_kernel(S: Symbol, radii, window: Box):
             return None  # not causal
     sl = [tuple(slice(c + j, c + j + e) for c, j, e in zip(lo, jstar, V.shape))
           for _, lo, V in blocks]
-    B = np.zeros(tuple(map(max, zip(kb, *((c.stop for c in q) for q in sl)))) + (m, m), complex)
-    box = tuple(k + 1 for k in K)
-    ws = (x ** -np.arange(max(e, k)) for x, e, k in zip(R, box, B.shape))
+    ext = tuple(map(max, zip(*((c.stop for c in q) for q in sl))))  # the blocks' stored extent
+    B = np.zeros(tuple(map(max, kb, ext)) + (m, m), complex)
+    ws = (x ** -np.arange(max(k + 1, e)) for x, k, e in zip(R, K, B.shape))
     w = functools.reduce(np.multiply.outer, ws)  # R^-k over the box and B
     # forming B rounds (the A V products, the (z - 1)^o fold, the sums of overlapping blocks)
     # within sqrt(2) gamma_s, s = 2m + o + 1 + the blocks, of ||A|| ||V(p)||_F at lo + j* + p:
@@ -447,7 +443,7 @@ def _series_kernel(S: Symbol, radii, window: Box):
     # and then differenced o - s more times; D_o is V itself
     fw = f1 = 0.0
     gb = 1.43 * 2.0**-53 * (2 * m + 1 + max(t.order for t, _, _ in blocks) + len(blocks))
-    nAs = fro(np.stack([t.A for t, _, _ in blocks]))  # each block's ||A||_F, read again below
+    nAs = _fro(np.stack([t.A for t, _, _ in blocks]))  # each block's ||A||_F, read again below
     for (t, _, V), q, ga in zip(blocks, sl, gb * nAs):  # B_k sums the blocks placed at lo + j*
         B[q] += _times_A(t, V)
         nv = value_norms(V.reshape(V.shape[:n] + (-1,)), 1)
@@ -456,10 +452,6 @@ def _series_kernel(S: Symbol, radii, window: Box):
             D = _diff(D)
             nv = nv + np.convolve(value_norms(D, 1), np.abs(_stencil(i)))
         f1, fw = f1 + ga * nv.sum(), fw + ga * (nv * w[q]).sum()
-    try:
-        Binv = np.linalg.inv(B[o])
-    except np.linalg.LinAlgError:  # a singular B_0
-        return None
     tail = miss = 0.0  # unstored kernel coefficients: ||.||_w over N0^n, and their sum on 0..K - j*
     for (t, _, _), nA in zip(blocks, nAs):  # B_{d0 + l} for l <= top
         if t.kernel is None or not t.kernel.envelope:
@@ -476,34 +468,55 @@ def _series_kernel(S: Symbol, radii, window: Box):
             ew = functools.reduce(np.multiply.outer, env, a.envelope.M * np.all(top >= 0))
             ew[tuple(slice(p, q + 1) for p, q in zip(a.support.lo, a.support.hi))] = 0
             miss += 2**t.order * nA * ew.sum()
-    # Hs from B Hs = delta_{j*}, and r = B Hs - delta_{j*}: in 1-D over B_j up to the last
-    # nonzero, by blocks (_series_1d); in n-D a level v.k at a time, gathering Hs(k - j) over
-    # the nonzero B_j, for the unit or all-ones v with v.j >= 1 for those j and the fewest
-    # levels, and r in one product over the same gather
-    P, at = math.prod(box), tuple(map(slice, kb))
-    bn = fro(B)
-    J = np.argwhere(bn[at] != 0) if n > 1 else np.arange(np.flatnonzero(bn[at])[-1] + 1)[:, None]
-    BJ = B[at][tuple(J.T)].transpose(1, 0, 2).reshape(m, len(J) * m)
+    return SimpleNamespace(B=B, bn=_fro(B), ext=ext, jstar=jstar, K=K, R=R, w=w, fw=fw, f1=f1,
+                           tail=tail, miss=miss)
+
+
+@np.errstate(all="ignore")  # a non-finite B_0 gives a non-finite Hs, which _certify refuses
+def _series(op, m: int):
+    """(Hs, B Hs) on 0..K from B Hs = delta_{j*}, or None for a singular B_0: in 1-D over B_j
+    up to the last nonzero, by blocks (_series_1d); in n-D, B Hs left to _certify, a level v.k
+    at a time over the nonzero B_j, for the unit or all-ones v with v.j >= 1, fewest levels."""
+    n, K, jstar, box = len(op.K), op.K, op.jstar, tuple(k + 1 for k in op.K)
+    try:
+        Binv = np.linalg.inv(op.B[(0,) * n])
+    except np.linalg.LinAlgError:  # a singular B_0
+        return None
+    P, bn = math.prod(box), op.bn[tuple(slice(k + 1 - j) for k, j in zip(K, jstar))]
+    J = np.argwhere(bn != 0) if n > 1 else np.arange(np.flatnonzero(bn)[-1] + 1)[:, None]
+    BJ = op.B[tuple(J.T)].transpose(1, 0, 2).reshape(m, len(J) * m)
     if n == 1:
-        Hs, r = _series_1d(Binv, BJ, P, jstar[0])
-    else:
-        cat = -Binv @ BJ[:, m:]
-        v = min((*np.eye(n, dtype=int)[(J[1:] >= 1).all(0)], np.ones(n, int)), key=lambda v: v @ K)
-        pts = np.indices(box).reshape(n, -1)
-        order = np.argsort(v @ pts, kind="stable")
-        rank = np.argsort(order)
-        src = pts[:, order, None] - J[1:].T[:, None, :]
-        gather = np.where((src >= 0).all(0), rank[np.ravel_multi_index(np.maximum(src, 0), box)], P)
-        flat = np.zeros((P + 1, m, m), dtype=complex)  # by level, then a zero row
-        flat[rank[np.ravel_multi_index(jstar, box)]] = Binv
-        ends = np.cumsum(np.bincount(v @ pts))[v @ jstar :]
-        for i0, i1 in zip(ends[:-1], ends[1:]):  # the points of one level
-            gathered = flat[gather[i0:i1]].reshape(i1 - i0, len(J) * m - m, m)
+        return _series_1d(Binv, BJ, P, jstar[0])
+    cat = -Binv @ BJ[:, m:]
+    v = min((*np.eye(n, dtype=int)[(J[1:] >= 1).all(0)], np.ones(n, int)), key=lambda v: v @ K)
+    pts = np.indices(box).reshape(n, -1)
+    order = np.argsort(v @ pts, kind="stable")
+    rank = np.argsort(order)
+    flat = np.zeros((P + 1, m, m), dtype=complex)  # by level, then a zero row
+    flat[rank[np.ravel_multi_index(jstar, box)]] = Binv
+    ends = np.cumsum(np.bincount(v @ pts))[v @ jstar :]
+    per = max(1, 2**20 // (len(J) * int(np.diff(ends).max(initial=1))))  # levels per gather
+    for c in range(0, len(ends) - 1, per):  # where Hs(k - j) is, for at most 2^20 pairs (k, j)
+        e = ends[c : c + per + 1]
+        src = pts[:, order[e[0] : e[-1]], None] - J[1:].T[:, None, :]
+        idx = np.where((src >= 0).all(0), rank[np.ravel_multi_index(np.maximum(src, 0), box)], P)
+        for i0, i1 in zip(e[:-1], e[1:]):  # the points of one level
+            gathered = flat[idx[i0 - e[0] : i1 - e[0]]].reshape(i1 - i0, len(J) * m - m, m)
             flat[i0:i1] = np.dot(cat, gathered).transpose(1, 0, 2)
-        r = flat[np.column_stack((np.arange(P), gather))].reshape(P, len(J) * m, m)
-        Hs, r = flat[rank].reshape(box + (m, m)), _left(BJ, r[rank]).reshape(box + (m, m))
+    return flat[rank].reshape(box + (m, m)), None
+
+
+@np.errstate(all="ignore")  # a non-finite B or Hs gives q nan, which refuses; ledger terms read inf
+def _certify(S: Symbol, op, Hs, r, window: Box):
+    """G = Hs C on the window and its ledger from r = B Hs - delta_{j*}, for any Hs on 0..K
+    that vanishes off j* + N0^n: B Hs as the producer passed it, else one correlation over
+    B's stored extent.  None where r does not certify Hs (see the module docstring)."""
+    n, m, R, K, jstar, bn, w = S.n, S.m, op.R, op.K, op.jstar, op.bn, op.w
+    box, o = tuple(k + 1 for k in K), (0,) * n
+    r = _correlate(op.B[tuple(map(slice, op.ext))], o, Hs, o, Box(o, K), 2, 2) if r is None else r
     r[jstar] -= np.eye(m)  # its rounding is within g (|B| * |Hs|), g >= gamma_n
-    rn, hn = fro(np.stack((r, Hs)))
+    rn, hn = _fro(np.stack((r, Hs)))
+    at = tuple(slice(k + 1 - j) for k, j in zip(K, jstar))
     g = 1.01 * 2.0**-53 * (m * np.count_nonzero(bn[at]) + 4)  # n terms, complex, n u < 0.01
     # q = ||r||_w over N0^n for w(k) = R^-(k - j*) = c R^-k: the measured rows, their
     # rounding, the unstored coefficients, forming B, and the rows past K along each axis
@@ -514,15 +527,15 @@ def _series_kernel(S: Symbol, radii, window: Box):
         rest = tuple(a for a in range(n) if a != i)
         suffix = np.cumsum(bw.sum(rest)[::-1])[::-1][1 : K[i] + 2]  # sum over j_i > t
         past += hw.sum(rest)[::-1][: len(suffix)] @ suffix
-    q = c * float((rn * wH).sum() + (g * bw[at].sum() + tail + fw) * Hw + past)
-    rc = (1 - q) / (c * Hw * (float(bw.sum()) + tail + fw))  # ||B^-1||_w <= c Hw / (1 - q)
+    q = c * float((rn * wH).sum() + (g * bw[at].sum() + op.tail + op.fw) * Hw + past)
+    rc = (1 - q) / (c * Hw * (float(bw.sum()) + op.tail + op.fw))  # ||B^-1||_w <= c Hw / (1 - q)
     if not (q < 1 and rc >= RCOND_MIN):
         return None
     # ledger: ||Hs* - Hs||_1 <= ||Hs|| ||r|| / (1 - ||r||) on box 0..k, r on it; g ||Hs|| for C
     h = functools.reduce(np.cumsum, range(n), hn)
-    rho = functools.reduce(np.cumsum, range(n), rn) + (g * bn[at].sum() + miss + f1) * h
+    rho = functools.reduce(np.cumsum, range(n), rn) + (g * bn[at].sum() + op.miss + op.f1) * h
     led = np.divide(h * rho, 1 - rho, out=np.full(box, math.inf), where=rho < 1) + g * hn
-    nc = float(fro(S.C))
+    nc = float(_fro(S.C))
     bound = nc * Hw / (1 - q)  # R^-j* ||M^-1||_w ||C||
     at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
@@ -567,36 +580,44 @@ def _series_1d(Binv, BJ, P: int, j0: int):
 
 
 def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) -> KernelResult:
-    """Green (resolvent) kernel G(k) of any symbol, with per-entry ledgers: by
-    power-series inversion where the module docstring's certificate holds,
-    else by polycircle quadrature of z^{k-1} M(z)^{-1} C with a fitted
-    envelope.  The kernel lies on N0^n for a window with lo >= 0, else on Z^n."""
+    """Green (resolvent) kernel G(k) of any symbol, with per-entry ledgers: where
+    ``_operator`` forms B, the series' or else the contour's on 0..K, its ledger from
+    ``_certify`` or inf; else the contour's on the window with a surrogate ledger (module
+    docstring).  The kernel lies on N0^n for a window with lo >= 0, else on Z^n."""
     if len(radii) != S.n or window.dim != S.n:
         raise DimensionMismatch("radii/window dimension mismatch")
     causal_window = all(c >= 0 for c in window.lo)
     domain = nonneg_orthant(S.n) if causal_window else FullLattice(S.n)
-    if grid is None and causal_window:
-        kr = _series_kernel(S, radii, window)
-        if kr is not None:
+    op = _operator(S, radii, window) if causal_window else None
+    if op is not None and grid is None and (hs := _series(op, S.m)) is not None:
+        if (kr := _certify(S, op, *hs, window)) is not None:
             return kr
-    ev, state = _inverse_evaluator(S)
+    if op is not None and (grid is None or all(g > k for g, k in zip(grid, op.K))):
+        ev, state = _inverse_evaluator(S, np.eye(S.m))
+        H = invert_contour(ev, radii, Box((0,) * S.n, op.K), grid=grid).table.values
+        Hs, live = np.zeros_like(H), tuple(slice(j, None) for j in op.jstar)
+        Hs[live] = H[live]  # zero off j* + N0^n, where the exact kernel vanishes
+        if (kr := _certify(S, op, Hs, None, window)) is not None:
+            return kr
+        at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
+        G = SequenceTable(domain, window, H[at] @ S.C, "matrix", S.m)
+        table = SequenceTable(domain, window, G.values, "matrix", S.m, _fit_envelope(G, radii))
+        return KernelResult(table, np.full(window.shape, math.inf), state["min_rcond"],
+                            state["contour_max"] * value_norm(S.C), state["symbol_err"])
+    ev, state = _inverse_evaluator(S, S.C)
     res: InversionResult = invert_contour(ev, radii, window, grid=grid)
     env = _fit_envelope(res.table, radii)
     table = SequenceTable(domain, window, res.table.values, "matrix", S.m, envelope=env)
     aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, state["contour_max"])
-    # fold the symbol-evaluation error into the per-entry surrogate:
-    # a perturbation dM of the contour samples moves each coefficient by at
-    # most r^k * ||M^-1|| * ||dM|| * ||M^-1 C||-type terms; use the blunt
-    # contour-uniform bound instead.
+    # fold the symbol-evaluation error into the surrogate: a perturbation dM of the samples
+    # moves each coefficient by r^k ||M^-1|| ||dM|| ||M^-1 C||-type terms, bounded bluntly
     if state["symbol_err"] > 0:
         ks = (np.arange(lo, hi + 1.0) for lo, hi in zip(window.lo, window.hi))
         w = math.prod(np.ix_(*(float(r) ** k for r, k in zip(radii, ks))))
-        aliasing += (
-            w * state["symbol_err"] * state["contour_max"] ** 2 / max(value_norm(S.C), 1e-300)
-        )
-    return KernelResult(
-        table, aliasing, state["min_rcond"], state["contour_max"], state["symbol_err"]
-    )
+        nc = max(value_norm(S.C), 1e-300)
+        aliasing += w * state["symbol_err"] * state["contour_max"] ** 2 / nc
+    return KernelResult(table, aliasing, state["min_rcond"], state["contour_max"],
+                        state["symbol_err"])
 
 
 resolvent_kernel = green_function
@@ -746,24 +767,23 @@ def uniqueness_probe(
 ) -> dict:
     """sigma_min of the symbol at each sample; injectivity witnessed iff all
     exceed the threshold.  For 1-D scalar pencils the root modes are located
-    and their residual-invariance is verified as well."""
-    Ms = [symbol_eval(S, z) for z in z_samples]
+    and their residual-invariance is verified as well, and sigma_min is also
+    taken at each finite nonzero root moved onto each sample's circle, |z| lam /
+    |lam|: a root on a sampled circle makes the symbol singular there."""
+    roots = pencil_roots_1d(S) if not S.terms and S.n == 1 and S.m == 1 else np.zeros(0)
+    live = [lam for lam in roots if abs(lam) > 1e-10]
+    on = [(abs(z[0]) * lam / abs(lam),) for z in z_samples for lam in live if abs(lam) < math.inf]
+    Ms = [symbol_eval(S, z) for z in (*z_samples, *on)]
     sigmas = _sv_extremes(np.array(Ms))[1].tolist() if Ms else []
     witnessed = bool(sigmas) and all(s > threshold for s in sigmas)
     report = {
         "min_sigma": min(sigmas) if sigmas else float("nan"),
-        "samples": len(sigmas),
+        "samples": len(z_samples),
         "threshold": threshold,
         "verdict": "injectivity witnessed on samples" if witnessed else "not witnessed",
     }
     if not S.terms and S.n == 1 and S.m == 1:
-        roots = pencil_roots_1d(S)
-        window = Box((0,), (16,))
-        devs = [
-            homogeneous_mode_residual(S, (lam,), window)
-            for lam in roots
-            if abs(lam) > 1e-10
-        ]
+        devs = [homogeneous_mode_residual(S, (lam,), Box((0,), (16,))) for lam in live]
         report["root_mode_max_residual"] = max(devs) if devs else 0.0
         report["roots"] = [complex(r) for r in roots]
     return report

@@ -26,6 +26,7 @@ from .errors import (
     BoundaryNotFinite,
     CircleOutsideRegion,
     DimensionMismatch,
+    DivergentConvolution,
     EvaluatorFailure,
     NoEnvelope,
     PointOutsideRegion,
@@ -354,7 +355,7 @@ def _power_sum(values, lo, z, v=None) -> np.ndarray:
                     w = np.where(np.isfinite(w), w, np.where(up, math.inf, 0.0))
                 if vi:  # c = 0 masks the powers of z = 0 it cancels
                     w = np.where(c != 0, c * w, 0.0)
-            acc = np.tensordot(acc, w, axes=(0, 0))
+                acc = np.tensordot(acc, w, axes=(0, 0))  # inf powers may give inf or nan
         pos.append(zi.shape.index(max(zi.shape)) if zi.ndim else 0)
     vdim = acc.ndim - len(z)
     order = [vdim + i for i in sorted(range(len(pos)), key=pos.__getitem__)]
@@ -375,10 +376,21 @@ def eval_forward(f: SequenceTable, z, with_tail: bool = False):
         raise DimensionMismatch("point dimension mismatch")
     _check_powers(f, z)
     tail = forward_tail_bound(f, z)  # also validates region membership
-    out = _power_sum(f.values, f.support.lo, z)
+    out = _check_value(_power_sum(f.values, f.support.lo, z), z)
     if f.value_kind == "scalar" and out.ndim == 0:
         out = complex(out)
     return (out, tail) if with_tail else out
+
+
+def _check_value(out, z):
+    """``out``, or DivergentConvolution at the first node (row-major) of the point or
+    mesh ``z`` whose transform value left the float range."""
+    if not np.isfinite(out).all():
+        mesh = np.broadcast_shapes(*(np.shape(zi) for zi in z))
+        t = tuple(np.argwhere(~np.isfinite(out))[0][: len(mesh)])
+        node = tuple(complex(np.broadcast_to(zi, mesh)[t]) for zi in z)
+        raise DivergentConvolution(f"transform value at z={node} leaves the float range")
+    return out
 
 
 def forward_evaluator(f: SequenceTable) -> TransformEvaluator:
@@ -506,7 +518,7 @@ def derivative_series(f: SequenceTable, v, z):
     _check_powers(f, z)
     if f.envelope is not None and not convergence_region(f).contains(z):
         raise PointOutsideRegion(f"{z} outside convergence region")
-    out = _power_sum(f.values, f.support.lo, z, v)
+    out = _check_value(_power_sum(f.values, f.support.lo, z, v), z)
     return complex(out) if f.value_kind == "scalar" and out.ndim == 0 else out
 
 

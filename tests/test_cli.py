@@ -315,6 +315,19 @@ def test_probe_uniqueness_cli(tmp_path, capsys):
     assert "injectivity witnessed" in capsys.readouterr().out
 
 
+def test_probe_uniqueness_cli_does_not_witness_a_root_on_the_circle(tmp_path, capsys):
+    # u(k + 1) - u(k) = f: the root 1 of z - 1 lies on |z| = 1, where solve exits 3
+    prob = {"kind": "pencil", "n": 1, "m": 1, "C": [[[1, 0]]], "data": {"generator": "delta"},
+            "terms": [{"j": [1], "A": [[[1, 0]]]}, {"j": [0], "A": [[[-1, 0]]]}]}
+    p, rep = tmp_path / "p.json", tmp_path / "r.json"
+    p.write_text(json.dumps(prob))
+    assert run(["probe-uniqueness", "--problem", str(p), "--radii", "1.0", "--report", str(rep)]) == 0
+    assert "not witnessed" in capsys.readouterr().out
+    assert json.loads(rep.read_text())["roots"] == [[1.0, 0.0]]
+    assert run(["solve", "--problem", str(p), "--radii", "1.0", "--kernel-window", "0:8",
+                "--check-window", "1:4", "--out", str(tmp_path / "u.json")]) == 3
+
+
 def test_fixture_commands(capsys):
     assert run(["fixtures", "probability", "--window", "8"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -805,12 +818,13 @@ def _edit(doc, path, value):
     (0, ("n",), 1, (5, "1e308"), 0),  # z^-k past the float range: 0, with no warning
     (0, ("n",), 1, (5, "1e200"), 0),
     (0, ("n",), 1, (5, "inf"), 1),  # a non-finite point lies in no region
+    (0, ("envelope",), None, (5, "1e-200"), 2),  # z^-k past the float range times a value
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
         "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
         "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308", "data m 3",
         "n 3 against 2-D radii", "radius 1e-300", "convolve 1e200", "weyl difference 1.5e308",
-        "eval at 1e308", "eval at 1e200", "eval at inf"])
+        "eval at 1e308", "eval at 1e200", "eval at inf", "eval at 1e-200"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

@@ -941,6 +941,18 @@ def test_uniqueness_linear_pencil_witnessed():
     assert rep["min_sigma"] >= 0.5 - 1e-12
 
 
+@pytest.mark.parametrize("lam, verdict", [(1.0, "not witnessed"),
+                                          (0.5, "injectivity witnessed on samples")])
+def test_uniqueness_probe_reads_sigma_at_the_roots_moved_onto_the_samples_circle(lam, verdict):
+    # z - 1 is singular at its root 1 on |z| = 1, where solve refuses it (exit 3), but
+    # random samples of the circle miss that point: sigma_min there is 0.  z - 0.5 has
+    # sigma_min 0.5 at 1, its root moved onto the circle
+    phases = np.random.default_rng(0).uniform(0.0, 2 * np.pi, 32)
+    rep = uniqueness_probe(first_order_pencil(lam), [(np.exp(1j * p),) for p in phases])
+    assert rep["verdict"] == verdict and rep["samples"] == 32 and rep["roots"] == [lam]
+    assert rep["min_sigma"] == pytest.approx(1.0 - lam, abs=1e-15)
+
+
 def test_uniqueness_root_modes_scalar():
     P = first_order_pencil(0.5)
     roots = pencil_roots_1d(P)
