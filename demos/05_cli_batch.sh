@@ -2,8 +2,9 @@
 # Batch workflow through the zlattice command line: build a Cesaro kernel,
 # convolve it with itself, take its Weyl derivative, evaluate its transform
 # (also at z = 1e308, where z^-k underflows) and invert it, solve a pencil
-# problem from a JSON description, probe it and one with a root on the circle,
-# and run every built-in fixture.  Two commands must fail with their
+# problem from a JSON description and a C^2 one with C != I on a two-sided
+# kernel window, probe the first and one with a root on the circle, and run
+# every built-in fixture.  Two commands must fail with their
 # documented outcome: a transform value past the float range exits 2, and the
 # probe does not witness z - 1 at radius 1.
 set -e
@@ -55,6 +56,22 @@ zlattice solve --problem "$work/problem.json" --radii 1.0 \
 echo "solve report:"
 cat "$work/report.json"
 echo
+
+# u(k+1) - A u(k) = C f in C^2 with C != I, on a two-sided kernel window: the
+# contour samples M(z)^-1 on the window and applies C afterwards
+cat > "$work/vector.json" <<'EOF'
+{
+  "kind": "pencil", "n": 1, "m": 2,
+  "terms": [
+    {"j": [1], "A": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    {"j": [0], "A": [[[-0.3, 0], [-0.1, 0]], [[-0.05, 0], [-0.2, 0]]]}
+  ],
+  "C": [[[1, 0], [2, 0]], [[0.5, 0], [-1, 0]]],
+  "data": {"generator": "delta"}
+}
+EOF
+zlattice solve --problem "$work/vector.json" --radii 1.0 \
+    --kernel-window -5:40 --check-window 1:28 --out "$work/u2.json"
 
 zlattice probe-uniqueness --problem "$work/problem.json" --radii 1.0
 sed 's/-0.5, 0/-1, 0/' "$work/problem.json" > "$work/unit_root.json"  # z - 1

@@ -290,7 +290,8 @@ def _sv_extremes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cancellation, and sigma_min = |det| / sigma_max, both scaled back; each
     step is one elementwise operation over the whole stack.  Larger m takes a
     stacked SVD.  A matrix with an inf entry has sigma_max inf, one with a nan
-    entry nan; sigma_min of a non-finite 2 x 2 matrix is nan.
+    entry nan; sigma_min of a non-finite 2 x 2 matrix is nan.  A sigma past
+    the float range reads inf.
     """
     if M.shape[-2:] == (1, 1):
         s = np.abs(M[..., 0, 0])
@@ -314,7 +315,8 @@ def _sv_extremes(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = det / f
     g2 = g * g
     smax = 0.5 * (np.sqrt((f + h) ** 2 + g2) + np.sqrt((f - h) ** 2 + g2))
-    smax, smin = np.ldexp(smax, e), np.ldexp(det / smax, e)
+    with np.errstate(over="ignore"):  # a sigma past the float range reads inf
+        smax, smin = np.ldexp(smax, e), np.ldexp(det / smax, e)
     if patch:
         smax = np.where(ok, smax, s)
         smin = np.where(ok, smin, np.where(s == 0, 0.0, np.nan))

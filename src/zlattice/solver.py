@@ -18,9 +18,9 @@ coefficients, on the box: the series H(k) = -B_0^{-1} sum_{0 != j <= k} B_j
 H(k - j), Hs(k) = H(k - j*), when ``grid`` is None, a level of points at a
 time in n-D; in 1-D, after the first b ~ sqrt(3K) coefficients, a block of b
 at a time (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985),
-handing over the rows of B Hs it forms.  Else the contour samples M(z)^{-1}
-on the box (``grid`` where it covers the box), and Hs is zeroed off j* +
-N0^n, where the exact kernel vanishes.  One certificate: r = B Hs -
+handing over the rows of B Hs it forms.  Else the contour's, on the box
+(``grid`` where it covers the box) and zeroed off j* + N0^n, where the exact
+kernel vanishes.  One certificate: r = B Hs -
 delta_{j*}, one correlation unless handed over.  If q = ||r||_w < 1, w(k) =
 R^{-(k - j*)} over N0^n, with r on the box plus the rounding of measuring it
 (Higham's gamma_n |B| * |Hs|) and of forming B, the unstored coefficients
@@ -29,10 +29,13 @@ outside the polycircle (Rump, Acta Numerica 19, 2010); ||M^{-1}||_w <=
 ||Hs||_w / (1 - q) bounds ``contour_max`` and the envelope, and
 ``min_rcond`` = (1 - q) / (||B||_w ||Hs||_w) must pass RCOND_MIN.  An
 entry's ledger is ||Hs||_1 ||r||_1 / (1 - ||r||_1) on its box 0..k, r on
-that box alone (Frobenius norms), and G = Hs C.  A contour kernel it refuses
-keeps its values, with ledger inf.  Any other kernel is the contour's on the
-window, M(z)^{-1} C behind a reciprocal-condition gate, with a fitted
-envelope's aliasing and the truncated transform tails as a surrogate ledger.
+that box alone (Frobenius norms), and G = Hs C.  The contour samples M(z)^{-1}
+(1 / M, or LAPACK's inverse for m >= 2) behind a reciprocal-condition gate,
+on the box, or on the window where there is no operator or ``grid`` is too
+short for the box; its kernel is G = H C.  A contour kernel the certificate
+refuses, or one on the window, gets a fitted envelope and ``contour_max`` =
+max ||M^{-1}|| ||C||, with ledger inf, or a surrogate: the fitted envelope's
+aliasing and the truncated transform tails.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from .lattice import (
     value_norms,
 )
 from .ztransform import (
-    InversionResult,
     Outside,
     PolyAnnulus,
     TransformEvaluator,
@@ -314,49 +316,17 @@ def operator_amplification(S: Symbol) -> float:
 
 @dataclass
 class KernelResult:
-    table: SequenceTable  # carries the decay envelope (fitted on the contour path)
-    aliasing: np.ndarray  # per-entry ledger: wrap-around surrogate, or series error bound
-    min_rcond: float  # over the contour nodes, or the series path's certified bound
-    contour_max: float  # max ||M(z)^{-1} C|| over contour nodes, or its certified bound
-    symbol_err: float  # max kernel-transform tail radius over nodes; 0 on the series path
+    table: SequenceTable  # carries the decay envelope: certified, or fitted where not
+    aliasing: np.ndarray  # per-entry ledger: certified, inf where refused, or a surrogate
+    min_rcond: float  # over the contour nodes, or the certified bound
+    contour_max: float  # max ||M(z)^{-1}|| ||C|| over contour nodes, or the certified bound
+    symbol_err: float  # max kernel-transform tail radius over nodes; 0 where certified
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _solve_stack(M: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """M^{-1} C at every node of a stack of m x m matrices.
-
-    m = 1 divides; m = 2 is Gaussian elimination with partial pivoting (the
-    pivot LAPACK picks, by |re| + |im|) written elementwise, which is backward
-    stable.  Each node's system is first scaled by 1 / its pivot's |re| +
-    |im|, so that no later divisor is subnormal where rcond >= 1e-12: numpy's
-    complex division overflows on one.  Each step is one elementwise
-    operation over the whole stack, one right-hand side column at a time.
-    Larger m calls the stacked LAPACK solve.  A singular node gives a
-    non-finite value at that node.
-    """
-    if M.shape[-2:] == (1, 1):
-        return C / M
-    if M.shape[-2:] != (2, 2):
-        return np.linalg.solve(M, np.broadcast_to(C, M.shape))
-    a, b, c, d = (M[..., i, j] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    na, nc = (np.abs(v.real) + np.abs(v.imag) for v in (a, c))
-    swap = nc > na
-    s = 1.0 / np.maximum(na, nc)
-    p, q = np.where(swap, c, a) * s, np.where(swap, a, c) * s  # pivot row, other row
-    pb, qb = np.where(swap, d, b) * s, np.where(swap, b, d) * s
-    l = q / p
-    u = qb - l * pb
-    out = np.empty(np.broadcast_shapes(M.shape, C.shape), dtype=complex)
-    for j in range(out.shape[-1]):  # one right-hand side column at a time
-        y0, y1 = C[..., 0, j], C[..., 1, j]
-        py, qy = np.where(swap, y1, y0) * s, np.where(swap, y0, y1) * s
-        out[..., 1, j] = x1 = (qy - l * py) / u
-        out[..., 0, j] = (py - pb * x1) / p
-    return out
-
-
-def _inverse_evaluator(S: Symbol, C):
-    state = {"min_rcond": math.inf, "contour_max": 0.0, "symbol_err": 0.0}
+def _inverse_evaluator(S: Symbol):
+    """M(z)^{-1} at every node behind the rcond gate, and a state that the one call of
+    ``invert_contour`` fills: min rcond, max ||M^{-1}|| and the largest tail radius."""
+    state = {}
 
     def fn(z):
         M, err = symbol_eval(S, z, with_err=True)
@@ -371,17 +341,16 @@ def _inverse_evaluator(S: Symbol, C):
             t = tuple(np.argwhere(bad)[0])  # the first node in row-major order
             node = np.array([np.broadcast_to(zi, bad.shape)[t] for zi in z])
             raise SingularSymbol(tuple(np.round(node, 12)), float(rcond[t]))
-        out = _solve_stack(M, C)
-        state["min_rcond"] = min(state["min_rcond"], float(np.min(rcond)))
-        state["contour_max"] = max(state["contour_max"], float(np.max(value_norms(out, 2))))
-        state["symbol_err"] = max(state["symbol_err"], float(np.max(err)))
+        out = 1 / M if S.m == 1 else np.linalg.inv(M)
+        state.update(min_rcond=float(np.min(rcond)), symbol_err=float(np.max(err)),
+                     contour_max=float(np.max(value_norms(out, 2))))
         return out
 
     region = PolyAnnulus(tuple(Outside(0.0) for _ in range(S.n)))
     return TransformEvaluator(fn, region, "matrix", S.m), state
 
 
-def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
+def _fit_envelope(G: np.ndarray, window: Box, radii: Sequence[float]) -> Envelope:
     """Fit a geometric decay envelope to a computed kernel window.
 
     A numerical surrogate for the unknown true decay: per-axis rate from the
@@ -389,8 +358,8 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
     the exact maximum of norm / rate^k.  Rates are clipped below the contour
     radii so the aliasing formula stays finite.
     """
-    norms = table.norms()
-    n = table.dim
+    norms = value_norms(G, 2)
+    n = window.dim
     rates = []
     for ax in range(n):
         lead = np.moveaxis(norms, ax, 0)
@@ -403,11 +372,11 @@ def _fit_envelope(table: SequenceTable, radii: Sequence[float]) -> Envelope:
         rates.append(rho)
     weights = np.ones_like(norms)
     for ax, rho in enumerate(rates):
-        ks = np.arange(table.support.lo[ax], table.support.hi[ax] + 1, dtype=float)
+        ks = np.arange(window.lo[ax], window.hi[ax] + 1, dtype=float)
         shape = [1] * n
         shape[ax] = -1
         weights = weights * (rho**ks).reshape(shape)
-    with np.errstate(divide="ignore", invalid="ignore"):  # weights may underflow to 0
+    with np.errstate(all="ignore"):  # weights may underflow to 0; past the float range M is inf
         M = float(np.max(norms / weights, where=norms > 0, initial=0.0))
     return Envelope(M, tuple(rates))
 
@@ -540,7 +509,8 @@ def _certify(S: Symbol, op, Hs, r, window: Box):
     at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
     table = SequenceTable(nonneg_orthant(n), window, G, "matrix", m, Envelope(bound, tuple(R)))
-    return KernelResult(table, nc * led[at] if nc else np.zeros(window.shape), rc, bound, 0.0)
+    led = np.where((led[at] == 0) | (nc == 0), 0.0, nc * led[at])  # 0 even where ||C|| is inf
+    return KernelResult(table, led, rc, bound, 0.0)
 
 
 def _series_1d(Binv, BJ, P: int, j0: int):
@@ -592,32 +562,30 @@ def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) ->
     if op is not None and grid is None and (hs := _series(op, S.m)) is not None:
         if (kr := _certify(S, op, *hs, window)) is not None:
             return kr
-    if op is not None and (grid is None or all(g > k for g, k in zip(grid, op.K))):
-        ev, state = _inverse_evaluator(S, np.eye(S.m))
-        H = invert_contour(ev, radii, Box((0,) * S.n, op.K), grid=grid).table.values
+    if op is not None and grid is not None and any(g <= k for g, k in zip(grid, op.K)):
+        op = None  # a grid too short for the box 0..K: the contour on the window
+    ev, state = _inverse_evaluator(S)
+    res = invert_contour(ev, radii, window if op is None else Box((0,) * S.n, op.K), grid=grid)
+    H = res.table.values
+    if op is not None:
         Hs, live = np.zeros_like(H), tuple(slice(j, None) for j in op.jstar)
         Hs[live] = H[live]  # zero off j* + N0^n, where the exact kernel vanishes
         if (kr := _certify(S, op, Hs, None, window)) is not None:
             return kr
-        at = tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))
-        G = SequenceTable(domain, window, H[at] @ S.C, "matrix", S.m)
-        table = SequenceTable(domain, window, G.values, "matrix", S.m, _fit_envelope(G, radii))
-        return KernelResult(table, np.full(window.shape, math.inf), state["min_rcond"],
-                            state["contour_max"] * value_norm(S.C), state["symbol_err"])
-    ev, state = _inverse_evaluator(S, S.C)
-    res: InversionResult = invert_contour(ev, radii, window, grid=grid)
-    env = _fit_envelope(res.table, radii)
-    table = SequenceTable(domain, window, res.table.values, "matrix", S.m, envelope=env)
-    aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, state["contour_max"])
-    # fold the symbol-evaluation error into the surrogate: a perturbation dM of the samples
-    # moves each coefficient by r^k ||M^-1|| ||dM|| ||M^-1 C||-type terms, bounded bluntly
-    if state["symbol_err"] > 0:
-        ks = (np.arange(lo, hi + 1.0) for lo, hi in zip(window.lo, window.hi))
-        w = math.prod(np.ix_(*(float(r) ** k for r, k in zip(radii, ks))))
-        nc = max(value_norm(S.C), 1e-300)
-        aliasing += w * state["symbol_err"] * state["contour_max"] ** 2 / nc
-    return KernelResult(table, aliasing, state["min_rcond"], state["contour_max"],
-                        state["symbol_err"])
+        H = H[tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))]
+    G, nc = H @ S.C, value_norm(S.C)
+    env, cmax = _fit_envelope(G, window, radii), state["contour_max"] * nc  # max ||M^-1|| ||C||
+    if op is not None:  # the certificate refused the contour's kernel
+        aliasing = np.full(window.shape, math.inf)
+    else:
+        aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, cmax)
+        if state["symbol_err"] > 0:  # a perturbation dM of a sample moves M^-1 C by
+            # ||M^-1||^2 ||dM|| ||C|| to first order, and coefficient k by r^k times that
+            ks = (np.arange(lo, hi + 1.0) for lo, hi in zip(window.lo, window.hi))
+            w = math.prod(np.ix_(*(float(r) ** k for r, k in zip(radii, ks))))
+            aliasing += w * state["symbol_err"] * state["contour_max"] ** 2 * nc
+    table = SequenceTable(domain, window, G, "matrix", S.m, env)
+    return KernelResult(table, aliasing, state["min_rcond"], cmax, state["symbol_err"])
 
 
 resolvent_kernel = green_function

@@ -777,13 +777,23 @@ def test_mutated_documents_and_arguments_exit_with_a_documented_code(data):
 
 
 def _edit(doc, path, value):
-    """The document with the node at ``path`` set to ``value``."""
+    """The document with the node at ``path`` set to ``value``; an empty path
+    updates the top level with the entries of ``value``."""
     doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if path:
+        node[path[-1]] = value
+    else:
+        doc.update(value)
     return doc
+
+
+# z [[1, .5], [.5, 1]] - 0.1 I with C = 1e308 ones(2, 2): ||C|| passes the float range
+_BIG_C = {"terms": [{"j": [1], "A": [[[1, 0], [0.5, 0]], [[0.5, 0], [1, 0]]]},
+                    {"j": [0], "A": [[[-0.1, 0], [0, 0]], [[0, 0], [-0.1, 0]]]}],
+          "C": [[[1e308, 0], [1e308, 0]], [[1e308, 0], [1e308, 0]]]}
 
 
 @pytest.mark.parametrize("seed, path, value, argument, code", [
@@ -819,12 +829,15 @@ def _edit(doc, path, value):
     (0, ("n",), 1, (5, "1e200"), 0),
     (0, ("n",), 1, (5, "inf"), 1),  # a non-finite point lies in no region
     (0, ("envelope",), None, (5, "1e-200"), 2),  # z^-k past the float range times a value
+    (9, (), _BIG_C, None, 2),  # a residual of 1e292; ledger 0 below j*, not inf * 0
+    (9, (), _BIG_C, (6, "-3:8"), 2),  # ... on a two-sided window, where M / r^k overflowed
 ], ids=["support inf", "rate pair of one", "n false", "cesaro len -1", "axes repeated", "C zero",
         "NUL in a path", "NUL in an output path", "NUL in a problem path", "weyl alpha nan", "weyl alpha 1e308", "kernel-len -1",
         "weyl A 1e308", "probe root 5e299", "probe root 1e323", "probe root 1e608",
         "axes 2,1", "axes 0", "axes 3", "axes 1,1", "invert value 1e308", "data m 3",
         "n 3 against 2-D radii", "radius 1e-300", "convolve 1e200", "weyl difference 1.5e308",
-        "eval at 1e308", "eval at 1e200", "eval at inf", "eval at 1e-200"])
+        "eval at 1e308", "eval at 1e200", "eval at inf", "eval at 1e-200",
+        "C 1e308 on 0:8", "C 1e308 on -3:8"])
 def test_mutations_that_raised_exit_with_a_documented_code(tmp_path, capsys, seed, path, value,
                                                           argument, code):
     argv, doc = _fuzz_seeds()[seed]

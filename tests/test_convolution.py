@@ -740,7 +740,7 @@ def ref_solve_error(kr, f, kernel_window, out_window):
         for fidx in np.ndindex(*f.support.shape):
             l = tuple(a + i for a, i in zip(f.support.lo, fidx))
             s = tuple(ki - li for ki, li in zip(k, l))
-            if s in kr.table.support:
+            if s in kr.table.support and fnorm[fidx] > 0:  # an inf ledger reaches through data
                 kidx = tuple(c - a for c, a in zip(s, kernel_window.lo))
                 acc += kr.aliasing[kidx] * fnorm[fidx]
         err[idx] += acc

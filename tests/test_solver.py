@@ -1,5 +1,6 @@
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -38,7 +39,6 @@ from zlattice.lattice import (
     value_shape,
 )
 from zlattice.solver import (
-    RCOND_MIN,
     MixedAxesSymbol,
     MixedAxesTerm,
     MultiTermSymbol,
@@ -48,7 +48,6 @@ from zlattice.solver import (
     VolterraTerm,
     WeylFractionalSymbol,
     WeylTerm,
-    _solve_stack,
     check_initial_conditions,
     green_function,
     homogeneous_mode_residual,
@@ -372,47 +371,17 @@ def test_closed_form_singular_values_match_svd(M):
         assert abs(value_norm(Mi) * pi - ri) <= 1e-13 * ri
 
 
-@given(small_stacks(), st.booleans(), st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_closed_form_solve_is_backward_stable(M, in_range, seed):
-    # C = M X puts the right-hand side in M's dominant direction, where
-    # Cramer's rule leaves residuals of order eps / rcond; a free C is scaled
-    # by sigma_min so that ||M|| ||x|| stays in floating-point range
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
-    smax, smin = _sv_extremes(M)
-    C = M @ X if in_range else smin[:, None, None] * X
-    keep = (smax > 0) & (smin >= RCOND_MIN * smax)
-    x = _solve_stack(M, C)[keep]
-    p = _pow2_scale(M[keep])[:, None, None]
-    Ms, Cs = M[keep] * p, C[keep] * p
-    for Mi, Ci, xi in zip(Ms, Cs, x):
-        r = np.linalg.norm(Mi @ xi - Ci, 2)
-        assert r <= 1e-13 * np.linalg.norm(Mi, 2) * np.linalg.norm(xi, 2)
-    ref = np.linalg.solve(Ms, Cs)
-    rc = smin[keep] / smax[keep]
-    for xi, ri, ci in zip(x, ref, rc):
-        assert np.linalg.norm(xi - ri, 2) <= 1e-13 / ci * np.linalg.norm(ri, 2)
-
-
-def test_closed_form_solve_shares_one_right_hand_side():
-    rng = np.random.default_rng(3)
-    for m in (1, 2, 3):
-        M = rng.normal(size=(4, 5, m, m)) + 1j * rng.normal(size=(4, 5, m, m))
-        C = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        ref = np.linalg.solve(M, np.broadcast_to(C, M.shape))
-        np.testing.assert_allclose(_solve_stack(M, C), ref, rtol=1e-10, atol=1e-12)
-
-
-def test_closed_form_solve_near_the_bottom_of_the_normal_range():
-    # unscaled, the eliminated pivot det / p of this matrix (about 1e-311) is
-    # subnormal, and numpy's complex division overflows on it
-    U = _unitary(np.random.default_rng(11), 2)
-    M = 1e-300 * (U @ np.diag([1.0, 1e-11]) @ U.conj().T)
-    X = np.array([[1.0, -2.0j], [0.5, 1.0]])
-    x = _solve_stack(M[None], M @ X)[0]
-    assert np.linalg.norm(M @ x - M @ X, 2) <= 1e-13 * np.linalg.norm(M, 2) * np.linalg.norm(x, 2)
-    np.testing.assert_allclose(x, X, rtol=1e-3)
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_kernel_near_the_bottom_of_the_normal_range_scales_back(m):
+    # scaled by 1e-300, every sample of M(z) lies near the bottom of the normal
+    # range and its inverse near the top; the kernel scales by 1e300
+    A = np.array([[1.0, 0.5], [0.5, 1.0]])[:m, :m]
+    terms = (((1,), A), ((0,), -0.1 * np.eye(m)))
+    ref = green_function(OperatorPencil(1, m, terms, np.eye(m)), (1.0,), Box((-4,), (12,)))
+    tiny = OperatorPencil(1, m, tuple((j, 1e-300 * B) for j, B in terms), np.eye(m))
+    got = green_function(tiny, (1.0,), Box((-4,), (12,)))
+    scale = 1e300 * np.max(np.abs(ref.table.values))
+    assert np.max(np.abs(got.table.values - 1e300 * ref.table.values)) <= 1e-12 * scale
 
 
 def _inject(monkeypatch, bad):
@@ -432,7 +401,7 @@ def _inject(monkeypatch, bad):
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
 def test_non_finite_symbol_node_is_an_evaluator_failure(monkeypatch, m, value):
     # an exactly singular node comes first in row-major order; the non-finite
-    # node still wins, and a 1 x 1 inf (C / inf = 0) is not passed on as 0
+    # node still wins, and a 1 x 1 inf (1 / inf = 0) is not passed on as 0
     P = OperatorPencil(2, m, (((1, 0), 0.5 * np.eye(m)), ((0, 0), np.eye(m))), np.eye(m))
     M_bad = np.eye(m, dtype=complex)
     M_bad[0, 0] = value
@@ -446,16 +415,18 @@ def test_non_finite_symbol_node_is_an_evaluator_failure(monkeypatch, m, value):
 @pytest.mark.parametrize("m", [1, 2])
 def test_small_symbols_invert_without_lapack(monkeypatch, m):
     # u(k+1) - J u(k) = f has Green kernel J^(k-1) for k >= 1; m <= 2 takes
-    # the closed forms for the rcond gate, the solve and the contour norms
+    # the closed forms for the rcond gate and the contour norms, m = 1 also
+    # for the inverse
     J = np.array([[0.5, 0.3], [0.0, 0.5]])[:m, :m]
     P = OperatorPencil(1, m, (((1,), np.eye(m)), ((0,), -J)), np.eye(m))
     ref = [np.linalg.matrix_power(J, k - 1) if k >= 1 else np.zeros((m, m)) for k in range(-2, 21)]
 
     def lapack(*args, **kwargs):
-        raise AssertionError("LAPACK called for m <= 2")
+        raise AssertionError("LAPACK called where a closed form serves")
 
     monkeypatch.setattr(np.linalg, "svd", lapack)
-    monkeypatch.setattr(np.linalg, "solve", lapack)
+    if m == 1:
+        monkeypatch.setattr(np.linalg, "inv", lapack)
     res = green_function(P, (1.0,), Box((-2,), (20,)), grid=(64,))
     np.testing.assert_allclose(res.table.values, np.array(ref), atol=1e-12)
     assert 0 < res.min_rcond <= 1
@@ -483,6 +454,39 @@ def test_green_constant_pencil():
     for k in range(-2, 5):
         expect = np.linalg.solve(A, C) if k == 0 else np.zeros((2, 2))
         assert np.max(np.abs(np.asarray(kr.table.at((k,))) - expect)) < 1e-12
+
+
+def test_surrogate_kernel_applies_the_right_hand_side_factor(monkeypatch):
+    # u(k+1) - A u(k) = C f on a two-sided window: the contour's kernel is A^(k-1) C
+    A, C = np.array([[0.3, 0.1], [0.05, 0.2]]), np.array([[1.0, 2.0], [0.5, -1.0]])
+    P = OperatorPencil(1, 2, (((1,), np.eye(2)), ((0,), -A)), C)
+    nodes, plain = [], solver.symbol_eval
+
+    def spy(S, z, with_err=False):
+        nodes.append(z)
+        return plain(S, z, with_err)
+
+    monkeypatch.setattr(solver, "symbol_eval", spy)
+    kr = green_function(P, (1.0,), Box((-5,), (30,)))
+    ref = [np.linalg.matrix_power(A, k - 1) @ C if k >= 1 else np.zeros((2, 2)) for k in range(-5, 31)]
+    assert np.max(np.abs(kr.table.values - np.array(ref))) <= 1e-12
+    (z,) = nodes
+    x = np.linalg.solve(plain(P, z), np.broadcast_to(C, (len(z[0]), 2, 2)))
+    assert kr.contour_max >= np.max(np.linalg.norm(x, 2, axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("lo", [0, -3])
+def test_a_right_hand_side_factor_near_the_float_range_gives_no_nan_ledger(lo):
+    # ||C|| = 2e308 overflows; the kernel A^-1 (0.1 A^-1)^(k-1) C stays finite,
+    # and G(0) = 0 below j* = 1 keeps ledger 0 on a window from 0
+    A = np.array([[1.0, 0.5], [0.5, 1.0]])
+    P = OperatorPencil(1, 2, (((1,), A), ((0,), -0.1 * np.eye(2))), 1e308 * np.ones((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kr = green_function(P, (1.0,), Box((lo,), (8,)))
+    assert np.isfinite(kr.table.values).all()
+    assert not np.isnan(kr.aliasing).any() and (kr.aliasing >= 0).all()
+    assert lo < 0 or kr.aliasing[0] == 0
 
 
 def series_division_oracle(coeffs, C, K):
