@@ -2,11 +2,13 @@
 # Batch workflow through the zlattice command line: build a Cesaro kernel,
 # convolve it with itself, take its Weyl derivative, evaluate its transform
 # (also at z = 1e308, where z^-k underflows) and invert it, solve a pencil
-# problem from a JSON description and a C^2 one with C != I on a two-sided
-# kernel window, probe the first and one with a root on the circle, and run
-# every built-in fixture.  Two commands must fail with their
-# documented outcome: a transform value past the float range exits 2, and the
-# probe does not witness z - 1 at radius 1.
+# problem from a JSON description, a C^2 one with C != I on a two-sided kernel
+# window and one whose kernel starts off N0, probe the first and one with a
+# root on the circle, and run every built-in fixture.  The last two solves take
+# the contour without a certificate, so their ledger is inf, and the third one
+# must print "(ledger inf)".  Two commands must fail with their documented
+# outcome: a transform value past the float range exits 2, and the probe does
+# not witness z - 1 at radius 1.
 set -e
 
 work=$(mktemp -d)
@@ -58,7 +60,8 @@ cat "$work/report.json"
 echo
 
 # u(k+1) - A u(k) = C f in C^2 with C != I, on a two-sided kernel window: the
-# contour samples M(z)^-1 on the window and applies C afterwards
+# contour samples M(z)^-1 on the window and applies C afterwards; no certificate
+# covers a two-sided window, so the ledger is inf
 cat > "$work/vector.json" <<'EOF'
 {
   "kind": "pencil", "n": 1, "m": 2,
@@ -72,6 +75,13 @@ cat > "$work/vector.json" <<'EOF'
 EOF
 zlattice solve --problem "$work/vector.json" --radii 1.0 \
     --kernel-window -5:40 --check-window 1:28 --out "$work/u2.json"
+
+# u(k-1) - 0.5 u(k-2) = delta: the kernel 0.5^(k+1) starts at k = -1, off N0, where no
+# certificate can be formed, so a finite ledger here would be an unverified estimate
+sed -e 's/"j": \[1\]/"j": [-1]/' -e 's/"j": \[0\]/"j": [-2]/' "$work/problem.json" \
+    > "$work/shifted.json"
+zlattice solve --problem "$work/shifted.json" --radii 1.0 \
+    --kernel-window 0:40 --check-window 3:28 --out "$work/u3.json" | grep "(ledger inf)"
 
 zlattice probe-uniqueness --problem "$work/problem.json" --radii 1.0
 sed 's/-0.5, 0/-1, 0/' "$work/problem.json" > "$work/unit_root.json"  # z - 1

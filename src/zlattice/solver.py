@@ -33,9 +33,9 @@ that box alone (Frobenius norms), and G = Hs C.  The contour samples M(z)^{-1}
 (1 / M, or LAPACK's inverse for m >= 2) behind a reciprocal-condition gate,
 on the box, or on the window where there is no operator or ``grid`` is too
 short for the box; its kernel is G = H C.  A contour kernel the certificate
-refuses, or one on the window, gets a fitted envelope and ``contour_max`` =
-max ||M^{-1}|| ||C||, with ledger inf, or a surrogate: the fitted envelope's
-aliasing and the truncated transform tails.
+refuses, or one on the window, has ledger inf at every entry and the Cauchy
+envelope ||G(k)|| <= ``contour_max`` R^k, ``contour_max`` = max ||M^{-1}|| ||C||
+over the nodes.
 """
 
 from __future__ import annotations
@@ -75,10 +75,10 @@ from .ztransform import (
     Outside,
     PolyAnnulus,
     TransformEvaluator,
-    _aliasing_bounds,
     _check_powers,
     _mesh,
     _power_sum,
+    convergence_region,
     forward_tail_bound,
     invert_contour,
 )
@@ -248,35 +248,28 @@ def _zpow(z, j):
     return w
 
 
-def _prefactor(z, t: Term):
-    """z^shift (z - 1)^order; a negative shift raises at a zero coordinate."""
-    w = _zpow(z, t.shift)
-    return w * (z[0] - 1) ** t.order if t.order else w
-
-
-def symbol_eval(S: Symbol, z, with_err: bool = False):
+def symbol_eval(S: Symbol, z):
     """Evaluate the symbol matrix at a point or on an open mesh (see
-    ``TransformEvaluator``): the values have the mesh shape, then (m, m).
-    Optionally report, per node, the error radius contributed by truncated
-    kernel-transform tails.  A kernel term is the power sum of its block; its
-    prefactor z^shift (z - 1)^order is evaluated apart, for that radius."""
+    ``TransformEvaluator``): the values have the mesh shape, then (m, m).  A
+    kernel term is the power sum of its block, at points inside the kernel's
+    convergence region."""
     z = _mesh(z)
     if len(z) != S.n:
         raise DimensionMismatch("point dimension mismatch")
     grid = np.broadcast_shapes(*(np.shape(zi) for zi in z))
     out = np.zeros(grid + (S.m, S.m), dtype=complex)
-    err = np.zeros(grid)
     for t, lo, V in S._blocks:
         if t.kernel is None:
             out += np.multiply.outer(_zpow(z, t.shift), t.A)
             continue
-        w = _prefactor(z, t)
+        if any(c < 0 and np.any(zi == 0) for zi, c in zip(z, t.shift)):  # z^shift, as _zpow
+            raise ZeroCoordinate("negative power of zero coordinate")
         zsub = z if t.axes is None else tuple(z[j - 1] for j in t.axes)
         _check_powers(t.kernel, zsub)
-        tail = forward_tail_bound(t.kernel, zsub)  # also validates region membership
+        if t.kernel.envelope is not None and not convergence_region(t.kernel).contains(zsub):
+            raise PointOutsideRegion(f"{zsub} outside convergence region")
         out += _times_A(t, _power_sum(V, lo, z))
-        err += np.abs(w) * tail * value_norm(t.A)
-    return (out, err[()]) if with_err else out
+    return out
 
 
 def _times_A(t: Term, fa):
@@ -316,20 +309,19 @@ def operator_amplification(S: Symbol) -> float:
 
 @dataclass
 class KernelResult:
-    table: SequenceTable  # carries the decay envelope: certified, or fitted where not
-    aliasing: np.ndarray  # per-entry ledger: certified, inf where refused, or a surrogate
+    table: SequenceTable  # its envelope is Envelope(contour_max, radii)
+    aliasing: np.ndarray  # per-entry ledger: the certificate's, else inf at every entry
     min_rcond: float  # over the contour nodes, or the certified bound
     contour_max: float  # max ||M(z)^{-1}|| ||C|| over contour nodes, or the certified bound
-    symbol_err: float  # max kernel-transform tail radius over nodes; 0 where certified
 
 
 def _inverse_evaluator(S: Symbol):
     """M(z)^{-1} at every node behind the rcond gate, and a state that the one call of
-    ``invert_contour`` fills: min rcond, max ||M^{-1}|| and the largest tail radius."""
+    ``invert_contour`` fills: min rcond and max ||M^{-1}||."""
     state = {}
 
     def fn(z):
-        M, err = symbol_eval(S, z, with_err=True)
+        M = symbol_eval(S, z)
         finite = np.isfinite(M)
         if not finite.all():
             t = tuple(int(i) for i in np.argwhere(~finite)[0][:-2])  # first in row-major order
@@ -342,43 +334,11 @@ def _inverse_evaluator(S: Symbol):
             node = np.array([np.broadcast_to(zi, bad.shape)[t] for zi in z])
             raise SingularSymbol(tuple(np.round(node, 12)), float(rcond[t]))
         out = 1 / M if S.m == 1 else np.linalg.inv(M)
-        state.update(min_rcond=float(np.min(rcond)), symbol_err=float(np.max(err)),
-                     contour_max=float(np.max(value_norms(out, 2))))
+        state.update(min_rcond=float(np.min(rcond)), contour_max=float(np.max(value_norms(out, 2))))
         return out
 
     region = PolyAnnulus(tuple(Outside(0.0) for _ in range(S.n)))
     return TransformEvaluator(fn, region, "matrix", S.m), state
-
-
-def _fit_envelope(G: np.ndarray, window: Box, radii: Sequence[float]) -> Envelope:
-    """Fit a geometric decay envelope to a computed kernel window.
-
-    A numerical surrogate for the unknown true decay: per-axis rate from the
-    worst adjacent-norm ratio over the outer half of the window, constant as
-    the exact maximum of norm / rate^k.  Rates are clipped below the contour
-    radii so the aliasing formula stays finite.
-    """
-    norms = value_norms(G, 2)
-    n = window.dim
-    rates = []
-    for ax in range(n):
-        lead = np.moveaxis(norms, ax, 0)
-        L = lead.shape[0]
-        start = max(L // 2, 1) - 1 if L > 2 else 0
-        a, b = lead[start:-1], lead[start + 1 :]
-        mask = (a > 1e-250) & (b > 1e-250)
-        rho = float(np.max(b[mask] / a[mask])) if mask.any() else 0.5 * radii[ax]
-        rho = min(max(rho, 1e-6), 0.95 * radii[ax])
-        rates.append(rho)
-    weights = np.ones_like(norms)
-    for ax, rho in enumerate(rates):
-        ks = np.arange(window.lo[ax], window.hi[ax] + 1, dtype=float)
-        shape = [1] * n
-        shape[ax] = -1
-        weights = weights * (rho**ks).reshape(shape)
-    with np.errstate(all="ignore"):  # weights may underflow to 0; past the float range M is inf
-        M = float(np.max(norms / weights, where=norms > 0, initial=0.0))
-    return Envelope(M, tuple(rates))
 
 
 def _fro(X):
@@ -510,7 +470,7 @@ def _certify(S: Symbol, op, Hs, r, window: Box):
     G = (Hs[at].reshape(-1, m) @ S.C).reshape(window.shape + (m, m))
     table = SequenceTable(nonneg_orthant(n), window, G, "matrix", m, Envelope(bound, tuple(R)))
     led = np.where((led[at] == 0) | (nc == 0), 0.0, nc * led[at])  # 0 even where ||C|| is inf
-    return KernelResult(table, led, rc, bound, 0.0)
+    return KernelResult(table, led, rc, bound)
 
 
 def _series_1d(Binv, BJ, P: int, j0: int):
@@ -551,9 +511,10 @@ def _series_1d(Binv, BJ, P: int, j0: int):
 
 def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) -> KernelResult:
     """Green (resolvent) kernel G(k) of any symbol, with per-entry ledgers: where
-    ``_operator`` forms B, the series' or else the contour's on 0..K, its ledger from
-    ``_certify`` or inf; else the contour's on the window with a surrogate ledger (module
-    docstring).  The kernel lies on N0^n for a window with lo >= 0, else on Z^n."""
+    ``_operator`` forms B, the series' or else the contour's on 0..K; else the contour's
+    on the window.  Its ledger is ``_certify``'s where the certificate accepts the kernel,
+    else inf at every entry (module docstring).  The kernel lies on N0^n for a window
+    with lo >= 0, else on Z^n."""
     if len(radii) != S.n or window.dim != S.n:
         raise DimensionMismatch("radii/window dimension mismatch")
     causal_window = all(c >= 0 for c in window.lo)
@@ -573,19 +534,9 @@ def green_function(S: Symbol, radii: Sequence[float], window: Box, grid=None) ->
         if (kr := _certify(S, op, Hs, None, window)) is not None:
             return kr
         H = H[tuple(slice(a, b + 1) for a, b in zip(window.lo, window.hi))]
-    G, nc = H @ S.C, value_norm(S.C)
-    env, cmax = _fit_envelope(G, window, radii), state["contour_max"] * nc  # max ||M^-1|| ||C||
-    if op is not None:  # the certificate refused the contour's kernel
-        aliasing = np.full(window.shape, math.inf)
-    else:
-        aliasing = _aliasing_bounds(env, domain, res.radii, res.grid, window, cmax)
-        if state["symbol_err"] > 0:  # a perturbation dM of a sample moves M^-1 C by
-            # ||M^-1||^2 ||dM|| ||C|| to first order, and coefficient k by r^k times that
-            ks = (np.arange(lo, hi + 1.0) for lo, hi in zip(window.lo, window.hi))
-            w = math.prod(np.ix_(*(float(r) ** k for r, k in zip(radii, ks))))
-            aliasing += w * state["symbol_err"] * state["contour_max"] ** 2 * nc
-    table = SequenceTable(domain, window, G, "matrix", S.m, env)
-    return KernelResult(table, aliasing, state["min_rcond"], cmax, state["symbol_err"])
+    cmax = state["contour_max"] * value_norm(S.C)  # ||G(k)|| <= cmax R^k (Cauchy)
+    table = SequenceTable(domain, window, H @ S.C, "matrix", S.m, Envelope(cmax, radii))
+    return KernelResult(table, np.full(window.shape, math.inf), state["min_rcond"], cmax)
 
 
 resolvent_kernel = green_function
@@ -599,7 +550,7 @@ resolvent_kernel = green_function
 @dataclass
 class SolveResult:
     u: SequenceTable
-    error: np.ndarray  # per-entry solution error surrogate
+    error: np.ndarray  # per-entry solution error: the kernel ledger through |f|, plus tails
     ledger: float  # residual-scale bound: amplification * max entry error
     kernel: KernelResult
 

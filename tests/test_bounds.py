@@ -32,7 +32,7 @@ from zlattice.lattice import (
     axis_interval,
     nonneg_orthant,
 )
-from zlattice.solver import green_function
+from zlattice.solver import OperatorPencil, green_function
 from zlattice.ztransform import _log_run, eval_forward, forward_evaluator, invert_contour
 
 SLACK = 1 + 1e-12
@@ -376,18 +376,37 @@ def green_error(radius, window, grid=None):
     return np.abs(K.table.values.reshape(-1) - true), K.aliasing.reshape(-1)
 
 
-def test_green_kernel_ledger_covers_a_window_away_from_the_origin():
-    # on 30:40 the kernel values near k = 1 (G(1) = 1) wrap into the window
-    # of the contour's default grid of 36 nodes
-    err, ledger = green_error(1.0, Box((30,), (40,)), grid=(36,))
-    assert err.max() == pytest.approx(1.0)
-    assert np.all(err <= ledger)
+# z^-1 - 1/2 z^-2, whose Green kernel 0.5^(k+1) starts at k = j* = -1, off N0
+SHIFTED_HALF = OperatorPencil(1, 1, (((-1,), np.eye(1)), ((-2,), -0.5 * np.eye(1))), np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "S, start, radius, window, grid",
+    [
+        # on 30:40 the kernel values near k = 1 (G(1) = 1) wrap into the window of 36 nodes
+        (first_order_pencil(0.5), 1, 1.0, Box((30,), (40,)), (36,)),
+        (first_order_pencil(0.5), 1, 1.0, Box((-2,), (8,)), None),
+        (SHIFTED_HALF, -1, 0.52, Box((0,), (30,)), None),
+    ],
+    ids=["short-grid", "two-sided", "no-operator"],
+)
+def test_uncertified_green_kernel_has_ledger_inf_and_the_cauchy_envelope(
+        S, start, radius, window, grid):
+    # G(k) = 0.5^(k - start) for k >= start; no certificate: ledger inf, and
+    # ||G(k)|| <= max ||M(z)^-1|| ||C|| R^k over the contour's nodes
+    kr = green_function(S, (radius,), window, grid=grid)
+    k = np.arange(window.lo[0], window.hi[0] + 1.0)
+    err = np.abs(kr.table.values.reshape(-1) - np.where(k >= start, 0.5 ** (k - start), 0.0))
+    assert grid is None or err.max() == pytest.approx(1.0)
+    assert np.all(err <= kr.aliasing) and np.all(np.isinf(kr.aliasing))
+    assert kr.table.envelope == Envelope(kr.contour_max, (radius,))
+    assert kr.table.envelope_ok()
 
 
 def test_green_kernel_ledger_covers_the_rounding_under_an_exact_envelope():
-    # at radius 0.6 the fitted envelope is the exact one (rate 0.5, M = 2), so
-    # the wrap-around bound is tight and the rounding allowance carries the
-    # inverse FFT's rounding (the contour's default grid of 136 nodes)
+    # the grid of 136 nodes covers the box 0:60, so the residual certifies the
+    # contour's kernel at radius 0.6, and its ledger must carry the inverse FFT's
+    # rounding where the kernel is otherwise exact
     err, ledger = green_error(0.6, Box((0,), (60,)), grid=(136,))
     assert np.all(err <= ledger)
 
@@ -397,7 +416,7 @@ def test_green_kernel_ledger_covers_the_rounding_under_an_exact_envelope():
     [
         (1.0, Box((30,), (40,))),  # the contour's window away from the origin
         (0.6, Box((0,), (60,))),  # the contour's exact envelope
-        (0.52, Box((0,), (30,))),  # the contour clips its fitted rate to 0.494 < 0.5
+        (0.52, Box((0,), (30,))),  # a radius close to the pole at 0.5
     ],
 )
 def test_series_green_kernel_ledger_bounds_the_error(radius, window):

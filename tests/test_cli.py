@@ -258,6 +258,28 @@ def test_solve_cli_and_exit_codes(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_reports_an_infinite_ledger_for_an_uncertified_kernel(tmp_path, capsys):
+    # u(k-1) - 0.5 u(k-2) = delta(k): the kernel 0.5^(k+1) starts at k = -1, off N0, so no
+    # certificate can be formed and the contour's kernel carries ledger inf
+    prob = {
+        "kind": "pencil", "n": 1, "m": 1,
+        "terms": [{"j": [-1], "A": [[[1, 0]]]}, {"j": [-2], "A": [[[-0.5, 0]]]}],
+        "C": [[[1, 0]]],
+        "data": {"generator": "delta"},
+    }
+    p, rep = tmp_path / "p.json", tmp_path / "r.json"
+    p.write_text(json.dumps(prob))
+    code = run([
+        "solve", "--problem", str(p), "--radii", "1.0",
+        "--kernel-window", "0:40", "--check-window", "3:28",
+        "--out", str(tmp_path / "u.json"), "--report", str(rep),
+    ])
+    assert code == 0
+    assert json.loads(rep.read_text())["error_ledger"] == math.inf
+    assert '"error_ledger": Infinity' in rep.read_text()
+    assert "(ledger inf)" in capsys.readouterr().out
+
+
 def test_solve_report_is_byte_identical_across_runs(tmp_path):
     prob = {
         "kind": "pencil", "n": 1, "m": 1,
